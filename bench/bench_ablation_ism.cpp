@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/exec_context.hh"
 #include "common/rng.hh"
 #include "core/asv_system.hh"
 #include "core/ism.hh"
@@ -127,9 +128,11 @@ main(int argc, char **argv)
     {
         double cov = 0;
         int frames = 0;
+        BufferPool buffers;
+        const ExecContext ctx(ThreadPool::global(), buffers);
         for (const auto &seq : dataset) {
             const auto &f = seq.frames[0];
-            auto pts = flow::detectCorners(f.left);
+            auto pts = flow::detectCorners(f.left, {}, ctx);
             flow::trackLucasKanade(f.left, seq.frames[1].left,
                                    pts);
             cov += flow::sparseCoverage(pts, f.left.width(),

@@ -2,16 +2,17 @@
  * @file
  * google-benchmark microbenchmarks of the functional kernels: the
  * reference deconvolution vs the transformed execution (the wall
- * clock counterpart of the op-count savings), Farnebäck flow, block
- * matching and SGM — the streaming default plus its materialized,
- * 4-path, and range-pruned variants, each reporting its peak
- * resident arena bytes — plus a per-SIMD-level sweep of the census,
- * Hamming cost-volume, SGM aggregation-row, and fused cost-row
- * kernels, and of the f32 DNN route (BM_ConvGemm / BM_Deconv: im2col
- * + gemmRow with the fused bias+ReLU epilogue) — the vector-vs-scalar
- * datapoints tracked in BENCH_kernels.json. The benchmark context
- * records the dispatched ISA (asv_simd) so trajectory comparisons
- * across hosts stay meaningful.
+ * clock counterpart of the op-count savings), Farnebäck flow and its
+ * polynomial expansion, block matching and SGM — the streaming
+ * default plus its materialized, 4-path, and range-pruned variants,
+ * each reporting its peak resident arena bytes — plus a per-SIMD-level
+ * sweep of the census, Hamming cost-volume, SGM aggregation-row, and
+ * fused cost-row kernels, of the f32 DNN route (BM_ConvGemm /
+ * BM_Deconv: im2col + gemmRow with the fused bias+ReLU epilogue), and
+ * of the Farnebäck separable filter (BM_SepRow / BM_GaussianBlur) —
+ * the vector-vs-scalar datapoints tracked in BENCH_kernels.json. The
+ * benchmark context records the dispatched ISA (asv_simd) so
+ * trajectory comparisons across hosts stay meaningful.
  */
 
 #include <benchmark/benchmark.h>
@@ -29,6 +30,7 @@
 #include "debug/alloc_tracker.hh"
 #include "deconv/transform.hh"
 #include "flow/farneback.hh"
+#include "image/ops.hh"
 #include "stereo/block_matching.hh"
 #include "stereo/sgm.hh"
 #include "tensor/conv.hh"
@@ -86,11 +88,32 @@ BM_FarnebackFlow(benchmark::State &state)
     const int n = int(state.range(0));
     image::Image a = data::makeTexture(n, n, 8.f, rng);
     image::Image b = data::makeTexture(n, n, 8.f, rng);
+    BufferPool buffers;
+    const ExecContext ctx(ThreadPool::global(), buffers);
     for (auto _ : state)
-        benchmark::DoNotOptimize(flow::farnebackFlow(a, b));
+        benchmark::DoNotOptimize(
+            flow::farnebackFlow(a, b, {}, nullptr, ctx));
     state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_FarnebackFlow)->Arg(64)->Arg(128);
+
+void
+BM_PolyExpansion(benchmark::State &state)
+{
+    // Farnebäck's per-frame expansion at the ISM flow resolution
+    // (160x120 for a 320x240 camera at flowScale 2): three row and
+    // six column moment passes through the sepRowF64 kernel plus the
+    // 6x6 projection, two fan-outs on the global pool.
+    Rng rng(16);
+    const int w = int(state.range(0)), h = int(state.range(1));
+    image::Image img = data::makeTexture(w, h, 8.f, rng);
+    BufferPool buffers;
+    const ExecContext ctx(ThreadPool::global(), buffers);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(flow::polyExpansion(img, 3, 1.2, ctx));
+    state.SetItemsProcessed(state.iterations() * w * h);
+}
+BENCHMARK(BM_PolyExpansion)->Args({160, 120});
 
 void
 BM_BlockMatchingFull(benchmark::State &state)
@@ -430,6 +453,48 @@ BM_FusedCostRow(benchmark::State &state, simd::Level level)
     state.SetItemsProcessed(state.iterations() * w * nd);
 }
 
+void
+BM_SepRow(benchmark::State &state, simd::Level level)
+{
+    // One vertical-pass row of the r=5 Farnebäck aggregation blur:
+    // 11 row pointers, f32 taps, one 160-wide output row through the
+    // dispatched sepRowF32 kernel.
+    LevelGuard guard(level);
+    Rng rng(17);
+    const int w = int(state.range(0));
+    constexpr int kTaps = 11;
+    const std::vector<float> k = image::gaussianKernel1d(5, -1.0);
+    std::vector<float> src(size_t(kTaps) * w), out(w);
+    for (auto &v : src)
+        v = float(rng.uniformReal(0, 255));
+    const float *rows[kTaps];
+    for (int t = 0; t < kTaps; ++t)
+        rows[t] = src.data() + t * w;
+    const simd::Kernels &kern = simd::kernels();
+    for (auto _ : state) {
+        kern.sepRowF32(rows, k.data(), kTaps, w, out.data());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * w * kTaps);
+}
+
+void
+BM_GaussianBlur(benchmark::State &state, simd::Level level)
+{
+    // The r=5 aggregation blur of one 160x120 plane: both separable
+    // passes, row-parallel on the global pool.
+    LevelGuard guard(level);
+    Rng rng(18);
+    const int w = int(state.range(0)), h = int(state.range(1));
+    image::Image img = data::makeTexture(w, h, 8.f, rng);
+    BufferPool buffers;
+    const ExecContext ctx(ThreadPool::global(), buffers);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(image::gaussianBlur(img, 5, -1.0, ctx));
+    state.SetItemsProcessed(state.iterations() * w * h);
+}
+
 } // namespace
 
 int
@@ -463,6 +528,14 @@ main(int argc, char **argv)
         benchmark::RegisterBenchmark(
             ("BM_Deconv/" + suffix).c_str(), BM_Deconv, level)
             ->Arg(16)
+            ->UseRealTime();
+        benchmark::RegisterBenchmark(
+            ("BM_SepRow/" + suffix).c_str(), BM_SepRow, level)
+            ->Arg(160);
+        benchmark::RegisterBenchmark(
+            ("BM_GaussianBlur/" + suffix).c_str(), BM_GaussianBlur,
+            level)
+            ->Args({160, 120})
             ->UseRealTime();
     }
     benchmark::AddCustomContext("asv_simd", simd::activeName());

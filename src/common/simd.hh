@@ -1,14 +1,15 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernel layer for the stereo and DNN hot
- * paths.
+ * Runtime-dispatched SIMD kernel layer for the stereo, optical-flow
+ * and DNN hot paths.
  *
  * The inner loops that dominate classical stereo — census
  * bit-packing, XOR+popcount Hamming cost rows, SAD accumulation for
  * block matching, and the semi-global aggregation recurrence — plus
  * the f32 GEMM row and bias+ReLU epilogue behind the deconv/DNN path
- * carry 8-32x of data-level parallelism that scalar per-pixel loops
- * leave on the table. This layer exposes them as a table of function
+ * and the separable filter row behind Farnebäck flow carry 8-32x
+ * of data-level parallelism that scalar per-pixel loops leave on the
+ * table. This layer exposes them as a table of function
  * pointers (`Kernels`) with one implementation per ISA, selected once
  * at startup:
  *
@@ -40,8 +41,11 @@
  * NEON) replay it bit-exactly, while the one mul-then-add lane
  * (SSE4.2) is tolerance-tested under an explicitly documented
  * contract — `Kernels::fusedF32` records which case a table is.
- * Adding an ISA means porting the seven kernels under the same
- * contract (see docs/KERNELS.md for the full bit-identity contract,
+ * The separable-row filter (SepRowF32Fn / SepRowF64Fn, the Farnebäck
+ * blur and moment passes) is exact floating point at every level: one
+ * IEEE multiply and one IEEE add per tap, never fused, so it needs no
+ * tolerance lane. Adding an ISA means porting the nine kernels under
+ * the same contract (see docs/KERNELS.md for the full bit-identity contract,
  * tolerance carve-outs, sentinel conventions, and a porting guide).
  */
 
@@ -195,6 +199,42 @@ using GemmRowFn = void (*)(const float *a, int k, const float *b,
 using BiasReluRowFn = void (*)(float *out, int n, float bias,
                                bool relu);
 
+/**
+ * One output row of a separable (1-D) filter — the Gaussian blur and
+ * polynomial-expansion moment passes of Farnebäck flow. Given
+ * @p ntaps row pointers and taps, computes
+ *
+ *   for x in [0, n):
+ *     acc = +0.0 (double)
+ *     for t in [0, ntaps):        // ascending
+ *       acc += k[t] * rows[t][x]
+ *     out[x] = float(acc)
+ *
+ * A horizontal interior pass hands rows[t] = row + t (each lane reads
+ * a shifted window of one row); a vertical pass hands the y-clamped
+ * row pointers. Each lane's accumulator stays in a register for the
+ * whole tap loop — no scratch row.
+ *
+ * Two flavours, differing only in the product's precision:
+ *  - SepRowF32Fn (f32 taps): the product k[t] * rows[t][x] is
+ *    rounded to f32, then widened and summed in f64 — the blur's
+ *    sequence;
+ *  - SepRowF64Fn (f64 taps): the pixel is widened to f64 and both
+ *    product and sum are f64 — the moment passes' sequence.
+ *
+ * Exactness contract: every lane replays the scalar per-output
+ * sequence (one IEEE multiply, one IEEE add per tap, same order), so
+ * every level is bit-identical to the reference for all inputs. There
+ * is no tolerance lane and Kernels::fusedF32 is irrelevant here; the
+ * one way to break it is a fused multiply-add, which is why vector
+ * bodies spell out mul + add and the library builds with
+ * -ffp-contract=off (docs/KERNELS.md).
+ */
+using SepRowF32Fn = void (*)(const float *const *rows, const float *k,
+                             int ntaps, int n, float *out);
+using SepRowF64Fn = void (*)(const float *const *rows, const double *k,
+                             int ntaps, int n, float *out);
+
 /** One ISA's kernel table. */
 struct Kernels
 {
@@ -207,6 +247,8 @@ struct Kernels
     CostRowFn costRow;
     GemmRowFn gemmRow;
     BiasReluRowFn biasReluRow;
+    SepRowF32Fn sepRowF32;
+    SepRowF64Fn sepRowF64;
     /**
      * True when gemmRow replays the scalar std::fmaf chain bit-exactly
      * (single rounding per multiply-add). False for mul-then-add

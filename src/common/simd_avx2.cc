@@ -3,9 +3,11 @@
  * AVX2 kernel table: 8-wide census bit-packing, popcount-by-nibble
  * (PSHUFB lookup + SAD reduction) Hamming rows over 4x64-bit lanes,
  * 8-wide (two 4-lane double accumulators) SAD spans, 16-lane
- * saturating-uint16 SGM aggregation rows, and the 8-lane FMA f32
+ * saturating-uint16 SGM aggregation rows, the 8-lane FMA f32
  * GEMM row + bias/ReLU epilogue for the DNN path (bit-identical to
- * the scalar std::fmaf reference when built with FMA).
+ * the scalar std::fmaf reference when built with FMA), and the
+ * 16-wide separable filter rows of Farnebäck flow (four 4-lane
+ * double accumulators, explicit mul then add).
  *
  * Compiled with -mavx2 -mfma -mpopcnt (see CMakeLists); degrades to
  * a nullptr getter without AVX2.
@@ -357,11 +359,108 @@ biasReluRowAvx2(float *out, int n, float bias, bool relu)
     biasReluRowRef(out, j, n, bias, relu);
 }
 
+/** Narrow two 4-lane double accumulators to 8 floats at @p out. */
+inline void
+storeNarrowed(float *out, __m256d lo, __m256d hi)
+{
+    _mm256_storeu_ps(out, _mm256_set_m128(_mm256_cvtpd_ps(hi),
+                                          _mm256_cvtpd_ps(lo)));
+}
+
+void
+sepRowF32Avx2(const float *const *rows, const float *k, int ntaps,
+              int n, float *out)
+{
+    int x = 0;
+    // 16 outputs per iteration: each tap's 8-lane f32 product is
+    // widened into two 4-lane double accumulators, which stay in
+    // registers across the whole tap loop. Explicit mul then add —
+    // the library's -ffp-contract=off keeps them unfused, so every
+    // lane replays the scalar f32-product / f64-sum sequence.
+    for (; x + 16 <= n; x += 16) {
+        __m256d acc0 = _mm256_setzero_pd();
+        __m256d acc1 = _mm256_setzero_pd();
+        __m256d acc2 = _mm256_setzero_pd();
+        __m256d acc3 = _mm256_setzero_pd();
+        for (int t = 0; t < ntaps; ++t) {
+            const __m256 kv = _mm256_set1_ps(k[t]);
+            const float *r = rows[t] + x;
+            const __m256 p0 = _mm256_mul_ps(kv, _mm256_loadu_ps(r));
+            const __m256 p1 =
+                _mm256_mul_ps(kv, _mm256_loadu_ps(r + 8));
+            acc0 = _mm256_add_pd(
+                acc0, _mm256_cvtps_pd(_mm256_castps256_ps128(p0)));
+            acc1 = _mm256_add_pd(
+                acc1, _mm256_cvtps_pd(_mm256_extractf128_ps(p0, 1)));
+            acc2 = _mm256_add_pd(
+                acc2, _mm256_cvtps_pd(_mm256_castps256_ps128(p1)));
+            acc3 = _mm256_add_pd(
+                acc3, _mm256_cvtps_pd(_mm256_extractf128_ps(p1, 1)));
+        }
+        storeNarrowed(out + x, acc0, acc1);
+        storeNarrowed(out + x + 8, acc2, acc3);
+    }
+    for (; x + 4 <= n; x += 4) {
+        __m256d acc = _mm256_setzero_pd();
+        for (int t = 0; t < ntaps; ++t) {
+            const __m128 p =
+                _mm_mul_ps(_mm_set1_ps(k[t]), _mm_loadu_ps(rows[t] + x));
+            acc = _mm256_add_pd(acc, _mm256_cvtps_pd(p));
+        }
+        _mm_storeu_ps(out + x, _mm256_cvtpd_ps(acc));
+    }
+    sepRowRef(rows, k, ntaps, x, n, out);
+}
+
+void
+sepRowF64Avx2(const float *const *rows, const double *k, int ntaps,
+              int n, float *out)
+{
+    int x = 0;
+    // 16 outputs per iteration in four 4-lane double accumulators:
+    // pixels widen to double first, then one f64 multiply and one
+    // f64 add per tap — the scalar moment-pass sequence.
+    for (; x + 16 <= n; x += 16) {
+        __m256d acc0 = _mm256_setzero_pd();
+        __m256d acc1 = _mm256_setzero_pd();
+        __m256d acc2 = _mm256_setzero_pd();
+        __m256d acc3 = _mm256_setzero_pd();
+        for (int t = 0; t < ntaps; ++t) {
+            const __m256d kv = _mm256_set1_pd(k[t]);
+            const float *r = rows[t] + x;
+            acc0 = _mm256_add_pd(
+                acc0,
+                _mm256_mul_pd(kv, _mm256_cvtps_pd(_mm_loadu_ps(r))));
+            acc1 = _mm256_add_pd(
+                acc1, _mm256_mul_pd(
+                          kv, _mm256_cvtps_pd(_mm_loadu_ps(r + 4))));
+            acc2 = _mm256_add_pd(
+                acc2, _mm256_mul_pd(
+                          kv, _mm256_cvtps_pd(_mm_loadu_ps(r + 8))));
+            acc3 = _mm256_add_pd(
+                acc3, _mm256_mul_pd(
+                          kv, _mm256_cvtps_pd(_mm_loadu_ps(r + 12))));
+        }
+        storeNarrowed(out + x, acc0, acc1);
+        storeNarrowed(out + x + 8, acc2, acc3);
+    }
+    for (; x + 4 <= n; x += 4) {
+        __m256d acc = _mm256_setzero_pd();
+        for (int t = 0; t < ntaps; ++t)
+            acc = _mm256_add_pd(
+                acc, _mm256_mul_pd(_mm256_set1_pd(k[t]),
+                                   _mm256_cvtps_pd(
+                                       _mm_loadu_ps(rows[t] + x))));
+        _mm_storeu_ps(out + x, _mm256_cvtpd_ps(acc));
+    }
+    sepRowRef(rows, k, ntaps, x, n, out);
+}
+
 constexpr Kernels kAvx2Kernels = {
-    "avx2",         Level::Avx2, censusRowAvx2,
-    hammingRowAvx2, sadSpanAvx2, aggregateRowAvx2,
-    costRowAvx2,    gemmRowAvx2, biasReluRowAvx2,
-    kAvx2GemmFused,
+    "avx2",         Level::Avx2,   censusRowAvx2,
+    hammingRowAvx2, sadSpanAvx2,   aggregateRowAvx2,
+    costRowAvx2,    gemmRowAvx2,   biasReluRowAvx2,
+    sepRowF32Avx2,  sepRowF64Avx2, kAvx2GemmFused,
 };
 
 } // namespace

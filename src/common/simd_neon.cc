@@ -4,9 +4,10 @@
  * bit-packing (vcltq_f32 masks shifted in MSB-first), vcntq_u8 +
  * pairwise-widening Hamming rows, 2-lane float64x2_t SAD spans,
  * 8-lane saturating-uint16 SGM aggregation rows (vminvq_u16
- * horizontal min), and the 4-lane FMLA f32 GEMM row + bias/ReLU
+ * horizontal min), the 4-lane FMLA f32 GEMM row + bias/ReLU
  * epilogue for the DNN path (FMLA is fused, so gemmRow is
- * bit-identical to the scalar std::fmaf reference).
+ * bit-identical to the scalar std::fmaf reference), and 8-wide
+ * float64x2_t separable filter rows (FMUL + FADD, never FMLA).
  *
  * NEON is baseline on armv8-a, so no per-file target flags are
  * strictly required; the whole file degrades to a nullptr getter off
@@ -242,11 +243,78 @@ biasReluRowNeon(float *out, int n, float bias, bool relu)
     biasReluRowRef(out, j, n, bias, relu);
 }
 
+/** Narrow two 2-lane double accumulators to 4 floats at @p out. */
+inline void
+storeNarrowed(float *out, float64x2_t lo, float64x2_t hi)
+{
+    vst1q_f32(out, vcvt_high_f32_f64(vcvt_f32_f64(lo), hi));
+}
+
+void
+sepRowF32Neon(const float *const *rows, const float *k, int ntaps,
+              int n, float *out)
+{
+    int x = 0;
+    // 8 outputs per iteration: each tap's two 4-lane f32 products
+    // (FMUL) are widened into four float64x2_t accumulators held in
+    // registers (FADD). Never FMLA: the library's -ffp-contract=off
+    // keeps the compiler from fusing the mul and add either.
+    for (; x + 8 <= n; x += 8) {
+        float64x2_t acc0 = vdupq_n_f64(0.0);
+        float64x2_t acc1 = vdupq_n_f64(0.0);
+        float64x2_t acc2 = vdupq_n_f64(0.0);
+        float64x2_t acc3 = vdupq_n_f64(0.0);
+        for (int t = 0; t < ntaps; ++t) {
+            const float32x4_t kv = vdupq_n_f32(k[t]);
+            const float *r = rows[t] + x;
+            const float32x4_t p0 = vmulq_f32(kv, vld1q_f32(r));
+            const float32x4_t p1 = vmulq_f32(kv, vld1q_f32(r + 4));
+            acc0 = vaddq_f64(acc0, vcvt_f64_f32(vget_low_f32(p0)));
+            acc1 = vaddq_f64(acc1, vcvt_high_f64_f32(p0));
+            acc2 = vaddq_f64(acc2, vcvt_f64_f32(vget_low_f32(p1)));
+            acc3 = vaddq_f64(acc3, vcvt_high_f64_f32(p1));
+        }
+        storeNarrowed(out + x, acc0, acc1);
+        storeNarrowed(out + x + 4, acc2, acc3);
+    }
+    sepRowRef(rows, k, ntaps, x, n, out);
+}
+
+void
+sepRowF64Neon(const float *const *rows, const double *k, int ntaps,
+              int n, float *out)
+{
+    int x = 0;
+    // 8 outputs per iteration in four float64x2_t accumulators:
+    // widen, then FMUL + FADD per tap (never FMLA).
+    for (; x + 8 <= n; x += 8) {
+        float64x2_t acc0 = vdupq_n_f64(0.0);
+        float64x2_t acc1 = vdupq_n_f64(0.0);
+        float64x2_t acc2 = vdupq_n_f64(0.0);
+        float64x2_t acc3 = vdupq_n_f64(0.0);
+        for (int t = 0; t < ntaps; ++t) {
+            const float64x2_t kv = vdupq_n_f64(k[t]);
+            const float *r = rows[t] + x;
+            const float32x4_t v0 = vld1q_f32(r);
+            const float32x4_t v1 = vld1q_f32(r + 4);
+            acc0 = vaddq_f64(
+                acc0, vmulq_f64(kv, vcvt_f64_f32(vget_low_f32(v0))));
+            acc1 = vaddq_f64(acc1, vmulq_f64(kv, vcvt_high_f64_f32(v0)));
+            acc2 = vaddq_f64(
+                acc2, vmulq_f64(kv, vcvt_f64_f32(vget_low_f32(v1))));
+            acc3 = vaddq_f64(acc3, vmulq_f64(kv, vcvt_high_f64_f32(v1)));
+        }
+        storeNarrowed(out + x, acc0, acc1);
+        storeNarrowed(out + x + 4, acc2, acc3);
+    }
+    sepRowRef(rows, k, ntaps, x, n, out);
+}
+
 constexpr Kernels kNeonKernels = {
-    "neon",         Level::Neon, censusRowNeon,
-    hammingRowNeon, sadSpanNeon, aggregateRowNeon,
-    costRowNeon,    gemmRowNeon, biasReluRowNeon,
-    /*fusedF32=*/true,
+    "neon",         Level::Neon,   censusRowNeon,
+    hammingRowNeon, sadSpanNeon,   aggregateRowNeon,
+    costRowNeon,    gemmRowNeon,   biasReluRowNeon,
+    sepRowF32Neon,  sepRowF64Neon, /*fusedF32=*/true,
 };
 
 } // namespace

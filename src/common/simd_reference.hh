@@ -4,7 +4,8 @@
  *
  * One definition of the census bit-pack, Hamming popcount, fused
  * pixel-major cost row, SAD accumulation, semi-global aggregation,
- * f32 GEMM row, and bias+ReLU epilogue semantics, included by
+ * f32 GEMM row, bias+ReLU epilogue, and separable filter row
+ * semantics, included by
  * every per-ISA translation unit: the scalar table uses them as its
  * kernels, and the vector tables use them for sub-vector tails.
  * Keeping a single copy means a future change to the encoding or
@@ -19,6 +20,10 @@
  * the DNN path — spells its fusion out with std::fmaf (correctly
  * rounded by definition, never silently contracted or split), so it
  * too is flag-independent; see docs/KERNELS.md for the f32 contract.
+ * The separable filter row multiplies and adds in separate IEEE
+ * operations; it stays flag-independent only because the library
+ * builds with -ffp-contract=off, which forbids the compiler from
+ * fusing them.
  */
 
 #ifndef ASV_COMMON_SIMD_REFERENCE_HH
@@ -181,6 +186,26 @@ biasReluRowRef(float *out, int j0, int j1, float bias, bool relu)
     for (int j = j0; j < j1; ++j) {
         const float v = out[j] + bias;
         out[j] = relu ? (v > 0.0f ? v : 0.0f) : v;
+    }
+}
+
+/**
+ * Separable filter row for outputs [x0, x1); see SepRowF32Fn and
+ * SepRowF64Fn. @p Tap is float (f32 product widened into the f64
+ * sum) or double (f64 product and sum) — the expression
+ * `k[t] * rows[t][x]` has exactly that type. The vector tables call
+ * this with x0 > 0 for the sub-vector tail.
+ */
+template <typename Tap>
+inline void
+sepRowRef(const float *const *rows, const Tap *k, int ntaps, int x0,
+          int x1, float *out)
+{
+    for (int x = x0; x < x1; ++x) {
+        double acc = 0.0;
+        for (int t = 0; t < ntaps; ++t)
+            acc += k[t] * rows[t][x];
+        out[x] = static_cast<float>(acc);
     }
 }
 

@@ -67,11 +67,25 @@ biasReluRowScalar(float *out, int n, float bias, bool relu)
     biasReluRowRef(out, 0, n, bias, relu);
 }
 
+void
+sepRowF32Scalar(const float *const *rows, const float *k, int ntaps,
+                int n, float *out)
+{
+    sepRowRef(rows, k, ntaps, 0, n, out);
+}
+
+void
+sepRowF64Scalar(const float *const *rows, const double *k, int ntaps,
+                int n, float *out)
+{
+    sepRowRef(rows, k, ntaps, 0, n, out);
+}
+
 constexpr Kernels kScalarKernels = {
-    "scalar",         Level::Scalar, censusRowScalar,
-    hammingRowScalar, sadSpanScalar, aggregateRowScalar,
-    costRowScalar,    gemmRowScalar, biasReluRowScalar,
-    /*fusedF32=*/true,
+    "scalar",         Level::Scalar,   censusRowScalar,
+    hammingRowScalar, sadSpanScalar,   aggregateRowScalar,
+    costRowScalar,    gemmRowScalar,   biasReluRowScalar,
+    sepRowF32Scalar,  sepRowF64Scalar, /*fusedF32=*/true,
 };
 
 } // namespace

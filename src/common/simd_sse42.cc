@@ -2,10 +2,12 @@
  * @file
  * SSE4.2 kernel table: 4-wide census bit-packing, hardware-POPCNT
  * Hamming rows, 2-lane double SAD spans, 8-lane saturating-uint16
- * SGM aggregation rows (PHMINPOSUW horizontal min), and the 4-lane
- * f32 GEMM row + bias/ReLU epilogue for the DNN path. SSE4.2 has no
- * FMA, so gemmRow is the table's one tolerance-tested kernel
- * (fusedF32 == false; see docs/KERNELS.md).
+ * SGM aggregation rows (PHMINPOSUW horizontal min), the 4-lane
+ * f32 GEMM row + bias/ReLU epilogue for the DNN path, and 8-wide
+ * separable filter rows (four 2-lane double accumulators). SSE4.2
+ * has no FMA, so gemmRow is the table's one tolerance-tested kernel
+ * (fusedF32 == false; see docs/KERNELS.md); the filter rows never
+ * fuse anywhere and are exact.
  *
  * Compiled with -msse4.2 -mpopcnt (see CMakeLists); the whole file
  * degrades to a nullptr getter when those flags are unavailable so
@@ -261,11 +263,78 @@ biasReluRowSse42(float *out, int n, float bias, bool relu)
     biasReluRowRef(out, j, n, bias, relu);
 }
 
+/** Narrow two 2-lane double accumulators to 4 floats at @p out. */
+inline void
+storeNarrowed(float *out, __m128d lo, __m128d hi)
+{
+    _mm_storeu_ps(out,
+                  _mm_movelh_ps(_mm_cvtpd_ps(lo), _mm_cvtpd_ps(hi)));
+}
+
+void
+sepRowF32Sse42(const float *const *rows, const float *k, int ntaps,
+               int n, float *out)
+{
+    int x = 0;
+    // 8 outputs per iteration: each tap's two 4-lane f32 products are
+    // widened into four 2-lane double accumulators held in registers
+    // across the tap loop (mul then add, never fused).
+    for (; x + 8 <= n; x += 8) {
+        __m128d acc0 = _mm_setzero_pd();
+        __m128d acc1 = _mm_setzero_pd();
+        __m128d acc2 = _mm_setzero_pd();
+        __m128d acc3 = _mm_setzero_pd();
+        for (int t = 0; t < ntaps; ++t) {
+            const __m128 kv = _mm_set1_ps(k[t]);
+            const float *r = rows[t] + x;
+            const __m128 p0 = _mm_mul_ps(kv, _mm_loadu_ps(r));
+            const __m128 p1 = _mm_mul_ps(kv, _mm_loadu_ps(r + 4));
+            acc0 = _mm_add_pd(acc0, _mm_cvtps_pd(p0));
+            acc1 = _mm_add_pd(acc1, _mm_cvtps_pd(_mm_movehl_ps(p0, p0)));
+            acc2 = _mm_add_pd(acc2, _mm_cvtps_pd(p1));
+            acc3 = _mm_add_pd(acc3, _mm_cvtps_pd(_mm_movehl_ps(p1, p1)));
+        }
+        storeNarrowed(out + x, acc0, acc1);
+        storeNarrowed(out + x + 4, acc2, acc3);
+    }
+    sepRowRef(rows, k, ntaps, x, n, out);
+}
+
+void
+sepRowF64Sse42(const float *const *rows, const double *k, int ntaps,
+               int n, float *out)
+{
+    int x = 0;
+    // 8 outputs per iteration in four 2-lane double accumulators:
+    // widen, then one f64 multiply and one f64 add per tap.
+    for (; x + 8 <= n; x += 8) {
+        __m128d acc0 = _mm_setzero_pd();
+        __m128d acc1 = _mm_setzero_pd();
+        __m128d acc2 = _mm_setzero_pd();
+        __m128d acc3 = _mm_setzero_pd();
+        for (int t = 0; t < ntaps; ++t) {
+            const __m128d kv = _mm_set1_pd(k[t]);
+            const float *r = rows[t] + x;
+            const __m128 v0 = _mm_loadu_ps(r);
+            const __m128 v1 = _mm_loadu_ps(r + 4);
+            acc0 = _mm_add_pd(acc0, _mm_mul_pd(kv, _mm_cvtps_pd(v0)));
+            acc1 = _mm_add_pd(
+                acc1, _mm_mul_pd(kv, _mm_cvtps_pd(_mm_movehl_ps(v0, v0))));
+            acc2 = _mm_add_pd(acc2, _mm_mul_pd(kv, _mm_cvtps_pd(v1)));
+            acc3 = _mm_add_pd(
+                acc3, _mm_mul_pd(kv, _mm_cvtps_pd(_mm_movehl_ps(v1, v1))));
+        }
+        storeNarrowed(out + x, acc0, acc1);
+        storeNarrowed(out + x + 4, acc2, acc3);
+    }
+    sepRowRef(rows, k, ntaps, x, n, out);
+}
+
 constexpr Kernels kSse42Kernels = {
-    "sse42",         Level::Sse42, censusRowSse42,
-    hammingRowSse42, sadSpanSse42, aggregateRowSse42,
-    costRowSse42,    gemmRowSse42, biasReluRowSse42,
-    /*fusedF32=*/false,
+    "sse42",         Level::Sse42,   censusRowSse42,
+    hammingRowSse42, sadSpanSse42,   aggregateRowSse42,
+    costRowSse42,    gemmRowSse42,   biasReluRowSse42,
+    sepRowF32Sse42,  sepRowF64Sse42, /*fusedF32=*/false,
 };
 
 } // namespace

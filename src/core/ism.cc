@@ -154,13 +154,6 @@ ismFlow(const image::Image &from, const image::Image &to,
     return full;
 }
 
-flow::FlowField
-ismFlow(const image::Image &from, const image::Image &to,
-        const IsmParams &p)
-{
-    return ismFlow(from, to, p, ExecContext::global());
-}
-
 stereo::DisparityMap
 ismPropagate(const image::Image &left, const image::Image &right,
              const stereo::DisparityMap &prev_disparity,

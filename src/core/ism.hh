@@ -113,16 +113,13 @@ bool ismDecideKeyFrame(KeyFrameSequencer &sequencer,
  * upsampled and rescaled back (Sec. 3.3). Depends only on the two
  * input frames — never on a previous frame's *result* — which is
  * what lets StreamPipeline run it eagerly while the predecessor
- * frame is still in flight. The resize pre-stages fan out on
- * @p ctx's pool.
+ * frame is still in flight. The resize pre-stages and every
+ * Farnebäck stage fan out on @p ctx's pool; a warm call allocates
+ * nothing (its buffers come from @p ctx's BufferPool).
  */
 flow::FlowField ismFlow(const image::Image &from,
                         const image::Image &to, const IsmParams &p,
                         const ExecContext &ctx);
-
-/** ismFlow() on the process-global pool (legacy signature). */
-flow::FlowField ismFlow(const image::Image &from,
-                        const image::Image &to, const IsmParams &p);
 
 /**
  * Stages 2-4 of a non-key frame: reconstruct correspondence pairs

@@ -2,7 +2,7 @@
 
 #include <array>
 #include <cmath>
-#include <vector>
+#include <span>
 
 #include "common/logging.hh"
 #include "common/math_util.hh"
@@ -79,54 +79,6 @@ inverseGram(int radius, double sigma)
     return inv;
 }
 
-/** One separable pass along x with kernel w(t)*t^p. */
-image::Image
-rowMoment(const image::Image &src, int radius, double sigma, int p,
-          const ExecContext &ctx)
-{
-    image::Image dst = image::acquireImageUninit(
-        ctx.buffers(), src.width(), src.height());
-    auto k = ctx.buffers().acquire<double>(size_t(2 * radius + 1));
-    for (int t = -radius; t <= radius; ++t) {
-        const double w =
-            std::exp(-(double(t) * t) / (2.0 * sigma * sigma));
-        k[t + radius] = w * std::pow(double(t), p);
-    }
-    for (int y = 0; y < src.height(); ++y) {
-        for (int x = 0; x < src.width(); ++x) {
-            double acc = 0.0;
-            for (int t = -radius; t <= radius; ++t)
-                acc += k[t + radius] * src.atClamped(x + t, y);
-            dst.at(x, y) = static_cast<float>(acc);
-        }
-    }
-    return dst;
-}
-
-/** One separable pass along y with kernel w(t)*t^q. */
-image::Image
-colMoment(const image::Image &src, int radius, double sigma, int q,
-          const ExecContext &ctx)
-{
-    image::Image dst = image::acquireImageUninit(
-        ctx.buffers(), src.width(), src.height());
-    auto k = ctx.buffers().acquire<double>(size_t(2 * radius + 1));
-    for (int t = -radius; t <= radius; ++t) {
-        const double w =
-            std::exp(-(double(t) * t) / (2.0 * sigma * sigma));
-        k[t + radius] = w * std::pow(double(t), q);
-    }
-    for (int y = 0; y < src.height(); ++y) {
-        for (int x = 0; x < src.width(); ++x) {
-            double acc = 0.0;
-            for (int t = -radius; t <= radius; ++t)
-                acc += k[t + radius] * src.atClamped(x, y + t);
-            dst.at(x, y) = static_cast<float>(acc);
-        }
-    }
-    return dst;
-}
-
 } // namespace
 
 PolyExpansion
@@ -137,55 +89,73 @@ polyExpansion(const image::Image &img, int radius, double sigma,
     const int w = img.width(), h = img.height();
     const auto ginv = inverseGram(radius, sigma);
 
+    // Moment taps w(t)*t^p for p = 0, 1, 2; the row and column passes
+    // share them.
+    const int ntaps = 2 * radius + 1;
+    auto kbuf = ctx.buffers().acquire<double>(size_t(3 * ntaps));
+    for (int p = 0; p < 3; ++p) {
+        for (int t = -radius; t <= radius; ++t) {
+            const double wt =
+                std::exp(-(double(t) * t) / (2.0 * sigma * sigma));
+            kbuf[size_t(p * ntaps + t + radius)] =
+                wt * std::pow(double(t), p);
+        }
+    }
+    const auto k = [&](int p) {
+        return std::span<const double>(kbuf.data() + p * ntaps,
+                                       size_t(ntaps));
+    };
+
     // Separable moments: m(p,q) = col_q(row_p(f)). All intermediates
     // and the six coefficient planes are pooled, so a warm expansion
     // allocates nothing.
-    const image::Image r0 = rowMoment(img, radius, sigma, 0, ctx);
-    const image::Image r1 = rowMoment(img, radius, sigma, 1, ctx);
-    const image::Image r2 = rowMoment(img, radius, sigma, 2, ctx);
-    const image::Image m00 = colMoment(r0, radius, sigma, 0, ctx);
-    const image::Image m10 = colMoment(r1, radius, sigma, 0, ctx);
-    const image::Image m01 = colMoment(r0, radius, sigma, 1, ctx);
-    const image::Image m20 = colMoment(r2, radius, sigma, 0, ctx);
-    const image::Image m02 = colMoment(r0, radius, sigma, 2, ctx);
-    const image::Image m11 = colMoment(r1, radius, sigma, 1, ctx);
-
     BufferPool &bp = ctx.buffers();
-    PolyExpansion pe{image::acquireImageUninit(bp, w, h),
-                     image::acquireImageUninit(bp, w, h),
-                     image::acquireImageUninit(bp, w, h),
-                     image::acquireImageUninit(bp, w, h),
-                     image::acquireImageUninit(bp, w, h),
-                     image::acquireImageUninit(bp, w, h)};
+    const auto plane = [&] { return image::acquireImageUninit(bp, w, h); };
+    image::Image r0 = plane(), r1 = plane(), r2 = plane();
+    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
+        image::convolveX(img, k(0), r0, int(y0), int(y1));
+        image::convolveX(img, k(1), r1, int(y0), int(y1));
+        image::convolveX(img, k(2), r2, int(y0), int(y1));
+    });
 
-    // Basis order: {1, dx, dy, dx^2, dy^2, dxdy}.
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            const std::array<double, 6> m = {
-                m00.at(x, y), m10.at(x, y), m01.at(x, y),
-                m20.at(x, y), m02.at(x, y), m11.at(x, y)};
-            std::array<double, 6> coef{};
-            for (int i = 0; i < 6; ++i) {
-                double acc = 0.0;
-                for (int j = 0; j < 6; ++j)
-                    acc += ginv[i][j] * m[j];
-                coef[i] = acc;
+    image::Image m00 = plane(), m10 = plane(), m01 = plane();
+    image::Image m20 = plane(), m02 = plane(), m11 = plane();
+    PolyExpansion pe{plane(), plane(), plane(),
+                     plane(), plane(), plane()};
+
+    // Column moments and the 6x6 projection, row by row: the
+    // projection of row y needs only row y of the six moments.
+    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
+        image::convolveY(r0, k(0), m00, int(y0), int(y1));
+        image::convolveY(r1, k(0), m10, int(y0), int(y1));
+        image::convolveY(r0, k(1), m01, int(y0), int(y1));
+        image::convolveY(r2, k(0), m20, int(y0), int(y1));
+        image::convolveY(r0, k(2), m02, int(y0), int(y1));
+        image::convolveY(r1, k(1), m11, int(y0), int(y1));
+
+        // Basis order: {1, dx, dy, dx^2, dy^2, dxdy}.
+        for (int y = int(y0); y < int(y1); ++y) {
+            for (int x = 0; x < w; ++x) {
+                const std::array<double, 6> m = {
+                    m00.at(x, y), m10.at(x, y), m01.at(x, y),
+                    m20.at(x, y), m02.at(x, y), m11.at(x, y)};
+                std::array<double, 6> coef{};
+                for (int i = 0; i < 6; ++i) {
+                    double acc = 0.0;
+                    for (int j = 0; j < 6; ++j)
+                        acc += ginv[i][j] * m[j];
+                    coef[i] = acc;
+                }
+                pe.c.at(x, y) = static_cast<float>(coef[0]);
+                pe.bx.at(x, y) = static_cast<float>(coef[1]);
+                pe.by.at(x, y) = static_cast<float>(coef[2]);
+                pe.axx.at(x, y) = static_cast<float>(coef[3]);
+                pe.ayy.at(x, y) = static_cast<float>(coef[4]);
+                pe.axy.at(x, y) = static_cast<float>(coef[5]);
             }
-            pe.c.at(x, y) = static_cast<float>(coef[0]);
-            pe.bx.at(x, y) = static_cast<float>(coef[1]);
-            pe.by.at(x, y) = static_cast<float>(coef[2]);
-            pe.axx.at(x, y) = static_cast<float>(coef[3]);
-            pe.ayy.at(x, y) = static_cast<float>(coef[4]);
-            pe.axy.at(x, y) = static_cast<float>(coef[5]);
         }
-    }
+    });
     return pe;
-}
-
-PolyExpansion
-polyExpansion(const image::Image &img, int radius, double sigma)
-{
-    return polyExpansion(img, radius, sigma, ExecContext::global());
 }
 
 namespace
@@ -201,17 +171,17 @@ updateFlow(const PolyExpansion &p1, const PolyExpansion &p2,
 {
     const int w = flow.width(), h = flow.height();
 
-    // The matrix update writes every pixel of the five normal-
-    // equation planes, so the pooled acquisitions skip the clear.
+    // The five per-pixel normal-equation planes: G = A^T A (g11, g12,
+    // g22) and h = A^T db (h1, h2). The matrix update writes every
+    // pixel, so the pooled acquisitions skip the clear.
+    enum { G11, G12, G22, H1, H2 };
     BufferPool &bp = ctx.buffers();
-    image::Image g11 = image::acquireImageUninit(bp, w, h);
-    image::Image g12 = image::acquireImageUninit(bp, w, h);
-    image::Image g22 = image::acquireImageUninit(bp, w, h);
-    image::Image h1 = image::acquireImageUninit(bp, w, h);
-    image::Image h2 = image::acquireImageUninit(bp, w, h);
+    std::array<image::Image, 5> g;
+    for (image::Image &plane : g)
+        plane = image::acquireImageUninit(bp, w, h);
 
     // Matrix update: build the per-pixel normal equations. Rows are
-    // independent (each writes disjoint slices of g/h), so they fan
+    // independent (each writes disjoint slices of g), so they fan
     // out on the context's pool bit-identically.
     ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
         for (int y = int(y0); y < int(y1); ++y) {
@@ -220,51 +190,50 @@ updateFlow(const PolyExpansion &p1, const PolyExpansion &p2,
                 const float dv = flow.v.at(x, y);
                 const float xs = clamp(float(x) + du, 0.f, float(w - 1));
                 const float ys = clamp(float(y) + dv, 0.f, float(h - 1));
+                // All five p2 samples share (xs, ys): one floor and
+                // one set of weights.
+                const image::BilinearSample s(w, h, xs, ys);
 
                 // A = (A1(x) + A2(x+d)) / 2, with A =
                 // [[axx, axy/2], [axy/2, ayy]].
                 const double a11 =
-                    0.5 * (p1.axx.at(x, y) + p2.axx.sample(xs, ys));
+                    0.5 * (p1.axx.at(x, y) + s.apply(p2.axx));
                 const double a22 =
-                    0.5 * (p1.ayy.at(x, y) + p2.ayy.sample(xs, ys));
+                    0.5 * (p1.ayy.at(x, y) + s.apply(p2.ayy));
                 const double a12 =
-                    0.25 * (p1.axy.at(x, y) + p2.axy.sample(xs, ys));
+                    0.25 * (p1.axy.at(x, y) + s.apply(p2.axy));
 
                 // db = -(1/2)(b2(x+d) - b1(x)) + A d.
                 const double db1 =
-                    -0.5 * (p2.bx.sample(xs, ys) - p1.bx.at(x, y)) +
+                    -0.5 * (s.apply(p2.bx) - p1.bx.at(x, y)) +
                     a11 * du + a12 * dv;
                 const double db2 =
-                    -0.5 * (p2.by.sample(xs, ys) - p1.by.at(x, y)) +
+                    -0.5 * (s.apply(p2.by) - p1.by.at(x, y)) +
                     a12 * du + a22 * dv;
 
-                // Accumulate G = A^T A and h = A^T db.
-                g11.at(x, y) = float(a11 * a11 + a12 * a12);
-                g12.at(x, y) = float(a12 * (a11 + a22));
-                g22.at(x, y) = float(a22 * a22 + a12 * a12);
-                h1.at(x, y) = float(a11 * db1 + a12 * db2);
-                h2.at(x, y) = float(a12 * db1 + a22 * db2);
+                g[G11].at(x, y) = float(a11 * a11 + a12 * a12);
+                g[G12].at(x, y) = float(a12 * (a11 + a22));
+                g[G22].at(x, y) = float(a22 * a22 + a12 * a12);
+                g[H1].at(x, y) = float(a11 * db1 + a12 * db2);
+                g[H2].at(x, y) = float(a12 * db1 + a22 * db2);
             }
         }
     });
 
-    // Gaussian aggregation of the normal equations.
-    g11 = image::gaussianBlur(g11, blur_radius, -1.0, ctx);
-    g12 = image::gaussianBlur(g12, blur_radius, -1.0, ctx);
-    g22 = image::gaussianBlur(g22, blur_radius, -1.0, ctx);
-    h1 = image::gaussianBlur(h1, blur_radius, -1.0, ctx);
-    h2 = image::gaussianBlur(h2, blur_radius, -1.0, ctx);
+    // Gaussian aggregation of the normal equations: all five planes
+    // in one horizontal and one vertical fan-out.
+    image::gaussianBlurInPlace(g, blur_radius, -1.0, ctx);
 
     // Compute flow: per-pixel 2x2 solve, row-parallel.
     ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
         for (int y = int(y0); y < int(y1); ++y) {
             for (int x = 0; x < w; ++x) {
-                const double a = g11.at(x, y), b = g12.at(x, y);
-                const double c = g22.at(x, y);
+                const double a = g[G11].at(x, y), b = g[G12].at(x, y);
+                const double c = g[G22].at(x, y);
                 const double det = a * c - b * b;
                 if (std::abs(det) < 1e-9)
                     continue; // textureless region: keep previous flow
-                const double r1 = h1.at(x, y), r2 = h2.at(x, y);
+                const double r1 = g[H1].at(x, y), r2 = g[H2].at(x, y);
                 flow.u.at(x, y) = float((c * r1 - b * r2) / det);
                 flow.v.at(x, y) = float((a * r2 - b * r1) / det);
             }
@@ -286,11 +255,11 @@ farnebackFlow(const image::Image &frame0, const image::Image &frame1,
                       init->height() != frame0.height()),
              "init flow size mismatch");
 
-    const auto pyr0 = image::buildPyramid(
+    const image::Pyramid pyr0 = image::buildPyramid(
         frame0, params.pyramidLevels, 16, ctx);
-    const auto pyr1 = image::buildPyramid(
+    const image::Pyramid pyr1 = image::buildPyramid(
         frame1, params.pyramidLevels, 16, ctx);
-    const int levels = static_cast<int>(pyr0.size());
+    const int levels = pyr0.size();
 
     const int wc = pyr0[levels - 1].width();
     const int hc = pyr0[levels - 1].height();
@@ -337,14 +306,6 @@ farnebackFlow(const image::Image &frame0, const image::Image &frame1,
             updateFlow(p0, p1, flow, params.blurRadius, ctx);
     }
     return flow;
-}
-
-FlowField
-farnebackFlow(const image::Image &frame0, const image::Image &frame1,
-              const FarnebackParams &params, const FlowField *init)
-{
-    return farnebackFlow(frame0, frame1, params, init,
-                         ExecContext::global());
 }
 
 FarnebackCost

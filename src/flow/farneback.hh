@@ -55,27 +55,30 @@ struct FarnebackParams
 };
 
 /**
- * Compute the quadratic polynomial expansion of @p img. The moment
- * intermediates and the six coefficient planes are drawn from
+ * Compute the quadratic polynomial expansion of @p img. Two
+ * row-parallel fan-outs on @p ctx's pool: the three row-moment
+ * passes, then the six column-moment passes with the 6x6 projection
+ * of each finished row. The moment passes are image::convolveX /
+ * convolveY with f64 taps (the dispatched sepRowF64 kernel). The
+ * moment intermediates and the six coefficient planes are drawn from
  * @p ctx's buffer pool, so a warm expansion allocates nothing.
  *
  * @param img    input frame
  * @param radius neighborhood radius (window is (2r+1)^2)
  * @param sigma  Gaussian applicability sigma
- * @param ctx    execution context supplying the buffer pool
+ * @param ctx    execution context supplying both pools
  */
 PolyExpansion polyExpansion(const image::Image &img, int radius,
                             double sigma, const ExecContext &ctx);
 
-/** polyExpansion() on the process-global pools (legacy signature). */
-PolyExpansion polyExpansion(const image::Image &img, int radius,
-                            double sigma);
-
 /**
- * Estimate dense flow from @p frame0 to @p frame1. The convolutional
- * stages (pyramid anti-alias blur, flow upsampling, the aggregation
- * blurs of each iteration) fan out on @p ctx's pool; results are
- * bit-identical for any worker count.
+ * Estimate dense flow from @p frame0 to @p frame1. Every stage fans
+ * out by row on @p ctx's pool: the pyramid anti-alias blur, flow
+ * upsampling, the polynomial expansions, and per iteration the
+ * matrix update, one fused aggregation blur of all five
+ * normal-equation planes (image::gaussianBlurInPlace: two fan-outs),
+ * and the 2x2 solve. Results are bit-identical for any worker count
+ * and SIMD level.
  *
  * @param frame0 source frame
  * @param frame1 target frame
@@ -89,12 +92,6 @@ FlowField farnebackFlow(const image::Image &frame0,
                         const FarnebackParams &params,
                         const FlowField *init,
                         const ExecContext &ctx);
-
-/** farnebackFlow() on the process-global pool (legacy signature). */
-FlowField farnebackFlow(const image::Image &frame0,
-                        const image::Image &frame1,
-                        const FarnebackParams &params = {},
-                        const FlowField *init = nullptr);
 
 /**
  * Analytic arithmetic-op count of farnebackFlow on a w x h frame,

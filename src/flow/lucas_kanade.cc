@@ -12,7 +12,7 @@ namespace asv::flow
 {
 
 image::Image
-harrisResponse(const image::Image &img)
+harrisResponse(const image::Image &img, const ExecContext &ctx)
 {
     const int w = img.width(), h = img.height();
     const image::Image gx = image::gradientX(img);
@@ -25,9 +25,9 @@ harrisResponse(const image::Image &img)
         iyy.data()[i] = y * y;
         ixy.data()[i] = x * y;
     }
-    const image::Image sxx = image::gaussianBlur(ixx, 2);
-    const image::Image syy = image::gaussianBlur(iyy, 2);
-    const image::Image sxy = image::gaussianBlur(ixy, 2);
+    const image::Image sxx = image::gaussianBlur(ixx, 2, -1.0, ctx);
+    const image::Image syy = image::gaussianBlur(iyy, 2, -1.0, ctx);
+    const image::Image sxy = image::gaussianBlur(ixy, 2, -1.0, ctx);
 
     image::Image resp(w, h);
     constexpr double k = 0.04;
@@ -42,9 +42,10 @@ harrisResponse(const image::Image &img)
 }
 
 std::vector<TrackedPoint>
-detectCorners(const image::Image &img, const LucasKanadeParams &params)
+detectCorners(const image::Image &img, const LucasKanadeParams &params,
+              const ExecContext &ctx)
 {
-    const image::Image resp = harrisResponse(img);
+    const image::Image resp = harrisResponse(img, ctx);
     const int w = img.width(), h = img.height();
 
     float max_resp = 0.f;

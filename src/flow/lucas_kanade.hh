@@ -46,16 +46,19 @@ struct LucasKanadeParams
 
 /**
  * Harris corner response map of @p img (k = 0.04, 3x3 gradients
- * aggregated over a Gaussian window).
+ * aggregated over a Gaussian window blurred on @p ctx's pool).
  */
-image::Image harrisResponse(const image::Image &img);
+image::Image harrisResponse(const image::Image &img,
+                            const ExecContext &ctx);
 
 /**
  * Detect up to maxCorners Shi-Tomasi/Harris corners with
- * non-maximum suppression and minimum spacing.
+ * non-maximum suppression and minimum spacing; the response map is
+ * computed on @p ctx.
  */
-std::vector<TrackedPoint> detectCorners(
-    const image::Image &img, const LucasKanadeParams &params = {});
+std::vector<TrackedPoint> detectCorners(const image::Image &img,
+                                        const LucasKanadeParams &params,
+                                        const ExecContext &ctx);
 
 /**
  * Track @p points from @p frame0 to @p frame1 with pyramidal

@@ -59,16 +59,7 @@ Image::atClamped(int x, int y) const
 float
 Image::sample(float x, float y) const
 {
-    const int x0 = static_cast<int>(std::floor(x));
-    const int y0 = static_cast<int>(std::floor(y));
-    const float fx = x - x0;
-    const float fy = y - y0;
-    const float v00 = atClamped(x0, y0);
-    const float v10 = atClamped(x0 + 1, y0);
-    const float v01 = atClamped(x0, y0 + 1);
-    const float v11 = atClamped(x0 + 1, y0 + 1);
-    return (1 - fx) * (1 - fy) * v00 + fx * (1 - fy) * v10 +
-           (1 - fx) * fy * v01 + fx * fy * v11;
+    return BilinearSample(width_, height_, x, y).apply(*this);
 }
 
 void

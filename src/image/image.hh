@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/buffer_pool.hh"
+#include "common/math_util.hh"
 
 namespace asv::image
 {
@@ -165,6 +166,75 @@ class Image
     int height_ = 0;
     std::vector<float> data_;
     std::shared_ptr<detail::PoolState> pool_; //!< null = plain value
+};
+
+/**
+ * One axis of a bilinear sample at real coordinate @p t on a grid of
+ * @p n samples: the replicate-clamped neighbours floor(t) and
+ * floor(t) + 1, and the fraction t - floor(t). An x axis depends on
+ * the column alone and a y axis on the row alone, so a resize
+ * resolves each once.
+ */
+struct BilinearAxis
+{
+    int lo;     //!< clamp(floor(t), 0, n - 1)
+    int hi;     //!< clamp(floor(t) + 1, 0, n - 1)
+    float frac; //!< t - floor(t)
+
+    static BilinearAxis
+    at(float t, int n)
+    {
+        // floor(t) without a libm call: truncate, then step down for
+        // negative non-integers (exact for every t in int range).
+        int t0 = static_cast<int>(t);
+        if (t < float(t0))
+            --t0;
+        return {clamp(t0, 0, n - 1), clamp(t0 + 1, 0, n - 1), t - t0};
+    }
+};
+
+/**
+ * Image::sample() split in two: the clamped 2x2 footprint and the
+ * bilinear weights of one point on a width-wide grid, computed once,
+ * then apply()'d to any plane of that size. Several planes sampled at
+ * the same point (Farnebäck's matrix update samples five) share the
+ * floor and weight arithmetic; the result is bit-identical to
+ * Image::sample(), which is built on it.
+ */
+class BilinearSample
+{
+  public:
+    BilinearSample(int width, const BilinearAxis &ax,
+                   const BilinearAxis &ay)
+        : i00_(int64_t(ay.lo) * width + ax.lo),
+          i10_(int64_t(ay.lo) * width + ax.hi),
+          i01_(int64_t(ay.hi) * width + ax.lo),
+          i11_(int64_t(ay.hi) * width + ax.hi),
+          w00_((1 - ax.frac) * (1 - ay.frac)),
+          w10_(ax.frac * (1 - ay.frac)), w01_((1 - ax.frac) * ay.frac),
+          w11_(ax.frac * ay.frac)
+    {
+    }
+
+    /** The sample at real coordinates (x, y) of a width x height grid. */
+    BilinearSample(int width, int height, float x, float y)
+        : BilinearSample(width, BilinearAxis::at(x, width),
+                         BilinearAxis::at(y, height))
+    {
+    }
+
+    /** The sample of @p img (same size as the constructor's grid). */
+    float
+    apply(const Image &img) const
+    {
+        const float *d = img.data();
+        return w00_ * d[i00_] + w10_ * d[i10_] + w01_ * d[i01_] +
+               w11_ * d[i11_];
+    }
+
+  private:
+    int64_t i00_, i10_, i01_, i11_; //!< clamped corner offsets
+    float w00_, w10_, w01_, w11_;   //!< corner weights
 };
 
 } // namespace asv::image

@@ -4,9 +4,11 @@
  *
  * Measures, with asv::debug::AllocScope, how many heap allocations
  * one warm compute() of each registry engine performs (BM, SGM, and
- * the guided refiner on its guided path), plus one warm
+ * the guided refiner on its guided path), one warm
  * dnn::NetworkRuntime::forward() frame of a conv+deconv network, and
- * diffs the counts against the committed BASELINE_alloc.json.
+ * one warm non-key core::IsmPipeline frame (two Farnebäck flows plus
+ * the guided propagation), and diffs the counts against the committed
+ * BASELINE_alloc.json.
  *
  * With the BufferPool arena in place the contract is *exact*: a
  * pooled engine (baseline allocsPerFrame == 0) must perform zero
@@ -30,12 +32,15 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/exec_context.hh"
 #include "common/thread_pool.hh"
+#include "core/ism.hh"
+#include "core/sequencer.hh"
 #include "data/scene.hh"
 #include "debug/alloc_tracker.hh"
 #include "dnn/network.hh"
@@ -95,7 +100,7 @@ readBaseline(const std::string &path)
     };
 
     std::map<std::string, EngineBaseline> out;
-    for (const char *engine : {"bm", "sgm", "guided", "dnn"}) {
+    for (const char *engine : {"bm", "sgm", "guided", "dnn", "ism"}) {
         std::string key = "\"";
         key += engine;
         key += '"';
@@ -118,8 +123,9 @@ writeBaseline(const std::string &path,
     std::ofstream out(path);
     out << "{\n";
     out << "  \"_comment\": \"Steady-state per-frame heap-allocation "
-           "counts per registry engine (96x64 pair, maxDisparity=32, "
-           "2-worker pool). allocsPerFrame == 0 is enforced exactly "
+           "counts per registry engine and per non-key ISM frame "
+           "(96x64 pair, maxDisparity=32, 2-worker pool). "
+           "allocsPerFrame == 0 is enforced exactly "
            "(the BufferPool zero-allocation contract); warmupBytes "
            "is the banded one-time pool-population cost. Diffed by "
            "alloc_baseline_test; refresh with "
@@ -268,6 +274,27 @@ class AllocBaseline : public ::testing::Test
         m["dnn"] = measure([&] {
             (void)rt.forward(dnn_in, ctx_);
         });
+
+        // ISM non-key frames: the first warm-up frame is the only key
+        // frame (the window never closes); every later frame runs
+        // ismFlow on both cameras plus ismPropagate, alternating
+        // between two distinct frames so the flow has motion to find.
+        data::SceneConfig cfg;
+        cfg.width = 96;
+        cfg.height = 64;
+        cfg.numObjects = 3;
+        cfg.maxDisparity = 20.f;
+        const data::StereoSequence clip = data::generateSequence(cfg, 2, 6);
+        core::IsmParams ip;
+        ip.maxDisparity = 32;
+        core::IsmPipeline ism(ip, stereo::makeMatcher("bm", "maxDisparity=32"),
+                              core::makeStaticSequencer(1 << 30),
+                              std::make_shared<ThreadPool>(2));
+        size_t next = 0;
+        m["ism"] = measure([&] {
+            const data::StereoFrame &f = clip.frames[next++ % 2];
+            (void)ism.processFrame(f.left, f.right);
+        });
         return m;
     }
 
@@ -295,7 +322,7 @@ TEST_F(AllocBaseline, SteadyStateCountsMatchCommittedBaseline)
     }
 
     const auto baseline = readBaseline(baselinePath());
-    ASSERT_EQ(4u, baseline.size())
+    ASSERT_EQ(5u, baseline.size())
         << "missing or unparsable " << baselinePath()
         << " — regenerate with ASV_ALLOC_BASELINE_WRITE=1";
 

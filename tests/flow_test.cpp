@@ -1,15 +1,24 @@
 /**
  * @file
  * Tests for Farnebäck optical flow: polynomial expansion recovers
- * known quadratics, flow recovers synthetic translations, and the
- * cost model splits ops the way the ASV mapping charges them.
+ * known quadratics, flow recovers synthetic translations, the cost
+ * model splits ops the way the ASV mapping charges them, and
+ * core::ismFlow's output over a clip is pinned to a hash that must
+ * hold at every SIMD level and worker count.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 
+#include "common/exec_context.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
+#include "common/thread_pool.hh"
+#include "core/ism.hh"
 #include "data/scene.hh"
 #include "flow/farneback.hh"
 #include "flow/flow_field.hh"
@@ -20,6 +29,16 @@ namespace
 
 using namespace asv;
 using namespace asv::flow;
+
+/** The pools the flow calls under test run on. */
+const ExecContext &
+ctx()
+{
+    static ThreadPool pool(2);
+    static BufferPool buffers;
+    static const ExecContext c(pool, buffers);
+    return c;
+}
 
 /** Shift an image by integer (dx, dy) with clamped borders. */
 image::Image
@@ -47,7 +66,7 @@ TEST(PolyExpansion, RecoversQuadraticCoefficients)
                            0.1f * dx * dy;
         }
     }
-    const PolyExpansion pe = polyExpansion(img, 3, 1.2);
+    const PolyExpansion pe = polyExpansion(img, 3, 1.2, ctx());
     EXPECT_NEAR(pe.c.at(cx, cy), 2.0, 1e-3);
     EXPECT_NEAR(pe.bx.at(cx, cy), 3.0, 1e-3);
     EXPECT_NEAR(pe.by.at(cx, cy), -1.0, 1e-3);
@@ -59,7 +78,7 @@ TEST(PolyExpansion, RecoversQuadraticCoefficients)
 TEST(PolyExpansion, ConstantImageHasOnlyConstantTerm)
 {
     image::Image img(16, 16, 9.f);
-    const PolyExpansion pe = polyExpansion(img, 3, 1.2);
+    const PolyExpansion pe = polyExpansion(img, 3, 1.2, ctx());
     EXPECT_NEAR(pe.c.at(8, 8), 9.0, 1e-4);
     EXPECT_NEAR(pe.bx.at(8, 8), 0.0, 1e-4);
     EXPECT_NEAR(pe.axx.at(8, 8), 0.0, 1e-4);
@@ -80,7 +99,7 @@ TEST_P(FlowTranslation, RecoversKnownShift)
     FarnebackParams params;
     params.pyramidLevels = 3;
     params.iterations = 3;
-    FlowField f = farnebackFlow(base, moved, params);
+    FlowField f = farnebackFlow(base, moved, params, nullptr, ctx());
 
     FlowField gt(base.width(), base.height());
     gt.fill(float(dx), float(dy));
@@ -98,7 +117,7 @@ TEST(Flow, ZeroMotionGivesNearZeroFlow)
 {
     Rng rng(11);
     image::Image img = data::makeTexture(64, 64, 8.f, rng);
-    FlowField f = farnebackFlow(img, img);
+    FlowField f = farnebackFlow(img, img, {}, nullptr, ctx());
     FlowField zero(64, 64);
     EXPECT_LT(averageEndpointError(f, zero, 4), 0.05);
 }
@@ -113,13 +132,13 @@ TEST(Flow, InitialFlowSpeedsConvergence)
     FarnebackParams weak;
     weak.pyramidLevels = 1;
     weak.iterations = 1;
-    FlowField cold = farnebackFlow(base, moved, weak);
+    FlowField cold = farnebackFlow(base, moved, weak, nullptr, ctx());
 
     // ...unless seeded with a good initial estimate (what ISM does
     // when chaining frames).
     FlowField init(80, 64);
     init.fill(5.f, 0.f);
-    FlowField warm = farnebackFlow(base, moved, weak, &init);
+    FlowField warm = farnebackFlow(base, moved, weak, &init, ctx());
 
     FlowField gt(80, 64);
     gt.fill(5.f, 0.f);
@@ -164,6 +183,70 @@ TEST(FlowCost, ScalesWithResolution)
     const auto large = farnebackCost(200, 200, p);
     EXPECT_NEAR(double(large.total()) / double(small.total()), 4.0,
                 0.4);
+}
+
+/** FNV-1a (64-bit) over the bit patterns of @p img, folded into @p h. */
+uint64_t
+fnv1a(uint64_t h, const image::Image &img)
+{
+    for (int64_t i = 0; i < img.size(); ++i) {
+        uint32_t bits;
+        std::memcpy(&bits, img.data() + i, sizeof(bits));
+        for (int b = 0; b < 4; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+/** Hash of core::ismFlow's u/v for both cameras over @p seq. */
+uint64_t
+ismFlowClipHash(const data::StereoSequence &seq, const ExecContext &exec)
+{
+    const core::IsmParams p;
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (size_t t = 1; t < seq.frames.size(); ++t) {
+        const data::StereoFrame &a = seq.frames[t - 1];
+        const data::StereoFrame &b = seq.frames[t];
+        for (const auto &[from, to] :
+             {std::pair{&a.left, &b.left}, std::pair{&a.right, &b.right}}) {
+            const FlowField f = core::ismFlow(*from, *to, p, exec);
+            h = fnv1a(fnv1a(h, f.u), f.v);
+        }
+    }
+    return h;
+}
+
+TEST(IsmFlowPin, ClipHashHoldsAtEverySimdLevelAndPoolSize)
+{
+    // Computed with the original per-pixel scalar loops (the blur and
+    // moment ones are kept in tests/separable_reference.hh); any
+    // change in rounding, accumulation order or border handling
+    // moves it.
+    constexpr uint64_t kPinned = 0x3055cfd14659e6d9ull;
+
+    data::SceneConfig cfg;
+    cfg.width = 320;
+    cfg.height = 240;
+    const data::StereoSequence seq = data::generateSequence(cfg, 12, 7);
+
+    const simd::Level saved = simd::activeLevel();
+    for (simd::Level level : {simd::Level::Scalar, simd::Level::Sse42,
+                              simd::Level::Avx2, simd::Level::Neon}) {
+        if (!simd::levelSupported(level))
+            continue;
+        simd::setLevel(level);
+        for (int workers : {1, 2, 4}) {
+            ThreadPool pool(workers);
+            BufferPool buffers;
+            EXPECT_EQ(kPinned,
+                      ismFlowClipHash(seq, ExecContext(pool, buffers)))
+                << simd::levelName(level) << ", " << workers
+                << " workers";
+        }
+    }
+    simd::setLevel(saved);
 }
 
 } // namespace

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/exec_context.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "data/scene.hh"
 #include "flow/lucas_kanade.hh"
 
@@ -16,6 +18,16 @@ namespace
 
 using namespace asv;
 using namespace asv::flow;
+
+/** The pools the corner detector under test runs on. */
+const ExecContext &
+ctx()
+{
+    static ThreadPool pool(2);
+    static BufferPool buffers;
+    static const ExecContext c(pool, buffers);
+    return c;
+}
 
 image::Image
 shiftImage(const image::Image &src, int dx, int dy)
@@ -35,7 +47,7 @@ TEST(Harris, CornerOutscoresEdgeAndFlat)
     for (int y = 10; y < 30; ++y)
         for (int x = 10; x < 30; ++x)
             img.at(x, y) = 200.f;
-    const image::Image r = harrisResponse(img);
+    const image::Image r = harrisResponse(img, ctx());
     const float corner = r.at(10, 10);
     const float edge = r.at(20, 10);
     const float flat = r.at(20, 20);
@@ -50,7 +62,7 @@ TEST(Harris, DetectsSquareCorners)
     for (int y = 10; y < 30; ++y)
         for (int x = 10; x < 30; ++x)
             img.at(x, y) = 200.f;
-    const auto corners = detectCorners(img);
+    const auto corners = detectCorners(img, {}, ctx());
     ASSERT_GE(corners.size(), 4u);
     // All four square corners found within 2 px.
     int found = 0;
@@ -74,7 +86,7 @@ TEST(Corners, SpacingIsRespected)
     image::Image img = data::makeTexture(96, 96, 6.f, rng);
     LucasKanadeParams p;
     p.minDistance = 10;
-    const auto corners = detectCorners(img, p);
+    const auto corners = detectCorners(img, p, ctx());
     for (size_t i = 0; i < corners.size(); ++i) {
         for (size_t j = i + 1; j < corners.size(); ++j) {
             const float dx = corners[i].x - corners[j].x;
@@ -90,7 +102,7 @@ TEST(LucasKanade, TracksKnownTranslation)
     image::Image base = data::makeTexture(96, 72, 7.f, rng);
     image::Image moved = shiftImage(base, 3, 2);
 
-    auto points = detectCorners(base);
+    auto points = detectCorners(base, {}, ctx());
     ASSERT_GT(points.size(), 10u);
     trackLucasKanade(base, moved, points);
 
@@ -125,7 +137,7 @@ TEST(Sparse, CoverageIsPartial)
     image::Image img = data::makeTexture(128, 96, 8.f, rng);
     LucasKanadeParams p;
     p.maxCorners = 64;
-    auto points = detectCorners(img, p);
+    auto points = detectCorners(img, p, ctx());
     for (auto &pt : points)
         pt.valid = true;
     const double cov = sparseCoverage(points, 128, 96, 4);

@@ -329,12 +329,6 @@ TEST(ExecContext, ImageOpsThreadedOnCallersPool)
         image::resizeBilinear(f.left, 41, 23, ExecContext(serial)),
         image::resizeBilinear(f.left, 41, 23, ExecContext(wide)),
         "resizeBilinear across pools");
-
-    // The legacy signatures stay numerically identical too.
-    expectBitIdentical(
-        image::gaussianBlur(f.left, 2),
-        image::gaussianBlur(f.left, 2, -1.0, ExecContext(wide)),
-        "gaussianBlur legacy vs ctx");
 }
 
 // ------------------------------------------------------- pipelines
