@@ -33,6 +33,10 @@
 #include "dnn/zoo.hh"
 #include "stereo/disparity.hh"
 
+// The oracle key frames draw from one seeded noise stream in frame
+// order, so they go through the test-only function adapter.
+#include "../tests/fn_matcher.hh"
+
 namespace
 {
 
@@ -50,10 +54,11 @@ runIsm(const std::vector<data::StereoSequence> &dataset,
         size_t idx = 0;
         core::IsmPipeline ism(
             params,
-            [&](const image::Image &, const image::Image &) {
+            testref::fnMatcher([&](const image::Image &,
+                                   const image::Image &) {
                 return data::oracleInference(
                     seq.frames[idx].gtDisparity, oracle, rng);
-            });
+            }));
         for (idx = 0; idx < seq.frames.size(); ++idx) {
             const auto &f = seq.frames[idx];
             const auto r = ism.processFrame(f.left, f.right);
@@ -134,7 +139,7 @@ main(int argc, char **argv)
             const auto &f = seq.frames[0];
             auto pts = flow::detectCorners(f.left, {}, ctx);
             flow::trackLucasKanade(f.left, seq.frames[1].left,
-                                   pts);
+                                   pts, {}, ctx);
             cov += flow::sparseCoverage(pts, f.left.width(),
                                         f.left.height(), 4);
             ++frames;
@@ -161,11 +166,11 @@ main(int argc, char **argv)
             size_t idx = 0;
             core::IsmParams p;
             p.propagationWindow = 4;
-            auto key_fn = [&](const image::Image &,
-                              const image::Image &) {
-                return data::oracleInference(
-                    seq.frames[idx].gtDisparity, oracle, rng);
-            };
+            const auto key_fn = testref::fnMatcher(
+                [&](const image::Image &, const image::Image &) {
+                    return data::oracleInference(
+                        seq.frames[idx].gtDisparity, oracle, rng);
+                });
             core::IsmPipeline ism =
                 adaptive
                     ? core::IsmPipeline(

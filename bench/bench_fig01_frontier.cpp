@@ -80,13 +80,15 @@ main(int argc, char **argv)
         const auto &f = seq.frames[0];
         stereo::BlockMatchingParams bm;
         bm.maxDisparity = 56;
-        const auto d_bm = stereo::blockMatching(f.left, f.right, bm);
+        const auto d_bm = stereo::blockMatching(f.left, f.right, bm,
+                                                ExecContext::global());
         bm_err += stereo::badPixelRate(d_bm, f.gtDisparity, 3.0, 8) /
                   pairs;
         stereo::SgmParams sgm;
         sgm.maxDisparity = 56;
         sgm.leftRightCheck = false;
-        const auto d_sgm = stereo::sgmCompute(f.left, f.right, sgm);
+        const auto d_sgm = stereo::sgmCompute(f.left, f.right, sgm,
+                                              ExecContext::global());
         sgm_err +=
             stereo::badPixelRate(d_sgm, f.gtDisparity, 3.0, 8) /
             pairs;

@@ -25,6 +25,10 @@
 #include "data/scene.hh"
 #include "stereo/disparity.hh"
 
+// The oracle key frames draw from one seeded noise stream in frame
+// order, so they go through the test-only function adapter.
+#include "../tests/fn_matcher.hh"
+
 namespace
 {
 
@@ -64,10 +68,11 @@ ismError(const std::vector<data::StereoSequence> &dataset, int pw,
         params.propagationWindow = pw;
         core::IsmPipeline ism(
             params,
-            [&](const image::Image &, const image::Image &) {
+            testref::fnMatcher([&](const image::Image &,
+                                   const image::Image &) {
                 return data::oracleInference(
                     seq.frames[idx].gtDisparity, oracle, rng);
-            });
+            }));
         for (idx = 0; idx < seq.frames.size(); ++idx) {
             const auto &f = seq.frames[idx];
             const auto r = ism.processFrame(f.left, f.right);

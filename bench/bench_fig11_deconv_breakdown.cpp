@@ -180,7 +180,8 @@ BM_Fig11DeconvReference(benchmark::State &state)
     Tensor w = randomTensor({32, 64, 4, 4}, 2);
     const DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
     for (auto _ : state)
-        benchmark::DoNotOptimize(tensor::deconvNd(in, w, spec));
+        benchmark::DoNotOptimize(tensor::deconvNd(in, w, spec, nullptr,
+                                                  ExecContext::global()));
     state.SetItemsProcessed(state.iterations() * 64 * 32 * 16 * kIn *
                             kIn);
 }

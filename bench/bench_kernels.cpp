@@ -4,10 +4,10 @@
  * reference deconvolution vs the transformed execution (the wall
  * clock counterpart of the op-count savings), Farnebäck flow and its
  * polynomial expansion, block matching and SGM — the streaming
- * default plus its materialized, 4-path, and range-pruned variants,
- * each reporting its peak resident arena bytes — plus a per-SIMD-level
- * sweep of the census, Hamming cost-volume, SGM aggregation-row, and
- * fused cost-row kernels, of the f32 DNN route (BM_ConvGemm /
+ * engine plus its 4-path and range-pruned variants, each reporting
+ * its peak resident arena bytes — plus a per-SIMD-level sweep of the
+ * census, SGM aggregation-row, and fused cost-row kernels, of the
+ * f32 DNN route (BM_ConvGemm /
  * BM_Deconv: im2col + gemmRow with the fused bias+ReLU epilogue), and
  * of the Farnebäck separable filter (BM_SepRow / BM_GaussianBlur) —
  * the vector-vs-scalar datapoints tracked in BENCH_kernels.json. The
@@ -62,7 +62,8 @@ BM_DeconvReference(benchmark::State &state)
     Tensor w = randomTensor({8, 8, 4, 4}, 2);
     const DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
     for (auto _ : state)
-        benchmark::DoNotOptimize(tensor::deconvNd(in, w, spec));
+        benchmark::DoNotOptimize(tensor::deconvNd(in, w, spec, nullptr,
+                                                  ExecContext::global()));
     state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_DeconvReference)->Arg(16)->Arg(32);
@@ -76,7 +77,8 @@ BM_DeconvTransformed(benchmark::State &state)
     const DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            deconv::transformedDeconv(in, w, spec));
+            deconv::transformedDeconv(in, w, spec, nullptr,
+                                      ExecContext::global()));
     state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_DeconvTransformed)->Arg(16)->Arg(32);
@@ -126,7 +128,7 @@ BM_BlockMatchingFull(benchmark::State &state)
     p.maxDisparity = 32;
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            stereo::blockMatching(left, right, p));
+            stereo::blockMatching(left, right, p, ExecContext::global()));
     state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_BlockMatchingFull)->Arg(64)->Arg(128);
@@ -144,7 +146,8 @@ BM_BlockMatchingGuided(benchmark::State &state)
     p.maxDisparity = 32;
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            stereo::refineDisparity(left, right, init, 2, p));
+            stereo::refineDisparity(left, right, init, 2, p,
+                                    ExecContext::global()));
     state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_BlockMatchingGuided)->Arg(64)->Arg(128);
@@ -155,8 +158,7 @@ BENCHMARK(BM_BlockMatchingGuided)->Arg(64)->Arg(128);
  * counter isolates that engine's peak working set: between frames
  * every pool handle has been released back to the shelves, so the
  * shelved bytes ARE the engine's resident footprint — the number
- * the streaming path is meant to collapse versus the materialized
- * cost volume.
+ * the streaming engine keeps below one full cost volume.
  */
 void
 runSgmVariant(benchmark::State &state, const stereo::SgmParams &p,
@@ -168,7 +170,7 @@ runSgmVariant(benchmark::State &state, const stereo::SgmParams &p,
     image::Image right = data::makeTexture(n, n, 8.f, rng);
     stereo::DisparityMap guide;
     if (guided) // seed the per-row windows from a full-range pass
-        guide = stereo::sgmCompute(left, right, p);
+        guide = stereo::sgmCompute(left, right, p, ExecContext::global());
     BufferPool buffers;
     const ExecContext ctx(ThreadPool::global(), buffers);
     for (auto _ : state) {
@@ -194,9 +196,9 @@ BM_Sgm(benchmark::State &state)
 // 256² is the reference point for the parallel-speedup trajectory:
 // compare ASV_THREADS=1 against ASV_THREADS=4+ (UseRealTime makes
 // the wall clock, not the calling thread's CPU time, the metric).
-// 512/1024 are the streaming-SGM datapoints: at these sizes the
-// materialized volume no longer fits in LLC, so the fused default
-// is where the tile-resident restructure pays off.
+// 512/1024 are the streaming-SGM datapoints: at these sizes a
+// full cost volume would no longer fit in LLC, which is where the
+// tile-resident engine pays off.
 BENCHMARK(BM_Sgm)
     ->Arg(64)
     ->Arg(128)
@@ -204,19 +206,6 @@ BENCHMARK(BM_Sgm)
     ->Arg(512)
     ->Arg(1024)
     ->UseRealTime();
-
-void
-BM_SgmMaterialized(benchmark::State &state)
-{
-    // The pre-restructure reference (fused=0): full census images +
-    // cost volume resident across the aggregation passes. Compare
-    // real_time and resident_bytes against BM_Sgm at the same size.
-    stereo::SgmParams p;
-    p.maxDisparity = 32;
-    p.fused = false;
-    runSgmVariant(state, p, false);
-}
-BENCHMARK(BM_SgmMaterialized)->Arg(256)->Arg(1024)->UseRealTime();
 
 void
 BM_SgmPaths4(benchmark::State &state)
@@ -315,24 +304,8 @@ BM_Census(benchmark::State &state, simd::Level level)
     const int n = int(state.range(0));
     image::Image img = data::makeTexture(n, n, 8.f, rng);
     for (auto _ : state)
-        benchmark::DoNotOptimize(stereo::censusTransform(img, 2));
-    state.SetItemsProcessed(state.iterations() * n * n);
-}
-
-void
-BM_CostVolume(benchmark::State &state, simd::Level level)
-{
-    LevelGuard guard(level);
-    Rng rng(8);
-    const int n = int(state.range(0));
-    image::Image left = data::makeTexture(n, n, 8.f, rng);
-    image::Image right = data::makeTexture(n, n, 8.f, rng);
-    stereo::SgmParams p;
-    p.maxDisparity = 64;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(stereo::sgmCostVolume(
-            left, right, p, ExecContext::global()));
-    }
+        benchmark::DoNotOptimize(stereo::censusTransform(
+            img, 2, ExecContext::global()));
     state.SetItemsProcessed(state.iterations() * n * n);
 }
 
@@ -508,10 +481,6 @@ main(int argc, char **argv)
         const std::string suffix = simd::levelName(level);
         benchmark::RegisterBenchmark(
             ("BM_Census/" + suffix).c_str(), BM_Census, level)
-            ->Arg(256);
-        benchmark::RegisterBenchmark(
-            ("BM_CostVolume/" + suffix).c_str(), BM_CostVolume,
-            level)
             ->Arg(256);
         benchmark::RegisterBenchmark(
             ("BM_AggregateRow/" + suffix).c_str(), BM_AggregateRow,

@@ -14,10 +14,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "core/ism.hh"
 #include "core/stream_pipeline.hh"
 #include "data/scene.hh"
-#include "stereo/sgm.hh"
+#include "stereo/matcher.hh"
 
 namespace
 {
@@ -40,13 +42,15 @@ benchScene()
     return seq;
 }
 
-/** Expensive, pure key-frame source modelling DNN inference. */
-stereo::DisparityMap
-sgmKeySource(const image::Image &left, const image::Image &right)
+/**
+ * Expensive, pure key-frame engine modelling DNN inference. It fans
+ * out on the pipeline's own pool, like every registry engine.
+ */
+std::shared_ptr<const stereo::Matcher>
+sgmKeySource()
 {
-    stereo::SgmParams p;
-    p.maxDisparity = 48;
-    return stereo::sgmCompute(left, right, p);
+    static const auto sgm = stereo::makeMatcher("sgm", "maxDisparity=48");
+    return sgm;
 }
 
 core::IsmParams
@@ -63,7 +67,7 @@ BM_IsmSerialLoop(benchmark::State &state)
 {
     const auto &seq = benchScene();
     for (auto _ : state) {
-        core::IsmPipeline ism(benchParams(), sgmKeySource);
+        core::IsmPipeline ism(benchParams(), sgmKeySource());
         for (const auto &f : seq.frames)
             benchmark::DoNotOptimize(ism.processFrame(f.left,
                                                       f.right));
@@ -82,7 +86,8 @@ BM_IsmStreamPipeline(benchmark::State &state)
     sp.maxInFlight = 8;
     sp.workers = int(state.range(0));
     for (auto _ : state) {
-        core::StreamPipeline stream(benchParams(), sgmKeySource, sp);
+        core::StreamPipeline stream(benchParams(), sgmKeySource(),
+                                    sp);
         for (const auto &f : seq.frames)
             stream.submit(f.left, f.right);
         benchmark::DoNotOptimize(stream.drain());

@@ -29,7 +29,7 @@
 #                              are noisy; CI runs this step
 #                              advisory / continue-on-error)
 #   ASV_BENCH_CHECK_KERNELS    regex of benchmark names to gate
-#                              (default: the census, cost-volume,
+#                              (default: the census,
 #                              aggregate-row, fused cost-row,
 #                              conv-GEMM and deconv SIMD sweeps, the
 #                              per-ISA Fig. 11 / Fig. 13 wall-time
@@ -85,7 +85,7 @@ else
     OUT="${1:-BENCH_kernels.json}"
 fi
 THRESHOLD="${ASV_BENCH_CHECK_THRESHOLD:-1.5}"
-KERNELS="${ASV_BENCH_CHECK_KERNELS:-^BM_Census/|^BM_CostVolume/|^BM_AggregateRow/|^BM_FusedCostRow/|^BM_ConvGemm/|^BM_Deconv/|^BM_Fig11|^BM_Fig13|^BM_Sgm/(256|512|1024)}"
+KERNELS="${ASV_BENCH_CHECK_KERNELS:-^BM_Census/|^BM_AggregateRow/|^BM_FusedCostRow/|^BM_ConvGemm/|^BM_Deconv/|^BM_Fig11|^BM_Fig13|^BM_Sgm/(256|512|1024)}"
 
 if [[ $RUN -eq 1 ]]; then
 

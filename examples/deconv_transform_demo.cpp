@@ -64,9 +64,11 @@ main()
 
     // Execute both paths.
     tensor::ConvStats dense_stats, trans_stats;
-    const Tensor ref = deconvNd(ifmap, kernel, spec, &dense_stats);
+    const Tensor ref = deconvNd(ifmap, kernel, spec, &dense_stats,
+                                ExecContext::global());
     const Tensor got = deconv::transformedDeconv(ifmap, kernel, spec,
-                                                 &trans_stats);
+                                                 &trans_stats,
+                                                 ExecContext::global());
 
     std::printf("\n5x5 ofmap (standard deconvolution):\n");
     for (int64_t y = 0; y < 5; ++y) {

@@ -16,23 +16,13 @@
 #include "core/ism.hh"
 #include "core/stream_pipeline.hh"
 #include "data/scene.hh"
-#include "stereo/block_matching.hh"
 #include "stereo/disparity.hh"
+#include "stereo/matcher.hh"
 
 namespace
 {
 
 using namespace asv;
-
-/** Pure, thread-safe key-frame source (stands in for the DNN). */
-stereo::DisparityMap
-keySource(const image::Image &left, const image::Image &right)
-{
-    stereo::BlockMatchingParams p;
-    p.maxDisparity = 48;
-    p.blockRadius = 3;
-    return stereo::blockMatching(left, right, p);
-}
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -64,8 +54,13 @@ main(int argc, char **argv)
     params.propagationWindow = pw;
     params.maxDisparity = 48;
 
+    // Pure, thread-safe key-frame engine (stands in for the DNN); it
+    // fans out on each pipeline's own pool.
+    const auto key_source =
+        stereo::makeMatcher("bm", "maxDisparity=48,blockRadius=3");
+
     // Serial reference: one frame retires before the next starts.
-    core::IsmPipeline serial(params, keySource);
+    core::IsmPipeline serial(params, key_source);
     std::vector<core::IsmFrameResult> serial_results;
     const auto t_serial = std::chrono::steady_clock::now();
     for (const auto &f : seq.frames)
@@ -77,7 +72,7 @@ main(int argc, char **argv)
     core::StreamParams sp;
     sp.maxInFlight = max_in_flight;
     sp.workers = workers;
-    core::StreamPipeline stream(params, keySource, sp);
+    core::StreamPipeline stream(params, key_source, sp);
     const auto t_stream = std::chrono::steady_clock::now();
     for (const auto &f : seq.frames)
         stream.submit(f.left, f.right);

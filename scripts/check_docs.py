@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs gate: markdown link checker + header comment lint.
+"""Docs gate: markdown link checker, header comment lint, pool rule.
 
-Two checks, no third-party dependencies:
+Three checks, no third-party dependencies:
 
 1. Every relative link and image reference in the repo's markdown
    files (README.md, docs/, and the top-level record files) must
@@ -15,6 +15,14 @@ Two checks, no third-party dependencies:
    the first few lines. This is the convention the docs tree links
    into (docs/ARCHITECTURE.md points at header comments as the
    per-subsystem reference), so it is enforced, not aspirational.
+
+3. Library code reaches a thread or buffer pool only through the
+   ExecContext its caller passes. No non-comment line of a *.cc or
+   *.hh file under src/ may call ExecContext::global(),
+   ThreadPool::global() or BufferPool::global(), except in the files
+   that define them (src/common/{thread_pool,exec_context,
+   buffer_pool}.*). This keeps global-pool twins of the kernel
+   signatures from coming back.
 
 Exit 0 when clean; prints one line per violation and exits 1
 otherwise.
@@ -93,6 +101,51 @@ def check_header_comment(path: Path) -> list[str]:
             f"/** ... @file header comment in the first 5 lines"]
 
 
+GLOBAL_POOL_RE = re.compile(
+    r"\b(ExecContext|ThreadPool|BufferPool)::global\(\)")
+GLOBAL_POOL_OWNERS = {"thread_pool", "exec_context", "buffer_pool"}
+
+
+def strip_comments(line: str, in_block: bool) -> tuple[str, bool]:
+    """Code part of @p line, given whether a /* block is open."""
+    code = []
+    i = 0
+    while i < len(line):
+        if in_block:
+            end = line.find("*/", i)
+            if end < 0:
+                return "".join(code), True
+            in_block = False
+            i = end + 2
+        elif line.startswith("//", i):
+            break
+        elif line.startswith("/*", i):
+            in_block = True
+            i += 2
+        else:
+            code.append(line[i])
+            i += 1
+    return "".join(code), in_block
+
+
+def check_global_pools(path: Path) -> list[str]:
+    rel = path.relative_to(ROOT)
+    if rel.parts[:2] == ("src", "common") and \
+            path.stem in GLOBAL_POOL_OWNERS:
+        return []
+    errors = []
+    in_block = False
+    for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1):
+        code, in_block = strip_comments(line, in_block)
+        m = GLOBAL_POOL_RE.search(code)
+        if m:
+            errors.append(f"{rel}:{lineno}: library code calls "
+                          f"{m.group(0)}; take an ExecContext from "
+                          f"the caller instead")
+    return errors
+
+
 def main() -> int:
     md_files = [ROOT / name for name in MARKDOWN_ROOTS
                 if (ROOT / name).exists()]
@@ -104,6 +157,10 @@ def main() -> int:
         errors += check_markdown(md)
     for hh in sorted((ROOT / "src").glob("**/*.hh")):
         errors += check_header_comment(hh)
+    sources = sorted((ROOT / "src").glob("**/*.cc")) + \
+        sorted((ROOT / "src").glob("**/*.hh"))
+    for src in sources:
+        errors += check_global_pools(src)
 
     for e in errors:
         print(e)

@@ -27,7 +27,7 @@
  *    a differently-sized buffer, it just misses. Hits pop the most
  *    recently shelved buffer (LIFO — the cache-warm one).
  *  - **RAII handles that outlive the pool.** Handle<T> (and the
- *    pool-backed image::Image / stereo::CostVolume) hold a
+ *    pool-backed image::Image) hold a
  *    shared_ptr to the pool's internal state. Destroying the pool
  *    closes the state: outstanding handles keep working and simply
  *    free their storage on destruction instead of shelving it.
@@ -68,7 +68,7 @@ namespace detail
 
 /**
  * The pool's shared core. Lives behind a shared_ptr so every handle
- * (Handle<T>, pooled Image/CostVolume) can return storage safely
+ * (Handle<T>, pooled Image) can return storage safely
  * even after the owning BufferPool was destroyed — destruction
  * closes the state, after which give() drops buffers instead of
  * shelving them.
@@ -306,8 +306,8 @@ class BufferPool
     void trim(uint64_t target_bytes = 0);
 
     /**
-     * The shared core, for pool-backed containers (image::Image,
-     * stereo::CostVolume) that shelve their storage on destruction.
+     * The shared core, for pool-backed containers (image::Image)
+     * that shelve their storage on destruction.
      * Treat as an implementation detail everywhere else.
      */
     const std::shared_ptr<detail::PoolState> &state() const

@@ -61,9 +61,10 @@ class ExecContext
     }
 
     /**
-     * Context over the process-wide shared pools. This is the one
-     * sanctioned way to keep legacy free-function signatures working;
-     * new code should pass instance-owned pools instead.
+     * Context over the process-wide shared pools, for programs and
+     * tests that own no pool of their own. Library code never calls
+     * it: every kernel takes its context from the caller
+     * (scripts/check_docs.py enforces this for src/).
      */
     static ExecContext
     global()

@@ -27,7 +27,7 @@
  * instructions can never leak into the dispatch path.
  *
  * Bit-identity contract: every level produces results bit-identical
- * to the scalar reference. Census and Hamming kernels are pure
+ * to the scalar reference. The census kernel is pure
  * integer/predicate arithmetic, so this is automatic; the SAD kernel
  * vectorizes across *candidates* (one disparity per lane) so each
  * lane performs the exact double-precision accumulation sequence of
@@ -44,7 +44,7 @@
  * The separable-row filter (SepRowF32Fn / SepRowF64Fn, the Farnebäck
  * blur and moment passes) is exact floating point at every level: one
  * IEEE multiply and one IEEE add per tap, never fused, so it needs no
- * tolerance lane. Adding an ISA means porting the nine kernels under
+ * tolerance lane. Adding an ISA means porting the eight kernels under
  * the same contract (see docs/KERNELS.md for the full bit-identity contract,
  * tolerance carve-outs, sentinel conventions, and a porting guide).
  */
@@ -77,10 +77,6 @@ enum class Level {
  */
 using CensusRowFn = void (*)(const float *const *rows, int radius,
                              int x0, int x1, uint64_t *out);
-
-/** out[i] = popcount(a[i] ^ b[i]) for i in [0, n). */
-using HammingRowFn = void (*)(const uint64_t *a, const uint64_t *b,
-                              int n, uint16_t *out);
 
 /**
  * SAD over a span of disparity candidates at one pixel.
@@ -148,8 +144,8 @@ using AggregateRowFn = uint16_t (*)(const uint16_t *cost,
  *     d = dlo + j
  *     out[x * ndw + j] = popcount(cl[x] ^ cr[max(x - d, 0)])
  *
- * The x - d < 0 clamp reproduces the materialized path's border rule
- * (candidates beyond the left edge compare against column 0). The
+ * The x - d < 0 clamp is SGM's left-border rule (candidates beyond
+ * the left edge compare against column 0). The
  * layout is exactly the per-pixel slice AggregateRowFn consumes, so
  * an aggregation wavefront can eat the row with no transpose and no
  * resident volume. @p dlo > 0 with ndw < full range is the
@@ -241,7 +237,6 @@ struct Kernels
     const char *name;     //!< "scalar" / "sse42" / "avx2" / "neon"
     Level level;          //!< ISA this table was compiled for
     CensusRowFn censusRow;
-    HammingRowFn hammingRow;
     SadSpanFn sadSpan;
     AggregateRowFn aggregateRow;
     CostRowFn costRow;

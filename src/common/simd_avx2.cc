@@ -1,8 +1,8 @@
 /**
  * @file
  * AVX2 kernel table: 8-wide census bit-packing, popcount-by-nibble
- * (PSHUFB lookup + SAD reduction) Hamming rows over 4x64-bit lanes,
- * 8-wide (two 4-lane double accumulators) SAD spans, 16-lane
+ * (PSHUFB lookup + SAD reduction) Hamming cost rows over 4x64-bit
+ * lanes, 8-wide (two 4-lane double accumulators) SAD spans, 16-lane
  * saturating-uint16 SGM aggregation rows, the 8-lane FMA f32
  * GEMM row + bias/ReLU epilogue for the DNN path (bit-identical to
  * the scalar std::fmaf reference when built with FMA), and the
@@ -65,43 +65,6 @@ censusRowAvx2(const float *const *rows, int radius, int x0, int x1,
     }
     // Sub-vector tail: the shared scalar reference loop.
     censusRowRef(rows, radius, x, x1, out);
-}
-
-void
-hammingRowAvx2(const uint64_t *a, const uint64_t *b, int n,
-               uint16_t *out)
-{
-    // Popcount-by-nibble: per-byte PSHUFB lookup of both nibbles'
-    // bit counts, then a horizontal SAD-against-zero reduction per
-    // 64-bit lane.
-    const __m256i lut = _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2,
-        1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-    const __m256i low = _mm256_set1_epi8(0x0f);
-    const __m256i zero = _mm256_setzero_si256();
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + i));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + i));
-        const __m256i x = _mm256_xor_si256(va, vb);
-        const __m256i nlo = _mm256_and_si256(x, low);
-        const __m256i nhi =
-            _mm256_and_si256(_mm256_srli_epi64(x, 4), low);
-        const __m256i cnt =
-            _mm256_add_epi8(_mm256_shuffle_epi8(lut, nlo),
-                            _mm256_shuffle_epi8(lut, nhi));
-        const __m256i sums = _mm256_sad_epu8(cnt, zero);
-        alignas(32) uint64_t tmp[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(tmp), sums);
-        out[i] = static_cast<uint16_t>(tmp[0]);
-        out[i + 1] = static_cast<uint16_t>(tmp[1]);
-        out[i + 2] = static_cast<uint16_t>(tmp[2]);
-        out[i + 3] = static_cast<uint16_t>(tmp[3]);
-    }
-    for (; i < n; ++i)
-        out[i] = static_cast<uint16_t>(_mm_popcnt_u64(a[i] ^ b[i]));
 }
 
 void
@@ -457,10 +420,10 @@ sepRowF64Avx2(const float *const *rows, const double *k, int ntaps,
 }
 
 constexpr Kernels kAvx2Kernels = {
-    "avx2",         Level::Avx2,   censusRowAvx2,
-    hammingRowAvx2, sadSpanAvx2,   aggregateRowAvx2,
-    costRowAvx2,    gemmRowAvx2,   biasReluRowAvx2,
-    sepRowF32Avx2,  sepRowF64Avx2, kAvx2GemmFused,
+    "avx2",            Level::Avx2,       censusRowAvx2,
+    sadSpanAvx2,       aggregateRowAvx2,  costRowAvx2,
+    gemmRowAvx2,       biasReluRowAvx2,   sepRowF32Avx2,
+    sepRowF64Avx2,     kAvx2GemmFused,
 };
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * NEON (aarch64 Advanced SIMD) kernel table: 4-wide census
  * bit-packing (vcltq_f32 masks shifted in MSB-first), vcntq_u8 +
- * pairwise-widening Hamming rows, 2-lane float64x2_t SAD spans,
+ * pairwise-widening Hamming cost rows, 2-lane float64x2_t SAD spans,
  * 8-lane saturating-uint16 SGM aggregation rows (vminvq_u16
  * horizontal min), the 4-lane FMLA f32 GEMM row + bias/ReLU
  * epilogue for the DNN path (FMLA is fused, so gemmRow is
@@ -66,26 +66,6 @@ censusRowNeon(const float *const *rows, int radius, int x0, int x1,
     }
     // Sub-vector tail: the shared scalar reference loop.
     censusRowRef(rows, radius, x, x1, out);
-}
-
-void
-hammingRowNeon(const uint64_t *a, const uint64_t *b, int n,
-               uint16_t *out)
-{
-    // vcntq_u8 counts per byte; three pairwise widening adds reduce
-    // each 64-bit lane to its popcount.
-    int i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t va = vld1q_u64(a + i);
-        const uint64x2_t vb = vld1q_u64(b + i);
-        const uint8x16_t x =
-            vcntq_u8(vreinterpretq_u8_u64(veorq_u64(va, vb)));
-        const uint64x2_t sums =
-            vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(x)));
-        out[i] = static_cast<uint16_t>(vgetq_lane_u64(sums, 0));
-        out[i + 1] = static_cast<uint16_t>(vgetq_lane_u64(sums, 1));
-    }
-    hammingRowRef(a + i, b + i, n - i, out + i);
 }
 
 void
@@ -311,10 +291,10 @@ sepRowF64Neon(const float *const *rows, const double *k, int ntaps,
 }
 
 constexpr Kernels kNeonKernels = {
-    "neon",         Level::Neon,   censusRowNeon,
-    hammingRowNeon, sadSpanNeon,   aggregateRowNeon,
-    costRowNeon,    gemmRowNeon,   biasReluRowNeon,
-    sepRowF32Neon,  sepRowF64Neon, /*fusedF32=*/true,
+    "neon",            Level::Neon,       censusRowNeon,
+    sadSpanNeon,       aggregateRowNeon,  costRowNeon,
+    gemmRowNeon,       biasReluRowNeon,   sepRowF32Neon,
+    sepRowF64Neon,     /*fusedF32=*/true,
 };
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * Shared scalar reference loops for the SIMD kernel table.
  *
- * One definition of the census bit-pack, Hamming popcount, fused
+ * One definition of the census bit-pack, the fused census->Hamming
  * pixel-major cost row, SAD accumulation, semi-global aggregation,
  * f32 GEMM row, bias+ReLU epilogue, and separable filter row
  * semantics, included by
@@ -57,15 +57,6 @@ censusRowRef(const float *const *rows, int radius, int x0, int x1,
         }
         out[x] = bits;
     }
-}
-
-/** out[i] = popcount(a[i] ^ b[i]); see HammingRowFn. */
-inline void
-hammingRowRef(const uint64_t *a, const uint64_t *b, int n,
-              uint16_t *out)
-{
-    for (int i = 0; i < n; ++i)
-        out[i] = static_cast<uint16_t>(std::popcount(a[i] ^ b[i]));
 }
 
 /**

@@ -25,13 +25,6 @@ censusRowScalar(const float *const *rows, int radius, int x0, int x1,
 }
 
 void
-hammingRowScalar(const uint64_t *a, const uint64_t *b, int n,
-                 uint16_t *out)
-{
-    hammingRowRef(a, b, n, out);
-}
-
-void
 sadSpanScalar(const float *const *lrows, const float *const *rrows,
               int radius, int x, int d0, int n, double *cost)
 {
@@ -82,10 +75,10 @@ sepRowF64Scalar(const float *const *rows, const double *k, int ntaps,
 }
 
 constexpr Kernels kScalarKernels = {
-    "scalar",         Level::Scalar,   censusRowScalar,
-    hammingRowScalar, sadSpanScalar,   aggregateRowScalar,
-    costRowScalar,    gemmRowScalar,   biasReluRowScalar,
-    sepRowF32Scalar,  sepRowF64Scalar, /*fusedF32=*/true,
+    "scalar",          Level::Scalar,     censusRowScalar,
+    sadSpanScalar,     aggregateRowScalar, costRowScalar,
+    gemmRowScalar,     biasReluRowScalar, sepRowF32Scalar,
+    sepRowF64Scalar,   /*fusedF32=*/true,
 };
 
 } // namespace

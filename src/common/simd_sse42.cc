@@ -1,7 +1,7 @@
 /**
  * @file
  * SSE4.2 kernel table: 4-wide census bit-packing, hardware-POPCNT
- * Hamming rows, 2-lane double SAD spans, 8-lane saturating-uint16
+ * Hamming cost rows, 2-lane double SAD spans, 8-lane saturating-uint16
  * SGM aggregation rows (PHMINPOSUW horizontal min), the 4-lane
  * f32 GEMM row + bias/ReLU epilogue for the DNN path, and 8-wide
  * separable filter rows (four 2-lane double accumulators). SSE4.2
@@ -64,24 +64,6 @@ censusRowSse42(const float *const *rows, int radius, int x0, int x1,
     }
     // Sub-vector tail: the shared scalar reference loop.
     censusRowRef(rows, radius, x, x1, out);
-}
-
-void
-hammingRowSse42(const uint64_t *a, const uint64_t *b, int n,
-                uint16_t *out)
-{
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        out[i] = static_cast<uint16_t>(_mm_popcnt_u64(a[i] ^ b[i]));
-        out[i + 1] =
-            static_cast<uint16_t>(_mm_popcnt_u64(a[i + 1] ^ b[i + 1]));
-        out[i + 2] =
-            static_cast<uint16_t>(_mm_popcnt_u64(a[i + 2] ^ b[i + 2]));
-        out[i + 3] =
-            static_cast<uint16_t>(_mm_popcnt_u64(a[i + 3] ^ b[i + 3]));
-    }
-    for (; i < n; ++i)
-        out[i] = static_cast<uint16_t>(_mm_popcnt_u64(a[i] ^ b[i]));
 }
 
 void
@@ -331,10 +313,10 @@ sepRowF64Sse42(const float *const *rows, const double *k, int ntaps,
 }
 
 constexpr Kernels kSse42Kernels = {
-    "sse42",         Level::Sse42,   censusRowSse42,
-    hammingRowSse42, sadSpanSse42,   aggregateRowSse42,
-    costRowSse42,    gemmRowSse42,   biasReluRowSse42,
-    sepRowF32Sse42,  sepRowF64Sse42, /*fusedF32=*/false,
+    "sse42",           Level::Sse42,      censusRowSse42,
+    sadSpanSse42,      aggregateRowSse42, costRowSse42,
+    gemmRowSse42,      biasReluRowSse42,  sepRowF32Sse42,
+    sepRowF64Sse42,    /*fusedF32=*/false,
 };
 
 } // namespace

@@ -248,15 +248,6 @@ class ThreadPool
     bool stop_ ASV_GUARDED_BY(mutex_) = false;
 };
 
-/** parallelFor() on the global pool. */
-template <typename F>
-void
-parallelFor(int64_t begin, int64_t end, F &&body)
-{
-    ThreadPool::global().parallelFor(begin, end,
-                                     std::forward<F>(body));
-}
-
 } // namespace asv
 
 #endif // ASV_COMMON_THREAD_POOL_HH

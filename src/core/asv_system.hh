@@ -100,8 +100,8 @@ SystemResult simulateSystem(const dnn::Network &net,
  * count is charged to the SAD-extended PE array the way non-key
  * frames are, giving the classical end of the Fig. 1
  * accuracy/performance frontier at system level. A null matcher or
- * one reporting 0 ops (oracle, callback) falls back to the DNN cost
- * model — identical to the overload above.
+ * one reporting 0 ops (the oracle) falls back to the DNN cost model
+ * — identical to the overload above.
  */
 SystemResult simulateSystem(const dnn::Network &net,
                             const sched::HardwareConfig &hw,

@@ -13,47 +13,6 @@
 namespace asv::core
 {
 
-namespace
-{
-
-/** KeyFrameFn behind the Matcher engine API (compat shim). */
-class CallbackMatcher final : public stereo::Matcher
-{
-  public:
-    explicit CallbackMatcher(KeyFrameFn fn) : fn_(std::move(fn)) {}
-
-    std::string name() const override { return "callback"; }
-
-    stereo::DisparityMap
-    compute(const image::Image &left, const image::Image &right,
-            const ExecContext &ctx) const override
-    {
-        (void)ctx; // the callback signature predates ExecContext
-        return fn_(left, right);
-    }
-
-    /** Unknown cost; charged the pre-Matcher way (to the DNN). */
-    int64_t
-    ops(int width, int height) const override
-    {
-        (void)width;
-        (void)height;
-        return 0;
-    }
-
-  private:
-    KeyFrameFn fn_;
-};
-
-} // namespace
-
-std::shared_ptr<const stereo::Matcher>
-makeCallbackMatcher(KeyFrameFn fn)
-{
-    fatal_if(!fn, "key-frame source is required");
-    return std::make_shared<const CallbackMatcher>(std::move(fn));
-}
-
 // params is passed by copy, not moved: arguments are indeterminately
 // sequenced, so reading propagationWindow here must not race a move
 // of the same object.
@@ -80,19 +39,6 @@ IsmPipeline::IsmPipeline(
              "propagation window must be >= 1");
     fatal_if(!keyFrameSource_, "key-frame matcher is required");
     fatal_if(!sequencer_, "key-frame sequencer is required");
-}
-
-IsmPipeline::IsmPipeline(IsmParams params, KeyFrameFn key_frame_source)
-    : IsmPipeline(params, makeCallbackMatcher(std::move(key_frame_source)),
-                  makeStaticSequencer(params.propagationWindow))
-{
-}
-
-IsmPipeline::IsmPipeline(IsmParams params, KeyFrameFn key_frame_source,
-                         std::unique_ptr<KeyFrameSequencer> sequencer)
-    : IsmPipeline(params, makeCallbackMatcher(std::move(key_frame_source)),
-                  std::move(sequencer))
-{
 }
 
 void
@@ -239,16 +185,6 @@ ismPropagate(const image::Image &left, const image::Image &right,
     return disparity;
 }
 
-stereo::DisparityMap
-ismPropagate(const image::Image &left, const image::Image &right,
-             const stereo::DisparityMap &prev_disparity,
-             const flow::FlowField &flow_l,
-             const flow::FlowField &flow_r, const IsmParams &p)
-{
-    return ismPropagate(left, right, prev_disparity, flow_l, flow_r,
-                        p, ExecContext::global());
-}
-
 IsmFrameResult
 IsmPipeline::processFrame(const image::Image &left,
                           const image::Image &right)
@@ -281,8 +217,8 @@ IsmPipeline::processFrame(const image::Image &left,
     const ExecContext ctx(*pool_, *buffers_);
     if (is_key) {
         // Step 1: "DNN inference" — the key-frame engine. Classical
-        // engines report their real op count; oracle/callback
-        // sources report 0 (charged to the DNN accelerator models).
+        // engines report their real op count; the oracle reports 0
+        // (charged to the DNN accelerator models).
         result.disparity = keyFrameSource_->compute(left, right, ctx);
         // Enforce the matcher output contract here (mirroring
         // StreamPipeline) so a misbehaving engine fails loudly at

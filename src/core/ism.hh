@@ -27,7 +27,6 @@
 #define ASV_CORE_ISM_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "common/buffer_pool.hh"
@@ -76,24 +75,6 @@ struct IsmFrameResult
     bool keyFrame = false;
     int64_t arithmeticOps = 0; //!< cost charged for this frame
 };
-
-/**
- * Key-frame disparity source as a plain callback — the pre-Matcher
- * shape of the "DNN inference" hook, kept for compatibility. New
- * code should pass a stereo::Matcher (makeMatcher()) instead.
- */
-using KeyFrameFn = std::function<stereo::DisparityMap(
-    const image::Image &left, const image::Image &right)>;
-
-/**
- * Adapt a KeyFrameFn into the Matcher engine API (name "callback",
- * ops() = 0). The callback must satisfy the Matcher thread-safety
- * contract wherever the matcher is used concurrently
- * (StreamPipeline); it receives no ExecContext, so any parallelism
- * it uses is its own affair.
- */
-std::shared_ptr<const stereo::Matcher>
-makeCallbackMatcher(KeyFrameFn fn);
 
 /**
  * The key/non-key decision, shared by IsmPipeline and StreamPipeline
@@ -147,14 +128,6 @@ stereo::DisparityMap ismPropagate(const image::Image &left,
                                   const ExecContext &ctx,
                                   const stereo::Matcher *refiner = nullptr);
 
-/** ismPropagate() on the process-global pool (legacy signature). */
-stereo::DisparityMap ismPropagate(const image::Image &left,
-                                  const image::Image &right,
-                                  const stereo::DisparityMap &prev_disparity,
-                                  const flow::FlowField &flow_l,
-                                  const flow::FlowField &flow_r,
-                                  const IsmParams &p);
-
 /**
  * Stateful ISM pipeline over a stereo video. Feed frames in order;
  * every propagationWindow-th frame (starting with the first) runs
@@ -188,13 +161,6 @@ class IsmPipeline
                 std::shared_ptr<const stereo::Matcher> key_frame_matcher,
                 std::unique_ptr<KeyFrameSequencer> sequencer,
                 std::shared_ptr<ThreadPool> pool = nullptr);
-
-    /** Compatibility: raw-callback key-frame source. */
-    IsmPipeline(IsmParams params, KeyFrameFn key_frame_source);
-
-    /** Compatibility: raw callback + custom key-frame policy. */
-    IsmPipeline(IsmParams params, KeyFrameFn key_frame_source,
-                std::unique_ptr<KeyFrameSequencer> sequencer);
 
     /** Process the next frame of the stereo video. */
     IsmFrameResult processFrame(const image::Image &left,

@@ -33,26 +33,6 @@ StreamPipeline::StreamPipeline(
 {
 }
 
-StreamPipeline::StreamPipeline(IsmParams params,
-                               KeyFrameFn key_frame_source,
-                               StreamParams stream)
-    : StreamPipeline(params,
-                     makeCallbackMatcher(std::move(key_frame_source)),
-                     makeStaticSequencer(params.propagationWindow),
-                     stream)
-{
-}
-
-StreamPipeline::StreamPipeline(IsmParams params,
-                               KeyFrameFn key_frame_source,
-                               std::unique_ptr<KeyFrameSequencer> sequencer,
-                               StreamParams stream)
-    : StreamPipeline(params,
-                     makeCallbackMatcher(std::move(key_frame_source)),
-                     std::move(sequencer), stream)
-{
-}
-
 StreamPipeline::StreamPipeline(
     IsmParams params,
     std::shared_ptr<const stereo::Matcher> key_frame_matcher,

@@ -142,15 +142,6 @@ class StreamPipeline
                    std::unique_ptr<KeyFrameSequencer> sequencer,
                    StreamParams stream = {});
 
-    /** Compatibility: raw-callback key-frame source. */
-    StreamPipeline(IsmParams params, KeyFrameFn key_frame_source,
-                   StreamParams stream = {});
-
-    /** Compatibility: raw callback + custom key-frame policy. */
-    StreamPipeline(IsmParams params, KeyFrameFn key_frame_source,
-                   std::unique_ptr<KeyFrameSequencer> sequencer,
-                   StreamParams stream = {});
-
     /** Waits for all in-flight frames, then releases the executor
      *  pool (joining it when this pipeline owns it privately). */
     ~StreamPipeline();

@@ -359,13 +359,4 @@ transformedDeconv(const Tensor &input, const Tensor &weight,
                                  &epilogue, ctx);
 }
 
-Tensor
-transformedDeconv(const Tensor &input, const Tensor &weight,
-                  const tensor::DeconvSpec &spec,
-                  tensor::ConvStats *stats)
-{
-    return transformedDeconv(input, weight, spec, stats,
-                             ExecContext::global());
-}
-
 } // namespace asv::deconv

@@ -146,11 +146,6 @@ Tensor transformedDeconv(const Tensor &input, const Tensor &weight,
                          tensor::ConvStats *stats,
                          const ExecContext &ctx);
 
-/** transformedDeconv() on the process-global pool (legacy). */
-Tensor transformedDeconv(const Tensor &input, const Tensor &weight,
-                         const tensor::DeconvSpec &spec,
-                         tensor::ConvStats *stats = nullptr);
-
 } // namespace asv::deconv
 
 #endif // ASV_DECONV_TRANSFORM_HH

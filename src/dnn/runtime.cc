@@ -463,7 +463,7 @@ NetworkRuntime::referenceForward(const Tensor &input,
                 tensor::DeconvSpec dspec;
                 dspec.stride = st.stride;
                 dspec.pad = st.pad;
-                o = tensor::deconvNd(cur, st.weight, dspec, &stats);
+                o = tensor::deconvNd(cur, st.weight, dspec, &stats, ctx);
             }
             const int64_t K = o.dim(0);
             const int64_t P = o.size() / std::max<int64_t>(K, 1);

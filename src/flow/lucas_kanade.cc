@@ -219,16 +219,6 @@ trackLucasKanade(const image::Image &frame0,
     });
 }
 
-void
-trackLucasKanade(const image::Image &frame0,
-                 const image::Image &frame1,
-                 std::vector<TrackedPoint> &points,
-                 const LucasKanadeParams &params)
-{
-    trackLucasKanade(frame0, frame1, points, params,
-                     ExecContext::global());
-}
-
 FlowField
 densifySparseFlow(const std::vector<TrackedPoint> &points, int width,
                   int height)

@@ -73,12 +73,6 @@ void trackLucasKanade(const image::Image &frame0,
                       const LucasKanadeParams &params,
                       const ExecContext &ctx);
 
-/** trackLucasKanade() on the process-global pool (legacy signature). */
-void trackLucasKanade(const image::Image &frame0,
-                      const image::Image &frame1,
-                      std::vector<TrackedPoint> &points,
-                      const LucasKanadeParams &params = {});
-
 /**
  * Densify a sparse track set to a full flow field by
  * nearest-feature assignment — the best one can do from sparse

@@ -215,13 +215,6 @@ blockMatching(const image::Image &left, const image::Image &right,
 }
 
 DisparityMap
-blockMatching(const image::Image &left, const image::Image &right,
-              const BlockMatchingParams &params)
-{
-    return blockMatching(left, right, params, ExecContext::global());
-}
-
-DisparityMap
 refineDisparity(const image::Image &left, const image::Image &right,
                 const DisparityMap &init, int radius,
                 const BlockMatchingParams &params,
@@ -267,15 +260,6 @@ refineDisparity(const image::Image &left, const image::Image &right,
         }
     });
     return disp;
-}
-
-DisparityMap
-refineDisparity(const image::Image &left, const image::Image &right,
-                const DisparityMap &init, int radius,
-                const BlockMatchingParams &params)
-{
-    return refineDisparity(left, right, init, radius, params,
-                           ExecContext::global());
 }
 
 int64_t

@@ -54,11 +54,6 @@ DisparityMap blockMatching(const image::Image &left,
                            const BlockMatchingParams &params,
                            const ExecContext &ctx);
 
-/** blockMatching() on the process-global pool (legacy signature). */
-DisparityMap blockMatching(const image::Image &left,
-                           const image::Image &right,
-                           const BlockMatchingParams &params = {});
-
 /**
  * Guided 1-D refinement around an initial estimate (ISM step 4).
  * Pixels whose initial estimate is invalid fall back to full search.
@@ -74,12 +69,6 @@ DisparityMap refineDisparity(const image::Image &left,
                              const DisparityMap &init, int radius,
                              const BlockMatchingParams &params,
                              const ExecContext &ctx);
-
-/** refineDisparity() on the process-global pool (legacy signature). */
-DisparityMap refineDisparity(const image::Image &left,
-                             const image::Image &right,
-                             const DisparityMap &init, int radius,
-                             const BlockMatchingParams &params = {});
 
 /**
  * Arithmetic op count of block matching on a w x h frame: one SAD op

@@ -367,7 +367,6 @@ MatcherRegistry::MatcherRegistry()
             opts.getBool("leftRightCheck", p.leftRightCheck);
         p.lrTolerance = opts.getInt("lrTolerance", p.lrTolerance);
         p.paths = opts.getInt("paths", p.paths);
-        p.fused = opts.getBool("fused", p.fused);
         p.pruneMargin = opts.getInt("pruneMargin", p.pruneMargin);
         const bool range_prune = opts.getBool("rangePrune", false);
         if (p.censusRadius < 1 || p.censusRadius > 3)
@@ -377,10 +376,8 @@ MatcherRegistry::MatcherRegistry()
             throw std::invalid_argument("maxDisparity must be >= 1");
         if (p.paths != 4 && p.paths != 5 && p.paths != 8)
             throw std::invalid_argument("paths must be 4, 5, or 8");
-        if (!p.fused && p.paths != 8)
-            throw std::invalid_argument(
-                "fused=0 (the materialized reference) supports "
-                "paths=8 only");
+        if (p.p1 < 0 || p.p2 < 0)
+            throw std::invalid_argument("p1 and p2 must be >= 0");
         if (p.pruneMargin < 0)
             throw std::invalid_argument("pruneMargin must be >= 0");
         opts.finish("sgm");

@@ -10,9 +10,9 @@
  * algorithm/resolution configurations; the autonomous-driving survey
  * organizes the field as interchangeable matcher families). Matcher
  * is that seam: every engine is a `compute(left, right, ctx)` behind
- * a name, pipelines hold a `shared_ptr<const Matcher>` instead of a
- * raw callback, and new backends (batched serving, remote engines)
- * plug in by registering a factory. The BM/SGM/guided engines run on
+ * a name, pipelines hold a `shared_ptr<const Matcher>`, and new
+ * backends (batched serving, remote engines) plug in by registering
+ * a factory. The BM/SGM/guided engines run on
  * the dispatched asv::simd kernel layer internally, so every
  * registry engine is bit-identical across ASV_SIMD levels
  * (tests/simd_test.cpp asserts this through this interface).

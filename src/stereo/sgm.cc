@@ -1,7 +1,6 @@
 #include "stereo/sgm.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -9,38 +8,12 @@
 #include "common/logging.hh"
 #include "common/math_util.hh"
 #include "common/simd.hh"
-#include "common/thread_pool.hh"
 
 namespace asv::stereo
 {
 
 namespace
 {
-
-/**
- * Aggregation-stage geometry: the cost volume transposed to
- * pixel-major ([(y * w + x) * nd + d]) so every pixel's nd
- * disparities are the contiguous uint16 lanes the dispatched
- * aggregateRow kernel consumes, together with the pixel-major
- * aggregated totals. All arithmetic is exact integer, so the result
- * is independent of how paths are scheduled across threads.
- */
-struct AggregateView
-{
-    const uint16_t *cost; //!< pixel-major cost, [(y*w + x)*nd + d]
-    uint32_t *total;      //!< pixel-major running sum, same layout
-    int w, h, nd;
-    uint16_t p1, p2; //!< clamped to [0, 0xFFFF] (kernel contract)
-
-    const uint16_t *costPx(int x, int y) const
-    {
-        return cost + (int64_t(y) * w + x) * nd;
-    }
-    uint32_t *totalPx(int x, int y) const
-    {
-        return total + (int64_t(y) * w + x) * nd;
-    }
-};
 
 /**
  * Path-start step (no predecessor): L_r is the raw matching cost.
@@ -92,125 +65,6 @@ class PathScratch
     PoolHandle<uint16_t> buf_;
 };
 
-/**
- * Horizontal pass (dy == 0): every row is an independent 1-D path,
- * so rows fan out directly and each needs only 2*(nd+2) scratch.
- */
-void
-aggregateHorizontal(const AggregateView &v, int dx,
-                    const ExecContext &ctx)
-{
-    const int w = v.w, nd = v.nd;
-    const simd::Kernels &k = simd::kernels();
-    ctx.parallelFor(0, v.h, [&](int64_t y0, int64_t y1) {
-        PathScratch scratch(nd, 2, ctx.buffers());
-        for (int y = int(y0); y < int(y1); ++y) {
-            uint16_t *prev = scratch.row(0), *cur = scratch.row(1);
-            int x = dx > 0 ? 0 : w - 1;
-            uint16_t prev_min =
-                startRow(v.costPx(x, y), nd, prev, v.totalPx(x, y));
-            for (int i = 1; i < w; ++i) {
-                x += dx;
-                prev_min = k.aggregateRow(v.costPx(x, y), prev,
-                                          prev_min, nd, v.p1, v.p2,
-                                          cur, v.totalPx(x, y));
-                std::swap(prev, cur);
-            }
-        }
-    });
-}
-
-/**
- * Vertical pass (dx == 0): columns are independent paths with a pure
- * (x, y-dy) -> (x, y) dependency, so contiguous column strips run in
- * parallel, each sweeping its rows in order with one strip-wide
- * previous-row buffer (and a per-column carried minimum).
- */
-void
-aggregateVertical(const AggregateView &v, int dy,
-                  const ExecContext &ctx)
-{
-    const int w = v.w, h = v.h, nd = v.nd;
-    const simd::Kernels &k = simd::kernels();
-    ctx.parallelFor(0, w, [&](int64_t x0, int64_t x1) {
-        const int64_t nx = x1 - x0;
-        PathScratch prev(nd, nx, ctx.buffers());
-        PathScratch cur(nd, nx, ctx.buffers());
-        auto mins = ctx.buffers().acquireZeroed<uint16_t>(size_t(nx));
-        const int y_begin = dy > 0 ? 0 : h - 1;
-        for (int i = 0; i < h; ++i) {
-            const int y = y_begin + i * dy;
-            for (int x = int(x0); x < int(x1); ++x) {
-                const int64_t xi = x - x0;
-                uint16_t *c = cur.row(xi);
-                if (i == 0) {
-                    mins[xi] = startRow(v.costPx(x, y), nd, c,
-                                        v.totalPx(x, y));
-                } else {
-                    mins[xi] = k.aggregateRow(
-                        v.costPx(x, y), prev.row(xi), mins[xi], nd,
-                        v.p1, v.p2, c, v.totalPx(x, y));
-                }
-            }
-            prev.swap(cur);
-        }
-    });
-}
-
-/**
- * Diagonal pass (|dx| == |dy| == 1): the predecessor of every pixel
- * in row y lies in row y - dy, so each row is a wavefront — rows
- * advance serially while the pixels of a row fan out across the
- * pool. Two sentinel-padded row buffers (plus the per-pixel carried
- * minima) hand L_r between wavefronts.
- */
-void
-aggregateDiagonal(const AggregateView &v, int dx, int dy,
-                  const ExecContext &ctx)
-{
-    const int w = v.w, h = v.h, nd = v.nd;
-    const simd::Kernels &k = simd::kernels();
-    PathScratch prev_row(nd, w, ctx.buffers());
-    PathScratch cur_row(nd, w, ctx.buffers());
-    auto prev_min = ctx.buffers().acquireZeroed<uint16_t>(size_t(w));
-    auto cur_min = ctx.buffers().acquireZeroed<uint16_t>(size_t(w));
-    const int y_begin = dy > 0 ? 0 : h - 1;
-    for (int i = 0; i < h; ++i) {
-        const int y = y_begin + i * dy;
-        const bool first_row = i == 0;
-        ctx.parallelFor(0, w, [&](int64_t x0, int64_t x1) {
-            for (int x = int(x0); x < int(x1); ++x) {
-                uint16_t *c = cur_row.row(x);
-                const int px = x - dx;
-                if (first_row || px < 0 || px >= w) {
-                    cur_min[x] = startRow(v.costPx(x, y), nd, c,
-                                          v.totalPx(x, y));
-                } else {
-                    cur_min[x] = k.aggregateRow(
-                        v.costPx(x, y), prev_row.row(px),
-                        prev_min[px], nd, v.p1, v.p2, c,
-                        v.totalPx(x, y));
-                }
-            }
-        });
-        prev_row.swap(cur_row);
-        prev_min.swap(cur_min);
-    }
-}
-
-/** One semi-global aggregation pass along direction (dx, dy). */
-void
-aggregateDirection(const AggregateView &v, int dx, int dy,
-                   const ExecContext &ctx)
-{
-    if (dy == 0)
-        aggregateHorizontal(v, dx, ctx);
-    else if (dx == 0)
-        aggregateVertical(v, dy, ctx);
-    else
-        aggregateDiagonal(v, dx, dy, ctx);
-}
-
 float
 subpixelOffset(uint32_t cm, uint32_t c0, uint32_t cp)
 {
@@ -228,9 +82,9 @@ subpixelOffset(uint32_t cm, uint32_t c0, uint32_t cp)
  * x-clamped borders run the same scalar code at every SIMD level, so
  * the encoding is bit-identical everywhere. @p rows is caller scratch
  * for the 2*radius+1 y-clamped row base pointers. This is the
- * row-granular building block both the materialized census plane and
- * the streaming SGM's on-the-fly cost generation share — one
- * definition of the encoding, so the fused path cannot drift.
+ * row-granular building block both censusTransform() and the
+ * streaming SGM's on-the-fly cost generation share — one definition
+ * of the encoding, so the two cannot drift.
  */
 void
 censusLineInto(const image::Image &img, int radius, int y,
@@ -265,50 +119,6 @@ censusLineInto(const image::Image &img, int radius, int y,
         k.censusRow(rows, radius, x_lo, x_hi, out);
     for (int x = x_hi; x < w; ++x)
         borderPixel(x);
-}
-
-/**
- * censusTransform() into caller-provided storage of w * h entries —
- * the pooled path sgmCostVolume() uses (per-chunk row-pointer
- * scratch comes from the context's BufferPool too).
- */
-void
-censusInto(const image::Image &img, int radius,
-           const ExecContext &ctx, uint64_t *census)
-{
-    fatal_if(radius < 1 || radius > 3,
-             "census radius must be in [1, 3] (bits must fit uint64)");
-    const int w = img.width(), h = img.height();
-    const simd::Kernels &k = simd::kernels();
-    // Rows are independent; each writes a disjoint slice of census.
-    // Row-pointer scratch is pre-acquired per chunk: acquiring
-    // inside the worker lambdas would make the number of live
-    // same-shape buffers — and with it the steady-state pool miss
-    // count — depend on thread scheduling.
-    const int taps = 2 * radius + 1;
-    auto rows = ctx.buffers().acquire<const float *>(
-        size_t(ctx.pool().numThreads()) * size_t(taps));
-    ctx.parallelForChunks(0, h, [&](int64_t y0, int64_t y1, int c) {
-        const float **row = rows.data() + size_t(c) * size_t(taps);
-        for (int y = int(y0); y < int(y1); ++y) {
-            censusLineInto(img, radius, y, k, row,
-                           census + int64_t(y) * w);
-        }
-    });
-}
-
-/** Shared parameter validation for every SGM entry point. */
-void
-validateSgmParams(const SgmParams &p)
-{
-    fatal_if(p.p1 < 0 || p.p2 < 0,
-             "SGM penalties must be non-negative");
-    fatal_if(p.censusRadius < 1 || p.censusRadius > 3,
-             "census radius must be in [1, 3] (bits must fit uint64)");
-    fatal_if(p.paths != 4 && p.paths != 5 && p.paths != 8,
-             "SGM paths must be 4, 5, or 8");
-    fatal_if(!p.fused && p.paths != 8,
-             "the materialized SGM reference supports paths=8 only");
 }
 
 /**
@@ -391,7 +201,7 @@ makeGuideWindows(const DisparityMap &guide, int nd, int margin,
 }
 
 /**
- * Fused, tiled, streaming SGM. Census and Hamming cost rows are
+ * Tiled, streaming SGM. Census and Hamming cost rows are
  * generated on the fly inside the aggregation wavefronts (the
  * costRow kernel feeds aggregateRow directly in pixel-major layout),
  * so the resident state is O(tile-rows x width x nd) pool scratch —
@@ -404,17 +214,18 @@ makeGuideWindows(const DisparityMap &guide, int nd, int margin,
  * each direction's L_r is bounded by cost + P2 — prev_min + P2 is
  * always a min candidate — so with the default census radius and
  * penalties three directions sum to <= 192 and one byte per cell
- * suffices (~8x smaller than the materialized pipeline's uint16 cost
- * + uint32 total volumes). The up sweep regenerates the cost rows,
- * adds the two horizontal paths and the three up directions, widens
- * in the down-volume row — completing the exact 8-direction uint32
- * total of the materialized reference — and finalizes each row
+ * suffices (~8x smaller than a uint16 cost + uint32 total volume
+ * pair). The up sweep regenerates the cost rows, adds the two
+ * horizontal paths and the three up directions, widens in the
+ * down-volume row — completing the exact 8-direction uint32 total of
+ * the directional reference in tests/sgm_reference.hh — and
+ * finalizes each row
  * immediately: WTA + sub-pixel + the left-right check, which is
  * per-row because the right image's disparity at xr is
  * argmin_d total(xr + d, y, d) in the same row. Integer sums are
  * order-independent and every directional recurrence replays the
  * reference's start conditions, so the result is bit-identical to
- * the materialized path at any SIMD level and worker count.
+ * tests/sgm_reference.hh at any SIMD level and worker count.
  *
  * paths=4/5 run the single down sweep with the horizontals folded in
  * ((1,0) + optional (-1,0) backward pass at paths=5) and finalize
@@ -424,13 +235,12 @@ makeGuideWindows(const DisparityMap &guide, int nd, int margin,
  * fan out over a tile's rows (amortizing launch overhead and keeping
  * the tile's cost/total rows cache-resident for the wavefront
  * stage), then the wavefront stage walks the tile's rows serially
- * with pixel-parallel rows, exactly like the materialized diagonal
- * passes. Range pruning plugs in per row: every stage operates on
- * the row's dense candidate window, the L_r scratch keeps absolute-d
- * indexing with 0xFFFF outside the windows actually written (drifted
- * window edges are re-sentineled as the ping-pong buffers cycle),
- * and prev_min stays the true minimum of the previous row's window,
- * so the kernel contract holds unchanged.
+ * with pixel-parallel rows. Range pruning plugs in per row: every
+ * stage operates on the row's dense candidate window, the L_r scratch
+ * keeps absolute-d indexing with 0xFFFF outside the windows actually
+ * written (drifted window edges are re-sentineled as the ping-pong
+ * buffers cycle), and prev_min stays the true minimum of the previous
+ * row's window, so the kernel contract holds unchanged.
  */
 template <typename TDown>
 class StreamingSgm
@@ -737,7 +547,7 @@ class StreamingSgm
 
     /**
      * Per-row left-right consistency check — identical arithmetic to
-     * the materialized reference, which is itself per-row: the right
+     * tests/sgm_reference.hh, which is itself per-row: the right
      * image's disparity at xr is argmin_d total(xr + d, y, d).
      */
     void
@@ -793,15 +603,26 @@ class StreamingSgm
 };
 
 /**
- * Streaming entry point: build the per-row windows (full-range, or
- * pruned from @p guide), pick the narrowest down-volume element type
- * that can hold three directions' worth of L_r exactly, and run.
+ * The entry point behind sgmCompute() and sgmComputeGuided():
+ * validate, build the per-row windows (full-range, or pruned from
+ * @p guide), pick the narrowest down-volume element type that can
+ * hold three directions' worth of L_r exactly, and run.
  */
 DisparityMap
 sgmComputeStreamed(const image::Image &left, const image::Image &right,
                    const SgmParams &params, const DisparityMap *guide,
                    const ExecContext &ctx)
 {
+    panic_if(left.width() != right.width() ||
+                 left.height() != right.height(),
+             "stereo pair size mismatch");
+    fatal_if(params.p1 < 0 || params.p2 < 0,
+             "SGM penalties must be non-negative");
+    fatal_if(params.censusRadius < 1 || params.censusRadius > 3,
+             "census radius must be in [1, 3] (bits must fit uint64)");
+    fatal_if(params.paths != 4 && params.paths != 5 &&
+                 params.paths != 8,
+             "SGM paths must be 4, 5, or 8");
     const int w = left.width(), h = left.height();
     const int nd = params.maxDisparity + 1;
     const RowWindows win =
@@ -835,56 +656,27 @@ std::vector<uint64_t>
 censusTransform(const image::Image &img, int radius,
                 const ExecContext &ctx)
 {
-    std::vector<uint64_t> census(int64_t(img.width()) *
-                                 img.height());
-    censusInto(img, radius, ctx, census.data());
-    return census;
-}
-
-std::vector<uint64_t>
-censusTransform(const image::Image &img, int radius)
-{
-    return censusTransform(img, radius, ExecContext::global());
-}
-
-CostVolume
-sgmCostVolume(const image::Image &left, const image::Image &right,
-              const SgmParams &params, const ExecContext &ctx)
-{
-    panic_if(left.width() != right.width() ||
-                 left.height() != right.height(),
-             "stereo pair size mismatch");
-    const int w = left.width(), h = left.height();
-    const int nd = params.maxDisparity + 1;
-
-    // Census bit strings live in pooled scratch: they die with this
-    // call, and the next frame's census recycles them.
-    auto cl = ctx.buffers().acquire<uint64_t>(size_t(int64_t(w) * h));
-    auto cr = ctx.buffers().acquire<uint64_t>(size_t(int64_t(w) * h));
-    censusInto(left, params.censusRadius, ctx, cl.data());
-    censusInto(right, params.censusRadius, ctx, cr.data());
-
-    CostVolume vol;
-    vol.acquire(ctx.buffers(), w, h, nd);
+    fatal_if(radius < 1 || radius > 3,
+             "census radius must be in [1, 3] (bits must fit uint64)");
+    const int w = img.width(), h = img.height();
+    std::vector<uint64_t> census(int64_t(w) * h);
     const simd::Kernels &k = simd::kernels();
-    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
+    // Rows are independent; each writes a disjoint slice of census.
+    // Row-pointer scratch is pre-acquired per chunk: acquiring
+    // inside the worker lambdas would make the number of live
+    // same-shape buffers — and with it the steady-state pool miss
+    // count — depend on thread scheduling.
+    const int taps = 2 * radius + 1;
+    auto rows = ctx.buffers().acquire<const float *>(
+        size_t(ctx.pool().numThreads()) * size_t(taps));
+    ctx.parallelForChunks(0, h, [&](int64_t y0, int64_t y1, int c) {
+        const float **row = rows.data() + size_t(c) * size_t(taps);
         for (int y = int(y0); y < int(y1); ++y) {
-            const uint64_t *l = cl.data() + int64_t(y) * w;
-            const uint64_t *r = cr.data() + int64_t(y) * w;
-            for (int d = 0; d < nd; ++d) {
-                uint16_t *out = vol.row(y, d);
-                // x < d clamps the right coordinate to column 0.
-                const int p = std::min(d, w);
-                for (int x = 0; x < p; ++x) {
-                    out[x] = static_cast<uint16_t>(
-                        std::popcount(l[x] ^ r[0]));
-                }
-                if (w > d)
-                    k.hammingRow(l + d, r, w - d, out + d);
-            }
+            censusLineInto(img, radius, y, k, row,
+                           census.data() + int64_t(y) * w);
         }
     });
-    return vol;
+    return census;
 }
 
 int64_t
@@ -895,10 +687,9 @@ sgmOps(int width, int height, const SgmParams &params)
     const int64_t census_taps =
         int64_t(2 * params.censusRadius + 1) *
         (2 * params.censusRadius + 1);
-    // Census (2 frames, twice in the fused two-sweep mode) + cost
+    // Census (2 frames, twice in the two-sweep 8-path mode) + cost
     // rows + aggregation passes (~4 ops per (pixel, d)) + WTA.
-    const int64_t sweeps =
-        params.fused && params.paths == 8 ? 2 : 1;
+    const int64_t sweeps = params.paths == 8 ? 2 : 1;
     return sweeps * (2 * pixels * census_taps + pixels * nd) +
            params.paths * pixels * nd * 4 + pixels * nd;
 }
@@ -907,134 +698,7 @@ DisparityMap
 sgmCompute(const image::Image &left, const image::Image &right,
            const SgmParams &params, const ExecContext &ctx)
 {
-    panic_if(left.width() != right.width() ||
-                 left.height() != right.height(),
-             "stereo pair size mismatch");
-    validateSgmParams(params);
-    if (params.fused || params.paths != 8)
-        return sgmComputeStreamed(left, right, params, nullptr, ctx);
-    const int w = left.width(), h = left.height();
-    const int nd = params.maxDisparity + 1;
-
-    // 1. Census + Hamming cost volume (disparity-major rows — the
-    // layout the XOR+popcount kernel wants), then one transpose to
-    // pixel-major so every pixel's nd disparities are the contiguous
-    // uint16 lanes the aggregateRow kernel consumes. The d-major
-    // volume is released to the pool right after — the steady-state
-    // footprint is unchanged, and the next frame's d-major volume
-    // recycles it.
-    CostVolume vol = sgmCostVolume(left, right, params, ctx);
-    auto cost_pm =
-        ctx.buffers().acquire<uint16_t>(size_t(vol.size()));
-    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
-        for (int y = int(y0); y < int(y1); ++y) {
-            for (int d = 0; d < nd; ++d) {
-                const uint16_t *src = vol.row(y, d);
-                uint16_t *dst =
-                    cost_pm.data() + int64_t(y) * w * nd + d;
-                for (int x = 0; x < w; ++x)
-                    dst[int64_t(x) * nd] = src[x];
-            }
-        }
-    });
-    vol.release();
-
-    // 2. Eight-path aggregation through the dispatched aggregateRow
-    // kernel. Each pass parallelizes internally (rows / column strips
-    // / diagonal row wavefronts); passes run in sequence, each cell
-    // of `total` is incremented exactly once per pass, and all
-    // arithmetic is exact integer, so the sum is bit-identical to the
-    // serial loop for any worker count and SIMD level. Penalties
-    // above 0xFFFF can never win the min, so clamping preserves the
-    // unclamped semantics (see AggregateRowFn).
-    auto total = ctx.buffers().acquireZeroed<uint32_t>(
-        size_t(int64_t(w) * h * nd));
-    const AggregateView view{
-        cost_pm.data(),
-        total.data(),
-        w,
-        h,
-        nd,
-        static_cast<uint16_t>(std::min(params.p1, 0xFFFF)),
-        static_cast<uint16_t>(std::min(params.p2, 0xFFFF))};
-    const int dirs[8][2] = {{1, 0},  {-1, 0}, {0, 1},  {0, -1},
-                            {1, 1},  {-1, 1}, {1, -1}, {-1, -1}};
-    for (const auto &dir : dirs)
-        aggregateDirection(view, dir[0], dir[1], ctx);
-
-    // 3. Winner-take-all with sub-pixel refinement; each pixel's
-    // disparity slice is a contiguous scan in the pixel-major layout.
-    // Every pixel is written, so the pooled map skips the clear.
-    DisparityMap disp = image::acquireImageUninit(ctx.buffers(), w, h);
-    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
-        for (int y = int(y0); y < int(y1); ++y) {
-            for (int x = 0; x < w; ++x) {
-                const uint32_t *s = view.totalPx(x, y);
-                uint32_t best = s[0];
-                int bd = 0;
-                for (int d = 1; d < nd; ++d) {
-                    if (s[d] < best) {
-                        best = s[d];
-                        bd = d;
-                    }
-                }
-                float dv = static_cast<float>(bd);
-                if (params.subpixel && bd > 0 && bd + 1 < nd) {
-                    dv += subpixelOffset(s[bd - 1], s[bd],
-                                         s[bd + 1]);
-                }
-                disp.at(x, y) = dv;
-            }
-        }
-    });
-
-    // 4. Left-right consistency check on the aggregated volume:
-    // disparity of right pixel xr is argmin_d total(xr + d, y, d).
-    if (params.leftRightCheck) {
-        DisparityMap right_disp =
-            image::acquireImageUninit(ctx.buffers(), w, h);
-        ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
-            for (int y = int(y0); y < int(y1); ++y) {
-                for (int xr = 0; xr < w; ++xr) {
-                    uint32_t best =
-                        std::numeric_limits<uint32_t>::max();
-                    int bd = 0;
-                    for (int d = 0; d < nd && xr + d < w; ++d) {
-                        const uint32_t val =
-                            view.totalPx(xr + d, y)[d];
-                        if (val < best) {
-                            best = val;
-                            bd = d;
-                        }
-                    }
-                    right_disp.at(xr, y) = static_cast<float>(bd);
-                }
-            }
-        });
-        ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
-            for (int y = int(y0); y < int(y1); ++y) {
-                for (int x = 0; x < w; ++x) {
-                    const int d =
-                        static_cast<int>(std::lround(disp.at(x, y)));
-                    const int xr = x - d;
-                    if (xr < 0 ||
-                        std::abs(right_disp.at(xr, y) - d) >
-                            params.lrTolerance) {
-                        disp.at(x, y) = kInvalidDisparity;
-                    }
-                }
-            }
-        });
-    }
-
-    return disp;
-}
-
-DisparityMap
-sgmCompute(const image::Image &left, const image::Image &right,
-           const SgmParams &params)
-{
-    return sgmCompute(left, right, params, ExecContext::global());
+    return sgmComputeStreamed(left, right, params, nullptr, ctx);
 }
 
 DisparityMap
@@ -1042,17 +706,12 @@ sgmComputeGuided(const image::Image &left, const image::Image &right,
                  const DisparityMap &guide, const SgmParams &params,
                  const ExecContext &ctx)
 {
-    panic_if(left.width() != right.width() ||
-                 left.height() != right.height(),
-             "stereo pair size mismatch");
-    validateSgmParams(params);
     // A missing or size-mismatched guide (first frame, mid-stream
     // resolution change) degrades to the unguided engine.
-    if (guide.width() != left.width() ||
-        guide.height() != left.height() || !params.fused) {
-        return sgmCompute(left, right, params, ctx);
-    }
-    return sgmComputeStreamed(left, right, params, &guide, ctx);
+    const bool usable = guide.width() == left.width() &&
+                        guide.height() == left.height();
+    return sgmComputeStreamed(left, right, params,
+                              usable ? &guide : nullptr, ctx);
 }
 
 } // namespace asv::stereo

@@ -4,21 +4,21 @@
  *
  * Represents the classic global-ish algorithm family in Fig. 1 (SGBN
  * and HH are both semi-global-matching variants from Hirschmuller's
- * work). Pipeline: census transform -> Hamming matching cost volume ->
- * 8-path semi-global cost aggregation with P1/P2 smoothness penalties
- * -> winner-take-all with sub-pixel refinement -> optional left-right
- * consistency check.
+ * work). Pipeline: census transform -> Hamming matching cost ->
+ * 4/5/8-path semi-global cost aggregation with P1/P2 smoothness
+ * penalties -> winner-take-all with sub-pixel refinement -> optional
+ * left-right consistency check. One streaming engine runs all of it
+ * row by row (the SceneScan design); the cost volume is never held.
+ * The directional reference it is tested against lives in
+ * tests/sgm_reference.hh.
  */
 
 #ifndef ASV_STEREO_SGM_HH
 #define ASV_STEREO_SGM_HH
 
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
-#include "common/buffer_pool.hh"
 #include "common/exec_context.hh"
 #include "image/image.hh"
 #include "stereo/disparity.hh"
@@ -37,14 +37,6 @@ struct SgmParams
     bool leftRightCheck = true; //!< invalidate inconsistent pixels
     int lrTolerance = 1;   //!< max allowed L/R disagreement (pixels)
     int paths = 8;         //!< aggregation paths: 4, 5, or 8
-    /**
-     * Fused streaming engine (the default): census + Hamming cost
-     * rows are generated on the fly inside the aggregation sweeps and
-     * no full cost volume is ever resident. Bit-identical to the
-     * materialized reference at paths == 8; set false to run the
-     * materialized reference pipeline (equivalence tests, debugging).
-     */
-    bool fused = true;
     /**
      * Disparity head-room (pixels) added on both sides of a row's
      * guide-derived search window in sgmComputeGuided(). Larger
@@ -65,157 +57,26 @@ std::vector<uint64_t> censusTransform(const image::Image &img,
                                       int radius,
                                       const ExecContext &ctx);
 
-/** censusTransform() on the process-global pool (legacy signature). */
-std::vector<uint64_t> censusTransform(const image::Image &img,
-                                      int radius);
-
-/**
- * Hamming matching-cost volume in disparity-major row layout:
- * cost[(y * nd + d) * width + x]. For a fixed (y, d) the x run is
- * contiguous, which is what lets the XOR+popcount kernel issue full
- * vector loads; a whole (y, *, *) row block is nd * width uint16s,
- * small enough to stay cache-resident through aggregation and WTA.
- */
-struct CostVolume
-{
-    int width = 0, height = 0, nd = 0;
-    std::vector<uint16_t> cost;
-
-    CostVolume() = default;
-
-    /** A copy is a plain (non-pooled) value. */
-    CostVolume(const CostVolume &other)
-        : width(other.width), height(other.height), nd(other.nd),
-          cost(other.cost)
-    {
-    }
-
-    CostVolume &
-    operator=(const CostVolume &other)
-    {
-        if (this != &other) {
-            width = other.width;
-            height = other.height;
-            nd = other.nd;
-            cost = other.cost; // reuses capacity when possible
-        }
-        return *this;
-    }
-
-    /** Moves transfer the storage and its pool backref. */
-    CostVolume(CostVolume &&other) noexcept
-        : width(other.width), height(other.height), nd(other.nd),
-          cost(std::move(other.cost)), pool_(std::move(other.pool_))
-    {
-        other.width = other.height = other.nd = 0;
-    }
-
-    CostVolume &
-    operator=(CostVolume &&other) noexcept
-    {
-        if (this != &other) {
-            release();
-            width = other.width;
-            height = other.height;
-            nd = other.nd;
-            cost = std::move(other.cost);
-            pool_ = std::move(other.pool_);
-            other.width = other.height = other.nd = 0;
-        }
-        return *this;
-    }
-
-    ~CostVolume() { release(); }
-
-    /**
-     * Size this volume for (w, h, num_d) with cost storage drawn
-     * from @p pool (shelved back on destruction or release()).
-     * Contents unspecified — sgmCostVolume() writes every cell.
-     */
-    void
-    acquire(BufferPool &pool, int w, int h, int num_d)
-    {
-        release();
-        width = w;
-        height = h;
-        nd = num_d;
-        cost = pool.state()->take<uint16_t>(
-            size_t(int64_t(w) * h * num_d), false);
-        pool_ = pool.state();
-    }
-
-    /**
-     * Return the cost storage to its pool (or free it) now; the
-     * dimensions stay. sgmCompute() releases the d-major volume as
-     * soon as it is transposed, halving the stage's footprint.
-     */
-    void
-    release() noexcept
-    {
-        if (pool_) {
-            pool_->give(std::move(cost));
-            pool_.reset();
-        }
-        cost = std::vector<uint16_t>();
-    }
-
-    int64_t
-    idx(int x, int y, int d) const
-    {
-        return (int64_t(y) * nd + d) * width + x;
-    }
-
-    /** Base of the contiguous x run for (y, d). */
-    const uint16_t *row(int y, int d) const
-    {
-        return cost.data() + (int64_t(y) * nd + d) * width;
-    }
-    uint16_t *row(int y, int d)
-    {
-        return cost.data() + (int64_t(y) * nd + d) * width;
-    }
-
-    int64_t size() const { return int64_t(width) * height * nd; }
-
-  private:
-    std::shared_ptr<detail::PoolState> pool_; //!< null = plain value
-};
-
-/**
- * Census + XOR/popcount Hamming cost volume of a rectified pair
- * (stage 1 of sgmCompute, exposed for benches and property tests).
- * Row-parallel on @p ctx; bit-identical across SIMD levels and
- * worker counts.
- */
-CostVolume sgmCostVolume(const image::Image &left,
-                         const image::Image &right,
-                         const SgmParams &params,
-                         const ExecContext &ctx);
-
 /** Number of arithmetic ops of sgmCompute on a w x h frame. */
 int64_t sgmOps(int width, int height, const SgmParams &params);
 
 /**
- * Run SGM and return the left-reference disparity map. Every stage
- * (census, cost volume, the 8-path aggregation, WTA, the L/R check)
- * fans out on @p ctx's pool; results are bit-identical for any
- * worker count and any SIMD level. Aggregation uses scanline/
- * wavefront parallelism *inside* each directional pass (independent
- * rows, column strips, or diagonal row wavefronts), so it scales past
- * 8 workers and needs only O(row) scratch instead of one partial
- * volume per busy chunk; the cost volume is transposed once to
- * pixel-major so each pixel's recurrence runs through the dispatched
- * asv::simd aggregateRow kernel (uint16 disparity lanes).
+ * Run SGM and return the left-reference disparity map. Census and
+ * Hamming cost rows are generated on the fly inside the aggregation
+ * sweeps (the dispatched costRow kernel feeding aggregateRow in
+ * pixel-major layout), so the resident state is a few rows of pool
+ * scratch plus, at paths == 8, one narrowed down-direction partial
+ * volume — never a cost volume. paths == 8 runs a down sweep and an
+ * up sweep that finalizes each row (WTA, sub-pixel, the per-row L/R
+ * check); paths == 4/5 finalize in the single down sweep. Every stage
+ * fans out on @p ctx's pool, with rows in tiles and the wavefront
+ * directions pixel-parallel within a row; results are bit-identical
+ * for any worker count and any SIMD level.
  */
 DisparityMap sgmCompute(const image::Image &left,
                         const image::Image &right,
                         const SgmParams &params,
                         const ExecContext &ctx);
-
-/** sgmCompute() on the process-global pool (legacy signature). */
-DisparityMap sgmCompute(const image::Image &left,
-                        const image::Image &right,
-                        const SgmParams &params = {});
 
 /**
  * Range-pruned streaming SGM: each row's disparity search window is

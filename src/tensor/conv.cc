@@ -314,14 +314,6 @@ convNd(const Tensor &input, const Tensor &weight, const ConvSpec &spec,
 
 Tensor
 convNd(const Tensor &input, const Tensor &weight, const ConvSpec &spec,
-       ConvOp op, ConvStats *stats)
-{
-    return convNd(input, weight, spec, op, stats,
-                  ExecContext::global());
-}
-
-Tensor
-convNd(const Tensor &input, const Tensor &weight, const ConvSpec &spec,
        const ConvEpilogue &epilogue, ConvStats *stats,
        const ExecContext &ctx)
 {

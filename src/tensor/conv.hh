@@ -113,11 +113,6 @@ Tensor convNd(const Tensor &input, const Tensor &weight,
               const ConvSpec &spec, ConvOp op, ConvStats *stats,
               const ExecContext &ctx);
 
-/** convNd() on the process-global pool (legacy signature). */
-Tensor convNd(const Tensor &input, const Tensor &weight,
-              const ConvSpec &spec, ConvOp op = ConvOp::MAC,
-              ConvStats *stats = nullptr);
-
 /**
  * MAC convolution with a fused bias+ReLU epilogue. Routes like
  * convNd: the f32 GEMM path when @p stats is null, the reference

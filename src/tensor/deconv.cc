@@ -93,7 +93,8 @@ upsampleZeroInsert(const Tensor &input, const DeconvSpec &spec,
 
 Tensor
 deconvNd(const Tensor &input, const Tensor &weight,
-         const DeconvSpec &spec, ConvStats *stats)
+         const DeconvSpec &spec, ConvStats *stats,
+         const ExecContext &ctx)
 {
     const int spatial = input.rank() - 1;
     Shape kernel(weight.shape().begin() + 2, weight.shape().end());
@@ -101,7 +102,8 @@ deconvNd(const Tensor &input, const Tensor &weight,
     Tensor up = upsampleZeroInsert(input, spec, kernel);
 
     ConvSpec conv_spec = ConvSpec::uniform(spatial, 1, 0);
-    Tensor out = convNd(up, weight, conv_spec, ConvOp::MAC, stats);
+    Tensor out =
+        convNd(up, weight, conv_spec, ConvOp::MAC, stats, ctx);
 
     // Sanity: the computed output must match the analytic shape.
     const Shape expect = deconvOutShape(input.shape(), weight.shape(),

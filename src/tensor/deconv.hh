@@ -63,10 +63,12 @@ Tensor upsampleZeroInsert(const Tensor &input, const DeconvSpec &spec,
  *               convolution over the upsampled ifmap, exposing the
  *               sparsity-induced waste (>= 75% zero operands for
  *               stride-2 2-D deconvolution, Sec. 4.1).
+ * @param ctx    pool the dense convolution is partitioned across
  * @return [K, outspatial...]
  */
 Tensor deconvNd(const Tensor &input, const Tensor &weight,
-                const DeconvSpec &spec, ConvStats *stats = nullptr);
+                const DeconvSpec &spec, ConvStats *stats,
+                const ExecContext &ctx);
 
 } // namespace asv::tensor
 

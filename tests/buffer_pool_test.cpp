@@ -29,7 +29,6 @@
 #include "debug/alloc_tracker.hh"
 #include "image/image.hh"
 #include "stereo/matcher.hh"
-#include "stereo/sgm.hh"
 
 namespace
 {
@@ -203,21 +202,17 @@ TEST(BufferPool, HandlesOutliveThePool)
 {
     PoolHandle<float> survivor;
     image::Image pooled_img;
-    stereo::CostVolume pooled_vol;
     {
         BufferPool pool;
         survivor = pool.acquire<float>(128);
         pooled_img = image::acquireImage(pool, 16, 8);
-        pooled_vol.acquire(pool, 8, 4, 4);
     }
     // The pool is gone; the handles must stay usable and free (not
     // shelve) their storage on destruction.
     survivor[0] = 1.f;
     pooled_img.at(0, 0) = 2.f;
-    pooled_vol.cost[0] = 3;
     survivor.release();
     pooled_img = image::Image();
-    pooled_vol.release();
 }
 
 TEST(BufferPool, PooledImageRecyclesThroughTheArena)

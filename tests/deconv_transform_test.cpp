@@ -11,6 +11,7 @@
 #include <bit>
 #include <tuple>
 
+#include "common/exec_context.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "deconv/transform.hh"
@@ -20,6 +21,7 @@
 namespace
 {
 
+using asv::ExecContext;
 using asv::Rng;
 using namespace asv::deconv;
 using asv::tensor::ConvStats;
@@ -157,8 +159,9 @@ TEST(Functional, MatchesReferenceOnPaperExample)
     Tensor in = randomTensor({1, 3, 3}, rng);
     Tensor w = randomTensor({1, 1, 3, 3}, rng);
     DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
-    Tensor ref = deconvNd(in, w, spec);
-    Tensor got = transformedDeconv(in, w, spec);
+    Tensor ref = deconvNd(in, w, spec, nullptr, ExecContext::global());
+    Tensor got = transformedDeconv(in, w, spec, nullptr,
+                                   ExecContext::global());
     EXPECT_TRUE(got.allClose(ref, 1e-5))
         << "max diff " << got.maxAbsDiff(ref);
 }
@@ -190,19 +193,20 @@ TEST(Functional, ExecContextBitIdenticalToSerial)
     EXPECT_EQ(serial_stats.totalOps, pool_stats.totalOps);
     EXPECT_EQ(serial_stats.zeroOps, pool_stats.zeroOps);
 
-    // The legacy global-pool signature stays bit-identical to the
-    // explicit-context call. Compared without stats on both sides:
-    // stats-bearing calls take the reference conv route while
-    // stats-free ones take the f32 GEMM route, which rounds
-    // differently (docs/KERNELS.md) — route choice, not the
-    // signature, decides the bits.
+    // The stats-free call is bit-identical across pools too (the
+    // 4-worker pool vs the process-wide one). Compared without stats
+    // on both sides: stats-bearing calls take the reference conv
+    // route while stats-free ones take the f32 GEMM route, which
+    // rounds differently (docs/KERNELS.md) — route choice, not the
+    // pool, decides the bits.
     Tensor nostats = transformedDeconv(in, w, spec, nullptr,
                                        asv::ExecContext(pool));
-    Tensor legacy = transformedDeconv(in, w, spec);
-    ASSERT_EQ(legacy.shape(), nostats.shape());
+    Tensor on_global = transformedDeconv(in, w, spec, nullptr,
+                                         ExecContext::global());
+    ASSERT_EQ(on_global.shape(), nostats.shape());
     for (int64_t i = 0; i < numElems(ref.shape()); ++i) {
         ASSERT_EQ(std::bit_cast<uint32_t>(nostats.flat()[i]),
-                  std::bit_cast<uint32_t>(legacy.flat()[i]))
+                  std::bit_cast<uint32_t>(on_global.flat()[i]))
             << "flat index " << i;
     }
     EXPECT_TRUE(nostats.allClose(ref, 1e-4))
@@ -217,8 +221,8 @@ TEST(Functional, TransformSavesOpsVsNaive)
     DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
 
     ConvStats naive, transformed;
-    deconvNd(in, w, spec, &naive);
-    transformedDeconv(in, w, spec, &transformed);
+    deconvNd(in, w, spec, &naive, ExecContext::global());
+    transformedDeconv(in, w, spec, &transformed, ExecContext::global());
     // The transformation must cut total taps by ~4x for stride 2.
     EXPECT_LT(transformed.totalOps, naive.totalOps / 3);
 }
@@ -246,8 +250,9 @@ TEST_P(TransformEquivalence2d, MatchesReference)
     Tensor w = randomTensor({2, 3, k, k}, rng);
     DeconvSpec spec = DeconvSpec::uniform(2, s, p);
 
-    Tensor ref = deconvNd(in, w, spec);
-    Tensor got = transformedDeconv(in, w, spec);
+    Tensor ref = deconvNd(in, w, spec, nullptr, ExecContext::global());
+    Tensor got = transformedDeconv(in, w, spec, nullptr,
+                                   ExecContext::global());
     ASSERT_EQ(got.shape(), ref.shape());
     EXPECT_TRUE(got.allClose(ref, 1e-4))
         << "k=" << k << " s=" << s << " p=" << p << " n=" << n
@@ -282,8 +287,9 @@ TEST_P(TransformEquivalenceNd, MatchesReference)
     Tensor w = randomTensor(w_shape, rng);
     DeconvSpec spec = DeconvSpec::uniform(nd, s, 1);
 
-    Tensor ref = deconvNd(in, w, spec);
-    Tensor got = transformedDeconv(in, w, spec);
+    Tensor ref = deconvNd(in, w, spec, nullptr, ExecContext::global());
+    Tensor got = transformedDeconv(in, w, spec, nullptr,
+                                   ExecContext::global());
     EXPECT_TRUE(got.allClose(ref, 1e-4))
         << "nd=" << nd << " k=" << k << " s=" << s;
 }

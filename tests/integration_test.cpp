@@ -17,6 +17,7 @@
 #include "data/scene.hh"
 #include "deconv/transform.hh"
 #include "dnn/zoo.hh"
+#include "fn_matcher.hh"
 #include "sched/optimizer.hh"
 #include "sim/accelerator.hh"
 #include "stereo/postprocess.hh"
@@ -105,12 +106,13 @@ TEST(SelfContained, SgmKeyFramesNoOracle)
     params.propagationWindow = 3;
     params.maxDisparity = 32;
     core::IsmPipeline ism(
-        params, [&](const image::Image &l, const image::Image &r) {
+        params, testref::fnMatcher([&](const image::Image &l,
+                                       const image::Image &r) {
             stereo::SgmParams sgm;
             sgm.maxDisparity = 32;
-            auto d = stereo::sgmCompute(l, r, sgm);
+            auto d = stereo::sgmCompute(l, r, sgm, ExecContext::global());
             return stereo::fillInvalid(d);
-        });
+        }));
 
     for (size_t t = 0; t < seq.frames.size(); ++t) {
         const auto &f = seq.frames[t];
@@ -133,9 +135,9 @@ TEST(SelfContained, DepthMapFromIsmIsMetric)
     size_t idx = 0;
     core::IsmPipeline ism(
         core::IsmParams{},
-        [&](const image::Image &, const image::Image &) {
+        testref::fnMatcher([&](const image::Image &, const image::Image &) {
             return seq.frames[idx].gtDisparity;
-        });
+        }));
     idx = 1;
     const auto r = ism.processFrame(seq.frames[1].left,
                                     seq.frames[1].right);
@@ -216,9 +218,12 @@ TEST(Linearity, ConvIsLinearInInput)
         sum.flat()[i] = a.flat()[i] + 2.f * b.flat()[i];
 
     const auto spec = tensor::ConvSpec::uniform(2, 1, 1);
-    const auto ca = convNd(a, w, spec);
-    const auto cb = convNd(b, w, spec);
-    const auto cs = convNd(sum, w, spec);
+    const auto ca = convNd(a, w, spec, tensor::ConvOp::MAC, nullptr,
+                           ExecContext::global());
+    const auto cb = convNd(b, w, spec, tensor::ConvOp::MAC, nullptr,
+                           ExecContext::global());
+    const auto cs = convNd(sum, w, spec, tensor::ConvOp::MAC, nullptr,
+                           ExecContext::global());
     tensor::Tensor expect(ca.shape());
     for (int64_t i = 0; i < expect.size(); ++i)
         expect.flat()[i] = ca.flat()[i] + 2.f * cb.flat()[i];
@@ -238,8 +243,10 @@ TEST(Linearity, TransformedDeconvIsLinearToo)
         v *= 3.f;
 
     const auto spec = tensor::DeconvSpec::uniform(2, 2, 1);
-    const auto y = deconv::transformedDeconv(a, w, spec);
-    const auto y2 = deconv::transformedDeconv(a2, w, spec);
+    const auto y = deconv::transformedDeconv(a, w, spec, nullptr,
+                                             ExecContext::global());
+    const auto y2 = deconv::transformedDeconv(a2, w, spec, nullptr,
+                                              ExecContext::global());
     tensor::Tensor expect(y.shape());
     for (int64_t i = 0; i < expect.size(); ++i)
         expect.flat()[i] = 3.f * y.flat()[i];

@@ -13,6 +13,7 @@
 #include "core/ism.hh"
 #include "data/oracle.hh"
 #include "data/scene.hh"
+#include "fn_matcher.hh"
 #include "stereo/disparity.hh"
 
 namespace
@@ -32,11 +33,12 @@ runIsm(const data::StereoSequence &seq, int pw,
     IsmParams params;
     params.propagationWindow = pw;
     IsmPipeline ism(params,
-                    [&](const image::Image &, const image::Image &) {
+                    testref::fnMatcher([&](const image::Image &,
+                                           const image::Image &) {
                         return data::oracleInference(
                             seq.frames[frame_idx].gtDisparity,
                             oracle, rng);
-                    });
+                    }));
 
     double err_sum = 0, key_sum = 0;
     int key_n = 0;
@@ -63,9 +65,10 @@ TEST(Ism, FirstFrameIsKeyFrame)
     data::StereoSequence seq =
         data::generateSequence(data::SceneConfig{}, 2, 1);
     IsmPipeline ism(IsmParams{},
-                    [&](const image::Image &, const image::Image &) {
+                    testref::fnMatcher([&](const image::Image &,
+                                           const image::Image &) {
                         return seq.frames[0].gtDisparity;
-                    });
+                    }));
     const auto r0 =
         ism.processFrame(seq.frames[0].left, seq.frames[0].right);
     EXPECT_TRUE(r0.keyFrame);
@@ -82,9 +85,10 @@ TEST(Ism, KeyFrameCadenceFollowsPropagationWindow)
     params.propagationWindow = 4;
     size_t idx = 0;
     IsmPipeline ism(params,
-                    [&](const image::Image &, const image::Image &) {
+                    testref::fnMatcher([&](const image::Image &,
+                                           const image::Image &) {
                         return seq.frames[idx].gtDisparity;
-                    });
+                    }));
     for (idx = 0; idx < seq.frames.size(); ++idx) {
         const auto r = ism.processFrame(seq.frames[idx].left,
                                         seq.frames[idx].right);
@@ -126,9 +130,10 @@ TEST(Ism, PerfectKeyFramesStayAccurate)
     IsmParams params;
     params.propagationWindow = 6;
     IsmPipeline ism(params,
-                    [&](const image::Image &, const image::Image &) {
+                    testref::fnMatcher([&](const image::Image &,
+                                           const image::Image &) {
                         return seq.frames[idx].gtDisparity;
-                    });
+                    }));
     for (idx = 0; idx < seq.frames.size(); ++idx) {
         const auto &f = seq.frames[idx];
         const auto r = ism.processFrame(f.left, f.right);
@@ -147,9 +152,10 @@ TEST(Ism, ResetRestartsKeyFrameCadence)
     params.propagationWindow = 4;
     size_t idx = 0;
     IsmPipeline ism(params,
-                    [&](const image::Image &, const image::Image &) {
+                    testref::fnMatcher([&](const image::Image &,
+                                           const image::Image &) {
                         return seq.frames[idx].gtDisparity;
-                    });
+                    }));
     idx = 0;
     EXPECT_TRUE(ism.processFrame(seq.frames[0].left,
                                  seq.frames[0].right)
@@ -189,9 +195,10 @@ TEST(Ism, MidStreamResolutionChangeForcesKeyFrame)
     IsmParams params;
     params.propagationWindow = 4;
     IsmPipeline ism(params,
-                    [&](const image::Image &, const image::Image &) {
+                    testref::fnMatcher([&](const image::Image &,
+                                           const image::Image &) {
                         return current->gtDisparity;
-                    });
+                    }));
 
     // Static PW-4 would key only frames 0 and 4; the resolution
     // change at frame 2 forces an extra key frame there.
@@ -222,13 +229,13 @@ TEST(Ism, ForcedKeyFrameResyncsAdaptiveSequencer)
     IsmParams params;
     IsmPipeline ism(
         params,
-        [&](const image::Image &, const image::Image &) {
+        testref::fnMatcher([&](const image::Image &, const image::Image &) {
             if (calls++ == 0)
                 return stereo::DisparityMap(); // failed inference
             stereo::DisparityMap d(64, 48);
             d.fill(5.f);
             return d;
-        },
+        }),
         makeAdaptiveSequencer(/*change_threshold=*/1e6,
                               /*max_window=*/4));
 
@@ -275,9 +282,10 @@ TEST(Ism, SurvivesTexturelessFrames)
     IsmParams params;
     params.propagationWindow = 4;
     IsmPipeline ism(params,
-                    [&](const image::Image &, const image::Image &) {
+                    testref::fnMatcher([&](const image::Image &,
+                                           const image::Image &) {
                         return key;
-                    });
+                    }));
     for (int t = 0; t < 5; ++t) {
         const auto r = ism.processFrame(flat_l, flat_r);
         EXPECT_EQ(r.disparity.width(), 96);
@@ -297,12 +305,13 @@ TEST(Ism, SurvivesGrossOracleOutliers)
     params.propagationWindow = 4;
     params.maxDisparity = 48;
     IsmPipeline ism(params,
-                    [&](const image::Image &, const image::Image &) {
+                    testref::fnMatcher([&](const image::Image &,
+                                           const image::Image &) {
                         stereo::DisparityMap garbage(128, 64);
                         for (auto &v : garbage.flat())
                             v = float(rng.uniformReal(0, 48));
                         return garbage;
-                    });
+                    }));
     for (idx = 0; idx < seq.frames.size(); ++idx) {
         const auto r = ism.processFrame(seq.frames[idx].left,
                                         seq.frames[idx].right);

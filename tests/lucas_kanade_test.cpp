@@ -104,7 +104,7 @@ TEST(LucasKanade, TracksKnownTranslation)
 
     auto points = detectCorners(base, {}, ctx());
     ASSERT_GT(points.size(), 10u);
-    trackLucasKanade(base, moved, points);
+    trackLucasKanade(base, moved, points, {}, ExecContext::global());
 
     int valid = 0;
     double err = 0;
@@ -125,7 +125,7 @@ TEST(LucasKanade, FlatRegionsAreRejected)
     std::vector<TrackedPoint> points(1);
     points[0].x = 32;
     points[0].y = 32;
-    trackLucasKanade(flat, flat, points);
+    trackLucasKanade(flat, flat, points, {}, ExecContext::global());
     EXPECT_FALSE(points[0].valid);
 }
 

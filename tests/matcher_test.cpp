@@ -28,6 +28,7 @@
 #include "data/oracle.hh"
 #include "dnn/zoo.hh"
 #include "data/scene.hh"
+#include "fn_matcher.hh"
 #include "image/ops.hh"
 #include "stereo/block_matching.hh"
 #include "stereo/matcher.hh"
@@ -140,7 +141,8 @@ TEST(MatcherAdapters, BlockMatchingBitIdentical)
     EXPECT_FALSE(m->guided());
     EXPECT_EQ(stereo::blockMatchingOps(96, 64, 3, 25), m->ops(96, 64));
 
-    const auto direct = stereo::blockMatching(f.left, f.right, p);
+    const auto direct = stereo::blockMatching(f.left, f.right, p,
+                                              ExecContext::global());
     const auto viaApi =
         m->compute(f.left, f.right, ExecContext::global());
     expectBitIdentical(direct, viaApi, "bm adapter");
@@ -165,7 +167,8 @@ TEST(MatcherAdapters, SgmBitIdenticalAndOptionRoundTrip)
     EXPECT_EQ("sgm", m->name());
     EXPECT_EQ(stereo::sgmOps(96, 64, p), m->ops(96, 64));
 
-    const auto direct = stereo::sgmCompute(f.left, f.right, p);
+    const auto direct = stereo::sgmCompute(f.left, f.right, p,
+                                           ExecContext::global());
     const auto viaApi =
         m->compute(f.left, f.right, ExecContext::global());
     expectBitIdentical(direct, viaApi, "sgm adapter");
@@ -187,13 +190,14 @@ TEST(MatcherAdapters, GuidedBitIdentical)
 
     // Guided around the ground truth == refineDisparity.
     const auto direct = stereo::refineDisparity(
-        f.left, f.right, f.gtDisparity, 2, p);
+        f.left, f.right, f.gtDisparity, 2, p, ExecContext::global());
     const auto viaApi = m->computeGuided(
         f.left, f.right, f.gtDisparity, ExecContext::global());
     expectBitIdentical(direct, viaApi, "guided adapter");
 
     // Without a guide it degrades to the exact full search.
-    const auto full = stereo::blockMatching(f.left, f.right, p);
+    const auto full = stereo::blockMatching(f.left, f.right, p,
+                                            ExecContext::global());
     const auto unguided =
         m->compute(f.left, f.right, ExecContext::global());
     expectBitIdentical(full, unguided, "guided fallback");
@@ -279,21 +283,6 @@ TEST(MatcherAdapters, OracleRequiresGroundTruth)
         std::runtime_error);
     EXPECT_THROW((void)stereo::makeMatcher("oracle", "network=LEAStereo"),
                  std::invalid_argument);
-}
-
-TEST(MatcherAdapters, CallbackMatcherWrapsKeyFrameFn)
-{
-    const data::StereoFrame f = makeFrame();
-    auto m = core::makeCallbackMatcher(
-        [](const image::Image &l, const image::Image &r) {
-            return stereo::blockMatching(l, r, {});
-        });
-    EXPECT_EQ("callback", m->name());
-    EXPECT_EQ(0, m->ops(96, 64));
-    const auto direct = stereo::blockMatching(f.left, f.right, {});
-    const auto viaApi =
-        m->compute(f.left, f.right, ExecContext::global());
-    expectBitIdentical(direct, viaApi, "callback adapter");
 }
 
 // ------------------------------------------------------- contexts
@@ -459,8 +448,8 @@ TEST(MatcherPipelines, StreamRejectsWrongSizeKeyFrameOutput)
     p.propagationWindow = 2;
 
     core::StreamPipeline stream(
-        p, core::makeCallbackMatcher([](const image::Image &,
-                                        const image::Image &) {
+        p, testref::fnMatcher([](const image::Image &,
+                               const image::Image &) {
             return stereo::DisparityMap(8, 8); // wrong dimensions
         }));
     stream.submit(f.left, f.right);
@@ -468,8 +457,8 @@ TEST(MatcherPipelines, StreamRejectsWrongSizeKeyFrameOutput)
     stream.reset();
 
     core::StreamPipeline empty_stream(
-        p, core::makeCallbackMatcher([](const image::Image &,
-                                        const image::Image &) {
+        p, testref::fnMatcher([](const image::Image &,
+                               const image::Image &) {
             return stereo::DisparityMap(); // empty
         }));
     empty_stream.submit(f.left, f.right);
@@ -486,8 +475,8 @@ TEST(MatcherPipelines, SerialRejectsWrongSizeKeyFrameOutput)
     core::IsmParams p;
     p.propagationWindow = 2;
     core::IsmPipeline ism(
-        p, core::makeCallbackMatcher([](const image::Image &,
-                                        const image::Image &) {
+        p, testref::fnMatcher([](const image::Image &,
+                               const image::Image &) {
             return stereo::DisparityMap(8, 8); // wrong dimensions
         }));
     EXPECT_THROW((void)ism.processFrame(f.left, f.right),

@@ -14,6 +14,7 @@
 #include "data/scene.hh"
 #include "deconv/transform.hh"
 #include "dnn/zoo.hh"
+#include "fn_matcher.hh"
 #include "sched/optimizer.hh"
 
 namespace
@@ -108,9 +109,10 @@ TEST(IsmWithAdaptiveSequencer, FewerKeysOnSlowScenes)
     auto seq = data::generateSequence(cfg, 10, 21);
 
     size_t idx = 0;
-    auto key_fn = [&](const image::Image &, const image::Image &) {
-        return seq.frames[idx].gtDisparity;
-    };
+    const auto key_fn = testref::fnMatcher(
+        [&](const image::Image &, const image::Image &) {
+            return seq.frames[idx].gtDisparity;
+        });
 
     IsmParams params;
     params.propagationWindow = 2;
@@ -153,9 +155,10 @@ TEST(IsmMotionEstimator, BlockMatchingWorksButCoarser)
         params.motion = me;
         IsmPipeline ism(
             params,
-            [&](const image::Image &, const image::Image &) {
+            testref::fnMatcher([&](const image::Image &,
+                                   const image::Image &) {
                 return seq.frames[idx].gtDisparity;
-            });
+            }));
         double err = 0;
         for (idx = 0; idx < seq.frames.size(); ++idx) {
             const auto &f = seq.frames[idx];
@@ -186,9 +189,10 @@ TEST(IsmPostprocess, MedianDoesNotHurt)
         params.medianPostprocess = median;
         IsmPipeline ism(
             params,
-            [&](const image::Image &, const image::Image &) {
+            testref::fnMatcher([&](const image::Image &,
+                                   const image::Image &) {
                 return seq.frames[idx].gtDisparity;
-            });
+            }));
         double err = 0;
         for (idx = 0; idx < seq.frames.size(); ++idx) {
             const auto &f = seq.frames[idx];

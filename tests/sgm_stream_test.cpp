@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the fused, tiled, streaming SGM engine: bit-identity
- * against the materialized reference pipeline (odd sizes,
+ * Tests for the tiled, streaming SGM engine: bit-identity against
+ * the directional reference in tests/sgm_reference.hh (odd sizes,
  * non-lane-multiple disparity ranges, every SIMD level, 1 and 8
  * workers), the 4/5-path variants, the range-pruned guided mode, the
  * resident-footprint contract, and allocation-free steady state.
@@ -18,6 +18,7 @@
 #include "common/thread_pool.hh"
 #include "data/scene.hh"
 #include "debug/alloc_tracker.hh"
+#include "sgm_reference.hh"
 #include "stereo/disparity.hh"
 #include "stereo/matcher.hh"
 #include "stereo/sgm.hh"
@@ -96,9 +97,9 @@ expectBitIdentical(const stereo::DisparityMap &a,
     }
 }
 
-// ------------------------------------------- fused vs materialized
+// ------------------------------------------ streaming vs reference
 
-TEST(SgmStream, FusedBitIdenticalToMaterialized)
+TEST(SgmStream, StreamingMatchesDirectionalReference)
 {
     Rng rng(31);
     ThreadPool t1(1), t8(8);
@@ -109,38 +110,19 @@ TEST(SgmStream, FusedBitIdenticalToMaterialized)
           {64, 33, 31, 3}}) {
         const image::Image left = randomImage(w, h, rng);
         const image::Image right = shiftedImage(left, 4, rng);
-        stereo::SgmParams fused;
-        fused.maxDisparity = max_d;
-        fused.censusRadius = radius;
-        stereo::SgmParams materialized = fused;
-        materialized.fused = false;
-        LevelGuard scalar(simd::Level::Scalar);
-        const auto ref = stereo::sgmCompute(left, right, materialized,
-                                            ExecContext(t1));
+        stereo::SgmParams params;
+        params.maxDisparity = max_d;
+        params.censusRadius = radius;
+        const auto ref = testref::referenceSgm(left, right, params);
         for (simd::Level level : supportedLevels()) {
             LevelGuard guard(level);
             for (ThreadPool *pool : {&t1, &t8}) {
                 const auto got = stereo::sgmCompute(
-                    left, right, fused, ExecContext(*pool));
-                expectBitIdentical(ref, got, "fused vs materialized");
+                    left, right, params, ExecContext(*pool));
+                expectBitIdentical(ref, got, "streaming vs reference");
             }
         }
     }
-}
-
-TEST(SgmStream, RegistryFusedOptionBitIdentical)
-{
-    Rng rng(32);
-    const image::Image left = randomImage(41, 23, rng);
-    const image::Image right = shiftedImage(left, 5, rng);
-    const auto fused = stereo::makeMatcher("sgm", "maxDisparity=21");
-    const auto materialized =
-        stereo::makeMatcher("sgm", "maxDisparity=21,fused=0");
-    const auto a =
-        fused->compute(left, right, ExecContext::global());
-    const auto b =
-        materialized->compute(left, right, ExecContext::global());
-    expectBitIdentical(a, b, "registry fused vs fused=0");
 }
 
 // --------------------------------------------------- 4/5-path modes
@@ -187,7 +169,8 @@ TEST(SgmStream, FewerPathsRecoverConstantDisparity)
         stereo::SgmParams params;
         params.maxDisparity = 32;
         params.paths = paths;
-        const auto d = stereo::sgmCompute(left, right, params);
+        const auto d = stereo::sgmCompute(left, right, params,
+                                          ExecContext::global());
         EXPECT_LT(stereo::badPixelRate(d, gt, 1.0, 32), 5.0)
             << "paths=" << paths;
     }
@@ -197,7 +180,11 @@ TEST(SgmStream, RegistryRejectsBadPathOptions)
 {
     EXPECT_THROW(stereo::makeMatcher("sgm", "paths=6"),
                  std::invalid_argument);
-    EXPECT_THROW(stereo::makeMatcher("sgm", "paths=4,fused=0"),
+    EXPECT_THROW(stereo::makeMatcher("sgm", "p1=-1"),
+                 std::invalid_argument);
+    EXPECT_THROW(stereo::makeMatcher("sgm", "p2=-1"),
+                 std::invalid_argument);
+    EXPECT_THROW(stereo::makeMatcher("sgm", "fused=0"),
                  std::invalid_argument);
     EXPECT_THROW(stereo::makeMatcher("sgm", "pruneMargin=-1"),
                  std::invalid_argument);
@@ -217,7 +204,7 @@ TEST(SgmStream, RangePrunedFullMarginBitIdenticalToUnguided)
     const auto unguided = stereo::sgmCompute(left, right, params, ctx);
     // margin >= maxDisparity widens every window to the full range:
     // the guided engine must then be bit-identical to the unguided
-    // one (and, transitively, to the materialized reference).
+    // one (and, transitively, to tests/sgm_reference.hh).
     params.pruneMargin = params.maxDisparity;
     const auto guided = stereo::sgmComputeGuided(
         left, right, unguided, params, ctx);
@@ -277,7 +264,8 @@ TEST(SgmStream, RangePrunedFallsBackWithoutUsableGuide)
     const image::Image right = shiftedImage(left, 3, rng);
     stereo::SgmParams params;
     params.maxDisparity = 15;
-    const auto unguided = stereo::sgmCompute(left, right, params);
+    const auto unguided = stereo::sgmCompute(left, right, params,
+                                             ExecContext::global());
     // Empty and size-mismatched guides degrade to plain compute.
     const auto empty_guide = stereo::sgmComputeGuided(
         left, right, stereo::DisparityMap(), params,
@@ -324,7 +312,7 @@ TEST(SgmStream, RegistryRangePruneEngineUsesGuide)
 
 // -------------------------------------------------- resident memory
 
-TEST(SgmStream, FusedResidentFootprintAtLeast4xSmaller)
+TEST(SgmStream, ResidentFootprintBelowOneCostVolume)
 {
     Rng rng(40);
     const int n = 256;
@@ -333,26 +321,23 @@ TEST(SgmStream, FusedResidentFootprintAtLeast4xSmaller)
     stereo::SgmParams params;
     params.maxDisparity = 63;
 
-    // Run each engine in a fresh arena; once the result dies, every
-    // buffer the run touched is shelved, so residentBytes is the
-    // engine's whole resident footprint.
-    auto footprint = [&](bool fused) {
-        ThreadPool pool(2);
-        BufferPool buffers;
-        stereo::SgmParams p = params;
-        p.fused = fused;
-        {
-            const auto d = stereo::sgmCompute(
-                left, right, p, ExecContext(pool, buffers));
-            EXPECT_EQ(d.width(), n);
-        }
-        return buffers.stats().residentBytes;
-    };
-    const uint64_t materialized = footprint(false);
-    const uint64_t fused = footprint(true);
-    EXPECT_GE(materialized, fused * 4)
-        << "materialized " << materialized << " B vs fused " << fused
-        << " B";
+    // Run in a fresh arena; once the result dies, every buffer the
+    // run touched is shelved, so residentBytes is the engine's whole
+    // resident footprint. It must stay below a single uint16 cost
+    // volume (w * h * nd * 2 bytes) — the engine never holds one.
+    ThreadPool pool(2);
+    BufferPool buffers;
+    {
+        const auto d = stereo::sgmCompute(left, right, params,
+                                          ExecContext(pool, buffers));
+        EXPECT_EQ(d.width(), n);
+    }
+    const uint64_t resident = buffers.stats().residentBytes;
+    const uint64_t cost_volume =
+        uint64_t(n) * n * uint64_t(params.maxDisparity + 1) * 2;
+    EXPECT_LT(resident, cost_volume)
+        << "resident " << resident << " B vs one cost volume "
+        << cost_volume << " B";
 }
 
 // ------------------------------------------------------ allocations
@@ -371,7 +356,7 @@ TEST(SgmStream, SteadyStateIsAllocationFree)
         int paths;
         bool range_prune;
     };
-    for (const Case &c : {Case{"fused-8", 8, false},
+    for (const Case &c : {Case{"paths-8", 8, false},
                           Case{"paths-4", 4, false},
                           Case{"range-pruned", 8, true}}) {
         SCOPED_TRACE(c.name);

@@ -9,8 +9,8 @@
  * pipelines (including through the Matcher registry), across odd
  * image sizes, sub-vector tails, census radii 1-3, and disparity
  * ranges that are not a multiple of any vector lane width. The
- * wavefront aggregation is additionally checked against a
- * straightforward serial directional reference.
+ * streaming SGM is additionally checked against the serial
+ * directional reference in tests/sgm_reference.hh.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 #include "common/thread_pool.hh"
 #include "data/scene.hh"
 #include "image/image.hh"
+#include "sgm_reference.hh"
 #include "stereo/block_matching.hh"
 #include "stereo/matcher.hh"
 #include "stereo/sgm.hh"
@@ -35,6 +36,7 @@ namespace
 {
 
 using namespace asv;
+using testref::referenceSgm;
 
 /** All levels this host/build can execute (always includes scalar). */
 std::vector<simd::Level>
@@ -147,30 +149,54 @@ TEST(SimdDispatch, SetLevelRoundTrips)
 
 // ---------------------------------------------------------- kernel level
 
-TEST(SimdKernels, HammingRowMatchesScalarOnOddLengths)
+TEST(SimdKernels, CostRowMatchesScalarOnOddWindows)
 {
+    // Every window width 1..70 straddles the 4/8/16-lane bodies and
+    // their tails; widths below and above ndw + dlo put pixels on
+    // both sides of the left-border clamp to cr[0].
     const simd::Kernels *scalar =
         simd::kernelsFor(simd::Level::Scalar);
     ASSERT_NE(scalar, nullptr);
     Rng rng(11);
-    for (simd::Level level : supportedLevels()) {
-        const simd::Kernels *k = simd::kernelsFor(level);
-        ASSERT_NE(k, nullptr);
-        for (int n : {1, 2, 3, 5, 7, 8, 9, 31, 64, 65, 127}) {
-            std::vector<uint64_t> a(n), b(n);
-            for (int i = 0; i < n; ++i) {
-                a[i] = uint64_t(rng.uniformInt64(
-                    std::numeric_limits<int64_t>::min(),
-                    std::numeric_limits<int64_t>::max()));
-                b[i] = uint64_t(rng.uniformInt64(
-                    std::numeric_limits<int64_t>::min(),
-                    std::numeric_limits<int64_t>::max()));
+    auto randomCodes = [&](int n) {
+        std::vector<uint64_t> v(n);
+        for (uint64_t &c : v) {
+            c = uint64_t(rng.uniformInt64(
+                std::numeric_limits<int64_t>::min(),
+                std::numeric_limits<int64_t>::max()));
+        }
+        return v;
+    };
+    for (int w : {1, 7, 33, 97}) {
+        const std::vector<uint64_t> cl = randomCodes(w);
+        const std::vector<uint64_t> cr = randomCodes(w);
+        for (int dlo : {0, 1, 9}) {
+            for (int ndw = 1; ndw <= 70; ++ndw) {
+                const size_t cells = size_t(w) * size_t(ndw);
+                std::vector<uint16_t> ref(cells);
+                scalar->costRow(cl.data(), cr.data(), w, dlo, ndw,
+                                ref.data());
+                for (int x = 0; x < w; ++x) {
+                    for (int j = 0; j < ndw; ++j) {
+                        const int xr = std::max(x - dlo - j, 0);
+                        ASSERT_EQ(ref[size_t(x) * ndw + j],
+                                  std::popcount(cl[x] ^ cr[xr]))
+                            << "scalar w=" << w << " dlo=" << dlo
+                            << " ndw=" << ndw << " x=" << x
+                            << " j=" << j;
+                    }
+                }
+                for (simd::Level level : supportedLevels()) {
+                    const simd::Kernels *k = simd::kernelsFor(level);
+                    ASSERT_NE(k, nullptr);
+                    std::vector<uint16_t> got(cells, 0xBEEF);
+                    k->costRow(cl.data(), cr.data(), w, dlo, ndw,
+                               got.data());
+                    ASSERT_EQ(ref, got)
+                        << simd::levelName(level) << " w=" << w
+                        << " dlo=" << dlo << " ndw=" << ndw;
+                }
             }
-            std::vector<uint16_t> ref(n), got(n);
-            scalar->hammingRow(a.data(), b.data(), n, ref.data());
-            k->hammingRow(a.data(), b.data(), n, got.data());
-            EXPECT_EQ(ref, got)
-                << simd::levelName(level) << " n=" << n;
         }
     }
 }
@@ -334,40 +360,17 @@ TEST(SimdProperty, CensusBitIdenticalAcrossLevelsAndRadii)
         const image::Image img = randomImage(w, h, rng);
         for (int radius = 1; radius <= 3; ++radius) {
             LevelGuard scalar(simd::Level::Scalar);
-            const auto ref = stereo::censusTransform(img, radius);
+            const auto ref = stereo::censusTransform(img, radius,
+                                                     ExecContext::global());
             for (simd::Level level : supportedLevels()) {
                 LevelGuard guard(level);
                 const auto got =
-                    stereo::censusTransform(img, radius);
+                    stereo::censusTransform(img, radius,
+                                            ExecContext::global());
                 ASSERT_EQ(ref, got)
                     << simd::levelName(level) << " " << w << "x" << h
                     << " r=" << radius;
             }
-        }
-    }
-}
-
-TEST(SimdProperty, CostVolumeBitIdenticalAcrossLevels)
-{
-    Rng rng(22);
-    // maxDisparity 7 / 37 / 61: never a multiple of the 4- or
-    // 8-wide lane counts, and larger than some test widths.
-    for (const auto &[w, h, max_d] :
-         {std::tuple{19, 13, 7}, {47, 9, 37}, {66, 7, 61}}) {
-        const image::Image left = randomImage(w, h, rng);
-        const image::Image right = shiftedImage(left, 3, rng);
-        stereo::SgmParams params;
-        params.maxDisparity = max_d;
-        LevelGuard scalar(simd::Level::Scalar);
-        const auto ref = stereo::sgmCostVolume(
-            left, right, params, ExecContext::global());
-        for (simd::Level level : supportedLevels()) {
-            LevelGuard guard(level);
-            const auto got = stereo::sgmCostVolume(
-                left, right, params, ExecContext::global());
-            ASSERT_EQ(ref.cost, got.cost)
-                << simd::levelName(level) << " " << w << "x" << h
-                << " maxD=" << max_d;
         }
     }
 }
@@ -383,10 +386,12 @@ TEST(SimdProperty, SgmDisparityBitIdenticalAcrossLevels)
         params.maxDisparity = max_d;
         params.censusRadius = radius;
         LevelGuard scalar(simd::Level::Scalar);
-        const auto ref = stereo::sgmCompute(left, right, params);
+        const auto ref = stereo::sgmCompute(left, right, params,
+                                            ExecContext::global());
         for (simd::Level level : supportedLevels()) {
             LevelGuard guard(level);
-            const auto got = stereo::sgmCompute(left, right, params);
+            const auto got = stereo::sgmCompute(left, right, params,
+                                                ExecContext::global());
             expectBitIdentical(ref, got, "sgm disparity");
         }
     }
@@ -403,11 +408,13 @@ TEST(SimdProperty, BlockMatchingBitIdenticalAcrossLevels)
         params.maxDisparity = max_d;
         params.uniquenessRatio = 0.05f;
         LevelGuard scalar(simd::Level::Scalar);
-        const auto ref = stereo::blockMatching(left, right, params);
+        const auto ref = stereo::blockMatching(left, right, params,
+                                               ExecContext::global());
         for (simd::Level level : supportedLevels()) {
             LevelGuard guard(level);
             const auto got =
-                stereo::blockMatching(left, right, params);
+                stereo::blockMatching(left, right, params,
+                                      ExecContext::global());
             expectBitIdentical(ref, got, "block matching");
         }
     }
@@ -429,11 +436,13 @@ TEST(SimdProperty, GuidedRefinementBitIdenticalAcrossLevels)
     params.maxDisparity = 19;
     LevelGuard scalar(simd::Level::Scalar);
     const auto ref =
-        stereo::refineDisparity(left, right, init, 2, params);
+        stereo::refineDisparity(left, right, init, 2, params,
+                                ExecContext::global());
     for (simd::Level level : supportedLevels()) {
         LevelGuard guard(level);
         const auto got =
-            stereo::refineDisparity(left, right, init, 2, params);
+            stereo::refineDisparity(left, right, init, 2, params,
+                                    ExecContext::global());
         expectBitIdentical(ref, got, "guided refinement");
     }
 }
@@ -479,140 +488,7 @@ TEST(SimdProperty, LevelsBitIdenticalAcrossWorkerCounts)
 }
 
 // ------------------------------------------- wavefront vs directional
-
-/**
- * Straightforward serial reference of the original 8-direction SGM:
- * pixel-major cost volume, one full L_r volume per direction, scan
- * order chosen so the predecessor is always computed first. This is
- * the semantics the wavefront/scanline aggregation must reproduce.
- */
-stereo::DisparityMap
-referenceSgm(const image::Image &left, const image::Image &right,
-             const stereo::SgmParams &params)
-{
-    const int w = left.width(), h = left.height();
-    const int nd = params.maxDisparity + 1;
-    const auto idx = [&](int x, int y, int d) {
-        return (int64_t(y) * w + x) * nd + d;
-    };
-
-    LevelGuard scalar(simd::Level::Scalar);
-    const auto cl = stereo::censusTransform(left, params.censusRadius);
-    const auto cr =
-        stereo::censusTransform(right, params.censusRadius);
-    std::vector<uint16_t> cost(int64_t(w) * h * nd);
-    for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x)
-            for (int d = 0; d < nd; ++d) {
-                const int xr = std::max(0, x - d);
-                cost[idx(x, y, d)] = uint16_t(std::popcount(
-                    cl[int64_t(y) * w + x] ^ cr[int64_t(y) * w + xr]));
-            }
-
-    std::vector<uint32_t> total(cost.size(), 0);
-    const int dirs[8][2] = {{1, 0},  {-1, 0}, {0, 1},  {0, -1},
-                            {1, 1},  {-1, 1}, {1, -1}, {-1, -1}};
-    for (const auto &dir : dirs) {
-        const int dx = dir[0], dy = dir[1];
-        std::vector<uint16_t> lr(cost.size());
-        const int y_begin = dy >= 0 ? 0 : h - 1;
-        const int y_end = dy >= 0 ? h : -1;
-        const int y_step = dy >= 0 ? 1 : -1;
-        const int x_begin = dx >= 0 ? 0 : w - 1;
-        const int x_end = dx >= 0 ? w : -1;
-        const int x_step = dx >= 0 ? 1 : -1;
-        for (int y = y_begin; y != y_end; y += y_step) {
-            for (int x = x_begin; x != x_end; x += x_step) {
-                const int px = x - dx, py = y - dy;
-                const bool has_prev =
-                    px >= 0 && px < w && py >= 0 && py < h;
-                uint16_t prev_min = 0;
-                const uint16_t *prev = nullptr;
-                if (has_prev) {
-                    prev = &lr[idx(px, py, 0)];
-                    prev_min =
-                        *std::min_element(prev, prev + nd);
-                }
-                for (int d = 0; d < nd; ++d) {
-                    uint32_t best;
-                    if (!has_prev) {
-                        best = 0;
-                    } else {
-                        best = prev[d];
-                        if (d > 0)
-                            best = std::min<uint32_t>(
-                                best, prev[d - 1] + params.p1);
-                        if (d + 1 < nd)
-                            best = std::min<uint32_t>(
-                                best, prev[d + 1] + params.p1);
-                        best = std::min<uint32_t>(
-                            best, uint32_t(prev_min) + params.p2);
-                        best -= prev_min;
-                    }
-                    const uint32_t v = cost[idx(x, y, d)] + best;
-                    lr[idx(x, y, d)] = uint16_t(
-                        std::min<uint32_t>(v, 0xFFFF));
-                    total[idx(x, y, d)] += lr[idx(x, y, d)];
-                }
-            }
-        }
-    }
-
-    stereo::DisparityMap disp(w, h);
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            const uint32_t *s = &total[idx(x, y, 0)];
-            int best = 0;
-            for (int d = 1; d < nd; ++d)
-                if (s[d] < s[best])
-                    best = d;
-            float dv = float(best);
-            if (params.subpixel && best > 0 && best + 1 < nd) {
-                const double cm = s[best - 1], c0 = s[best];
-                const double cp = s[best + 1];
-                const double denom = cm - 2.0 * c0 + cp;
-                if (denom > 1e-12) {
-                    dv += float(std::clamp(
-                        0.5 * (cm - cp) / denom, -0.5, 0.5));
-                }
-            }
-            disp.at(x, y) = dv;
-        }
-    }
-
-    if (params.leftRightCheck) {
-        stereo::DisparityMap right_disp(w, h);
-        for (int y = 0; y < h; ++y) {
-            for (int xr = 0; xr < w; ++xr) {
-                int best = 0;
-                uint32_t best_v =
-                    std::numeric_limits<uint32_t>::max();
-                for (int d = 0; d < nd; ++d) {
-                    const int xl = xr + d;
-                    if (xl >= w)
-                        break;
-                    const uint32_t v = total[idx(xl, y, d)];
-                    if (v < best_v) {
-                        best_v = v;
-                        best = d;
-                    }
-                }
-                right_disp.at(xr, y) = float(best);
-            }
-        }
-        for (int y = 0; y < h; ++y) {
-            for (int x = 0; x < w; ++x) {
-                const int d = int(std::lround(disp.at(x, y)));
-                const int xr = x - d;
-                if (xr < 0 || std::abs(right_disp.at(xr, y) - d) >
-                                  params.lrTolerance) {
-                    disp.at(x, y) = stereo::kInvalidDisparity;
-                }
-            }
-        }
-    }
-    return disp;
-}
+// referenceSgm lives in tests/sgm_reference.hh.
 
 TEST(WavefrontSgm, MatchesDirectionalReference)
 {
@@ -630,7 +506,8 @@ TEST(WavefrontSgm, MatchesDirectionalReference)
         const auto ref = referenceSgm(left, right, params);
         for (simd::Level level : supportedLevels()) {
             LevelGuard guard(level);
-            const auto got = stereo::sgmCompute(left, right, params);
+            const auto got = stereo::sgmCompute(left, right, params,
+                                                ExecContext::global());
             expectBitIdentical(ref, got, "wavefront vs directional");
         }
     }
@@ -649,7 +526,8 @@ TEST(WavefrontSgm, SingleDisparityDegenerate)
     const auto ref = referenceSgm(left, right, params);
     for (simd::Level level : supportedLevels()) {
         LevelGuard guard(level);
-        const auto got = stereo::sgmCompute(left, right, params);
+        const auto got = stereo::sgmCompute(left, right, params,
+                                            ExecContext::global());
         expectBitIdentical(ref, got, "single disparity");
     }
 }
@@ -670,7 +548,8 @@ TEST(WavefrontSgm, PenaltiesAboveUint16CeilingMatchReference)
     const auto ref = referenceSgm(left, right, params);
     for (simd::Level level : supportedLevels()) {
         LevelGuard guard(level);
-        const auto got = stereo::sgmCompute(left, right, params);
+        const auto got = stereo::sgmCompute(left, right, params,
+                                            ExecContext::global());
         expectBitIdentical(ref, got, "huge penalties");
     }
 }

@@ -105,7 +105,7 @@ TEST(BlockMatching, RecoversConstantDisparity)
 
     BlockMatchingParams params;
     params.maxDisparity = 32;
-    DisparityMap d = blockMatching(left, right, params);
+    DisparityMap d = blockMatching(left, right, params, ExecContext::global());
     // Interior pixels (x >= maxDisparity so the search can reach).
     DisparityMap gt(left.width(), left.height());
     gt.fill(12.f);
@@ -138,9 +138,9 @@ TEST(BlockMatching, SubpixelRefinementTightensError)
     DisparityMap gt(w, h);
     gt.fill(d_true);
     const double e_coarse = meanAbsDisparityError(
-        blockMatching(left, right, coarse), gt, 26);
+        blockMatching(left, right, coarse, ExecContext::global()), gt, 26);
     const double e_fine = meanAbsDisparityError(
-        blockMatching(left, right, fine), gt, 26);
+        blockMatching(left, right, fine, ExecContext::global()), gt, 26);
     EXPECT_GE(e_coarse, 0.45); // integer matching is stuck at +-0.5
     EXPECT_LT(e_fine, e_coarse);
 }
@@ -156,12 +156,13 @@ TEST(BlockMatching, GuidedRefinementMatchesFullSearch)
 
     BlockMatchingParams params;
     params.maxDisparity = 32;
-    DisparityMap full = blockMatching(left, right, params);
+    DisparityMap full = blockMatching(left, right, params,
+                                      ExecContext::global());
 
     DisparityMap init(left.width(), left.height());
     init.fill(13.f); // one pixel off: still within the window
     DisparityMap guided =
-        refineDisparity(left, right, init, 2, params);
+        refineDisparity(left, right, init, 2, params, ExecContext::global());
 
     EXPECT_LT(badPixelRate(guided, full, 1.0, 33), 3.0);
 }
@@ -177,7 +178,8 @@ TEST(BlockMatching, GuidedSearchFallsBackOnInvalidInit)
     init.fill(kInvalidDisparity);
     BlockMatchingParams params;
     params.maxDisparity = 16;
-    DisparityMap d = refineDisparity(left, right, init, 2, params);
+    DisparityMap d = refineDisparity(left, right, init, 2, params,
+                                     ExecContext::global());
 
     DisparityMap gt(left.width(), left.height());
     gt.fill(8.f);
@@ -221,7 +223,8 @@ TEST(BlockMatching, UniquenessKeepsUnambiguousGuidedMatches)
     params.maxDisparity = 48;
     params.uniquenessRatio = 0.15f;
     DisparityMap guided =
-        refineDisparity(f.left, f.right, f.gtDisparity, 2, params);
+        refineDisparity(f.left, f.right, f.gtDisparity, 2, params,
+                        ExecContext::global());
 
     EXPECT_GT(validFraction(guided, 8, 5), 0.8);
     EXPECT_LT(badPixelRate(guided, f.gtDisparity, 3.0, 6), 10.0);
@@ -245,9 +248,11 @@ TEST(BlockMatching, UniquenessRejectsPeriodicAmbiguity)
     BlockMatchingParams unique = plain;
     unique.uniquenessRatio = 0.1f;
 
-    EXPECT_GT(validFraction(blockMatching(left, right, plain), 33, 5),
+    EXPECT_GT(validFraction(blockMatching(left, right, plain,
+                                          ExecContext::global()), 33, 5),
               0.9);
-    EXPECT_LT(validFraction(blockMatching(left, right, unique), 33, 5),
+    EXPECT_LT(validFraction(blockMatching(left, right, unique,
+                                          ExecContext::global()), 33, 5),
               0.1);
 }
 
@@ -266,7 +271,7 @@ TEST(Census, BitsEncodeNeighborhoodOrdering)
     for (int y = 0; y < 3; ++y)
         for (int x = 0; x < 3; ++x)
             img.at(x, y) = vals[y * 3 + x];
-    const auto census = censusTransform(img, 1);
+    const auto census = censusTransform(img, 1, ExecContext::global());
     // Center pixel: 8 neighbors, bits set where neighbor < center.
     // Pattern 1,9,1,9,.,9,1,9,1 -> 10101010... reading row-major:
     // (1<5)=1,(9<5)=0,1,0,0,1,0,1.
@@ -280,7 +285,8 @@ TEST(Census, InvariantToMonotonicIntensityChange)
     image::Image b = a;
     for (auto &v : b.flat())
         v = 2.f * v + 30.f; // monotonic remap
-    EXPECT_EQ(censusTransform(a, 2), censusTransform(b, 2));
+    EXPECT_EQ(censusTransform(a, 2, ExecContext::global()),
+              censusTransform(b, 2, ExecContext::global()));
 }
 
 TEST(Sgm, RecoversConstantDisparity)
@@ -292,7 +298,7 @@ TEST(Sgm, RecoversConstantDisparity)
 
     SgmParams params;
     params.maxDisparity = 24;
-    DisparityMap d = sgmCompute(left, right, params);
+    DisparityMap d = sgmCompute(left, right, params, ExecContext::global());
     DisparityMap gt(left.width(), left.height());
     gt.fill(11.f);
     EXPECT_LT(badPixelRate(d, gt, 1.5, 25), 5.0);
@@ -314,12 +320,14 @@ TEST(Sgm, SmoothnessSuppressesSpeckle)
     SgmParams sgm_params;
     sgm_params.maxDisparity = 24;
     sgm_params.leftRightCheck = false;
-    DisparityMap sgm_d = sgmCompute(f.left, f.right, sgm_params);
+    DisparityMap sgm_d = sgmCompute(f.left, f.right, sgm_params,
+                                    ExecContext::global());
 
     BlockMatchingParams bm_params;
     bm_params.maxDisparity = 24;
     bm_params.blockRadius = 2;
-    DisparityMap bm_d = blockMatching(f.left, f.right, bm_params);
+    DisparityMap bm_d = blockMatching(f.left, f.right, bm_params,
+                                      ExecContext::global());
 
     const double sgm_err =
         badPixelRate(sgm_d, f.gtDisparity, 3.0, 8);
@@ -342,8 +350,10 @@ TEST(Sgm, LeftRightCheckInvalidatesOcclusions)
     SgmParams without = with_check;
     without.leftRightCheck = false;
 
-    DisparityMap d1 = sgmCompute(f.left, f.right, with_check);
-    DisparityMap d0 = sgmCompute(f.left, f.right, without);
+    DisparityMap d1 = sgmCompute(f.left, f.right, with_check,
+                                 ExecContext::global());
+    DisparityMap d0 = sgmCompute(f.left, f.right, without,
+                                 ExecContext::global());
 
     int64_t invalid1 = 0, invalid0 = 0;
     for (int64_t i = 0; i < d1.size(); ++i) {

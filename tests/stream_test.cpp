@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -21,8 +22,9 @@
 #include "core/sequencer.hh"
 #include "core/stream_pipeline.hh"
 #include "data/scene.hh"
+#include "fn_matcher.hh"
 #include "image/image.hh"
-#include "stereo/block_matching.hh"
+#include "stereo/matcher.hh"
 
 namespace
 {
@@ -46,17 +48,14 @@ toPairs(const data::StereoSequence &seq)
 }
 
 /**
- * Deterministic, thread-safe key-frame source: a pure function of
+ * Deterministic, thread-safe key-frame engine: a pure function of
  * the submitted pair (the streaming determinism contract), standing
  * in for DNN inference.
  */
-stereo::DisparityMap
-matcherKeySource(const image::Image &left, const image::Image &right)
+std::shared_ptr<const stereo::Matcher>
+keyMatcher()
 {
-    stereo::BlockMatchingParams p;
-    p.maxDisparity = 48;
-    p.blockRadius = 3;
-    return stereo::blockMatching(left, right, p);
+    return stereo::makeMatcher("bm", "maxDisparity=48,blockRadius=3");
 }
 
 IsmParams
@@ -74,7 +73,7 @@ runSerial(const std::vector<FramePair> &frames,
           std::unique_ptr<KeyFrameSequencer> sequencer,
           int reset_at = -1)
 {
-    IsmPipeline ism(params, matcherKeySource, std::move(sequencer));
+    IsmPipeline ism(params, keyMatcher(), std::move(sequencer));
     std::vector<IsmFrameResult> out;
     for (size_t i = 0; i < frames.size(); ++i) {
         if (static_cast<int>(i) == reset_at)
@@ -91,7 +90,7 @@ runStream(const std::vector<FramePair> &frames,
           std::unique_ptr<KeyFrameSequencer> sequencer,
           const StreamParams &stream_params, int reset_at = -1)
 {
-    StreamPipeline stream(params, matcherKeySource,
+    StreamPipeline stream(params, keyMatcher(),
                           std::move(sequencer), stream_params);
     std::vector<IsmFrameResult> out;
     for (size_t i = 0; i < frames.size(); ++i) {
@@ -211,7 +210,7 @@ TEST(StreamPipeline, TicketsFollowSubmissionOrderAndResetRestarts)
     StreamParams sp;
     sp.maxInFlight = 4;
     sp.workers = 2;
-    StreamPipeline stream(testParams(), matcherKeySource, sp);
+    StreamPipeline stream(testParams(), keyMatcher(), sp);
     for (int64_t i = 0; i < 4; ++i)
         EXPECT_EQ(stream.submit(frames[i].left, frames[i].right), i);
     EXPECT_EQ(stream.drain().size(), 4u);
@@ -235,7 +234,7 @@ TEST(StreamPipeline, MaxInFlightOneInterleavedMatchesSerial)
     StreamParams sp;
     sp.maxInFlight = 1;
     sp.workers = 1;
-    StreamPipeline stream(testParams(), matcherKeySource,
+    StreamPipeline stream(testParams(), keyMatcher(),
                           makeStaticSequencer(3), sp);
     std::vector<IsmFrameResult> results;
     for (const auto &f : frames) {
@@ -255,7 +254,7 @@ TEST(StreamPipeline, BackpressureBoundsFramesInFlight)
     StreamParams sp;
     sp.maxInFlight = 2;
     sp.workers = 2;
-    StreamPipeline stream(testParams(), matcherKeySource, sp);
+    StreamPipeline stream(testParams(), keyMatcher(), sp);
     for (const auto &f : frames) {
         stream.submit(f.left, f.right);
         // submit() returns only once fewer than maxInFlight frames
@@ -268,12 +267,13 @@ TEST(StreamPipeline, BackpressureBoundsFramesInFlight)
 TEST(StreamPipeline, StageErrorSurfacesInOrderAndResetRecovers)
 {
     constexpr float kPoisonPixel = -1234.5f;
-    auto key_source = [](const image::Image &left,
-                         const image::Image &right) {
-        if (left.at(0, 0) == kPoisonPixel)
-            throw std::runtime_error("injected DNN failure");
-        return matcherKeySource(left, right);
-    };
+    auto key_source = testref::fnMatcher(
+        [bm = keyMatcher()](const image::Image &left,
+                            const image::Image &right) {
+            if (left.at(0, 0) == kPoisonPixel)
+                throw std::runtime_error("injected DNN failure");
+            return bm->compute(left, right, ExecContext::global());
+        });
 
     data::SceneConfig cfg;
     cfg.width = 96;

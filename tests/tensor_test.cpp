@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/exec_context.hh"
 #include "common/math_util.hh"
 #include "common/rng.hh"
 #include "tensor/conv.hh"
@@ -15,6 +16,7 @@
 namespace
 {
 
+using asv::ExecContext;
 using asv::Rng;
 using namespace asv::tensor;
 
@@ -88,7 +90,8 @@ TEST(Conv, IdentityKernelPassesThrough)
     Rng rng(1);
     Tensor in = randomTensor({1, 5, 5}, rng);
     Tensor w({1, 1, 1, 1}, {1.f});
-    Tensor out = convNd(in, w, ConvSpec::uniform(2, 1, 0));
+    Tensor out = convNd(in, w, ConvSpec::uniform(2, 1, 0), ConvOp::MAC,
+                        nullptr, ExecContext::global());
     EXPECT_TRUE(out.allClose(in));
 }
 
@@ -98,7 +101,8 @@ TEST(Conv, KnownValues3x3)
     // single output = 45.
     Tensor in = Tensor::iota({1, 3, 3}, 1.f);
     Tensor w = Tensor::full({1, 1, 3, 3}, 1.f);
-    Tensor out = convNd(in, w, ConvSpec::uniform(2, 1, 0));
+    Tensor out = convNd(in, w, ConvSpec::uniform(2, 1, 0), ConvOp::MAC,
+                        nullptr, ExecContext::global());
     ASSERT_EQ(out.shape(), (Shape{1, 1, 1}));
     EXPECT_FLOAT_EQ(out.at({0, 0, 0}), 45.f);
 }
@@ -107,7 +111,8 @@ TEST(Conv, PaddingGrowsOutput)
 {
     Tensor in = Tensor::full({1, 3, 3}, 1.f);
     Tensor w = Tensor::full({1, 1, 3, 3}, 1.f);
-    Tensor out = convNd(in, w, ConvSpec::uniform(2, 1, 1));
+    Tensor out = convNd(in, w, ConvSpec::uniform(2, 1, 1), ConvOp::MAC,
+                        nullptr, ExecContext::global());
     EXPECT_EQ(out.shape(), (Shape{1, 3, 3}));
     // Center output sees all nine ones; corners see four.
     EXPECT_FLOAT_EQ(out.at({0, 1, 1}), 9.f);
@@ -119,7 +124,8 @@ TEST(Conv, StrideSubsamples)
     Tensor in = Tensor::iota({1, 4, 4});
     Tensor w({1, 1, 1, 1}, {1.f});
     ConvSpec spec = ConvSpec::uniform(2, 2, 0);
-    Tensor out = convNd(in, w, spec);
+    Tensor out = convNd(in, w, spec, ConvOp::MAC, nullptr,
+                        ExecContext::global());
     ASSERT_EQ(out.shape(), (Shape{1, 2, 2}));
     EXPECT_FLOAT_EQ(out.at({0, 0, 0}), 0.f);
     EXPECT_FLOAT_EQ(out.at({0, 1, 1}), 10.f);
@@ -130,7 +136,8 @@ TEST(Conv, MultiChannelAccumulates)
     Rng rng(2);
     Tensor in = randomTensor({3, 4, 4}, rng);
     Tensor w = Tensor::full({2, 3, 2, 2}, 0.5f);
-    Tensor out = convNd(in, w, ConvSpec::uniform(2, 1, 0));
+    Tensor out = convNd(in, w, ConvSpec::uniform(2, 1, 0), ConvOp::MAC,
+                        nullptr, ExecContext::global());
     EXPECT_EQ(out.shape(), (Shape{2, 3, 3}));
     // Both filters are identical, so both output channels match.
     double diff = 0;
@@ -146,7 +153,7 @@ TEST(Conv, SadReduction)
     Tensor in = Tensor::iota({1, 3, 3});
     Tensor w({1, 1, 3, 3}, in.flat());
     Tensor out = convNd(in, w, ConvSpec::uniform(2, 1, 0),
-                        ConvOp::SAD);
+                        ConvOp::SAD, nullptr, ExecContext::global());
     EXPECT_FLOAT_EQ(out.at({0, 0, 0}), 0.f);
 
     // Constant offset of 1 over 9 taps -> SAD 9.
@@ -154,7 +161,7 @@ TEST(Conv, SadReduction)
     for (auto &v : w2.flat())
         v += 1.f;
     Tensor out2 = convNd(in, w2, ConvSpec::uniform(2, 1, 0),
-                         ConvOp::SAD);
+                         ConvOp::SAD, nullptr, ExecContext::global());
     EXPECT_FLOAT_EQ(out2.at({0, 0, 0}), 9.f);
 }
 
@@ -166,7 +173,8 @@ TEST(Conv, AsymmetricPadding)
     spec.padLo = {1, 0};
     spec.padHi = {0, 1};
     Tensor w = Tensor::full({1, 1, 2, 2}, 1.f);
-    Tensor out = convNd(in, w, spec);
+    Tensor out = convNd(in, w, spec, ConvOp::MAC, nullptr,
+                        ExecContext::global());
     EXPECT_EQ(out.shape(), (Shape{1, 2, 2}));
     // Top-left output covers one padded row: sees 2 ones.
     EXPECT_FLOAT_EQ(out.at({0, 0, 0}), 2.f);
@@ -179,7 +187,8 @@ TEST(Conv, StatsCountOps)
     Tensor in = Tensor::full({1, 3, 3}, 1.f);
     Tensor w = Tensor::full({1, 1, 3, 3}, 1.f);
     ConvStats stats;
-    convNd(in, w, ConvSpec::uniform(2, 1, 1), ConvOp::MAC, &stats);
+    convNd(in, w, ConvSpec::uniform(2, 1, 1), ConvOp::MAC, &stats,
+           ExecContext::global());
     EXPECT_EQ(stats.totalOps, 9 * 9); // 9 outputs x 9 taps
     // Padded border zeros: 4 corner outputs see 5 padded taps each,
     // 4 edge outputs see 3, the center sees none -> 32.
@@ -204,7 +213,7 @@ TEST(Deconv, Paper3x3Example)
     Tensor kernel({1, 1, 3, 3},
                   {10, 20, 30, 40, 50, 60, 70, 80, 90}); // a..i
     DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
-    Tensor out = deconvNd(ifmap, kernel, spec);
+    Tensor out = deconvNd(ifmap, kernel, spec, nullptr, ExecContext::global());
     ASSERT_EQ(out.shape(), (Shape{1, 5, 5}));
     const float A = 1, B = 2, D = 4, E = 5;
     const float a = 10, bk = 20, c = 30, d = 40, e = 50, f = 60,
@@ -229,7 +238,8 @@ TEST(Deconv, ZeroWasteIsAtLeast75PercentFor2dStride2)
     Tensor in = randomTensor({2, 8, 8}, rng, 0.1f, 1.f);
     Tensor w = randomTensor({4, 2, 4, 4}, rng, 0.1f, 1.f);
     ConvStats stats;
-    deconvNd(in, w, DeconvSpec::uniform(2, 2, 1), &stats);
+    deconvNd(in, w, DeconvSpec::uniform(2, 2, 1), &stats,
+             ExecContext::global());
     EXPECT_GE(stats.zeroFraction(), 0.75);
 }
 

@@ -187,10 +187,12 @@ TEST_F(KernelEquivalence, SgmBitIdenticalAcrossWorkerCounts)
 {
     stereo::SgmParams p;
     p.maxDisparity = 24;
-    const auto serial = stereo::sgmCompute(left_, right_, p);
+    const auto serial = stereo::sgmCompute(left_, right_, p,
+                                           ExecContext::global());
     for (int workers : kWorkerCounts) {
         ThreadPool::setGlobalThreads(workers);
-        const auto par = stereo::sgmCompute(left_, right_, p);
+        const auto par = stereo::sgmCompute(left_, right_, p,
+                                            ExecContext::global());
         EXPECT_TRUE(bitIdentical(serial.flat(), par.flat()))
             << "SGM diverges at " << workers << " workers";
     }
@@ -198,10 +200,12 @@ TEST_F(KernelEquivalence, SgmBitIdenticalAcrossWorkerCounts)
 
 TEST_F(KernelEquivalence, CensusBitIdenticalAcrossWorkerCounts)
 {
-    const auto serial = stereo::censusTransform(left_, 2);
+    const auto serial = stereo::censusTransform(left_, 2,
+                                                ExecContext::global());
     for (int workers : kWorkerCounts) {
         ThreadPool::setGlobalThreads(workers);
-        const auto par = stereo::censusTransform(left_, 2);
+        const auto par = stereo::censusTransform(left_, 2,
+                                                 ExecContext::global());
         EXPECT_EQ(serial, par)
             << "census diverges at " << workers << " workers";
     }
@@ -211,20 +215,24 @@ TEST_F(KernelEquivalence, BlockMatchingBitIdenticalAcrossWorkerCounts)
 {
     stereo::BlockMatchingParams p;
     p.maxDisparity = 20;
-    const auto serial = stereo::blockMatching(left_, right_, p);
+    const auto serial = stereo::blockMatching(left_, right_, p,
+                                              ExecContext::global());
 
     stereo::DisparityMap init(left_.width(), left_.height());
     init.fill(6.f);
     const auto serial_refined =
-        stereo::refineDisparity(left_, right_, init, 2, p);
+        stereo::refineDisparity(left_, right_, init, 2, p,
+                                ExecContext::global());
 
     for (int workers : kWorkerCounts) {
         ThreadPool::setGlobalThreads(workers);
-        const auto par = stereo::blockMatching(left_, right_, p);
+        const auto par = stereo::blockMatching(left_, right_, p,
+                                               ExecContext::global());
         EXPECT_TRUE(bitIdentical(serial.flat(), par.flat()))
             << "block matching diverges at " << workers << " workers";
         const auto par_refined =
-            stereo::refineDisparity(left_, right_, init, 2, p);
+            stereo::refineDisparity(left_, right_, init, 2, p,
+                                    ExecContext::global());
         EXPECT_TRUE(
             bitIdentical(serial_refined.flat(), par_refined.flat()))
             << "refineDisparity diverges at " << workers << " workers";
@@ -251,7 +259,7 @@ TEST_F(KernelEquivalence, ConvBitIdenticalAcrossWorkerCounts)
     ConvStats serial_stats;
     const Tensor serial =
         tensor::convNd(in, w, spec, tensor::ConvOp::MAC,
-                       &serial_stats);
+                       &serial_stats, ExecContext::global());
     ASSERT_GT(serial_stats.totalOps, 0);
     ASSERT_GT(serial_stats.zeroOps, 0);
 
@@ -259,7 +267,8 @@ TEST_F(KernelEquivalence, ConvBitIdenticalAcrossWorkerCounts)
         ThreadPool::setGlobalThreads(workers);
         ConvStats stats;
         const Tensor par = tensor::convNd(in, w, spec,
-                                          tensor::ConvOp::MAC, &stats);
+                                          tensor::ConvOp::MAC, &stats,
+                                          ExecContext::global());
         EXPECT_TRUE(bitIdentical(serial.flat(), par.flat()))
             << "conv diverges at " << workers << " workers";
         EXPECT_EQ(stats.totalOps, serial_stats.totalOps);
