@@ -197,7 +197,7 @@ BM_Fig11DeconvTransformed(benchmark::State &state, simd::Level level)
     const ExecContext ctx(ThreadPool::global(), buffers);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            deconv::transformedDeconv(in, w, spec, nullptr, ctx));
+            deconv::transformedDeconv(in, w, spec, ctx));
     state.SetItemsProcessed(state.iterations() * 64 * 32 * 16 * kIn *
                             kIn);
     const Fig11Analytic &a = analytic();

@@ -77,7 +77,7 @@ BM_DeconvTransformed(benchmark::State &state)
     const DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            deconv::transformedDeconv(in, w, spec, nullptr,
+            deconv::transformedDeconv(in, w, spec,
                                       ExecContext::global()));
     state.SetItemsProcessed(state.iterations() * n * n);
 }
@@ -364,9 +364,11 @@ BM_ConvGemm(benchmark::State &state, simd::Level level)
     epi.relu = true;
     BufferPool buffers;
     const ExecContext ctx(ThreadPool::global(), buffers);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            tensor::convNd(in, w, spec, epi, nullptr, ctx));
+    Tensor out(tensor::convOutShape(in.shape(), w.shape(), spec));
+    for (auto _ : state) {
+        tensor::convNdInto(in, w, spec, &epi, ctx, out);
+        benchmark::DoNotOptimize(out.data());
+    }
     state.SetItemsProcessed(state.iterations() * 64 * 32 * 9 * n * n);
 }
 
@@ -391,8 +393,7 @@ BM_Deconv(benchmark::State &state, simd::Level level)
     const ExecContext ctx(ThreadPool::global(), buffers);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            deconv::transformedDeconv(in, w, spec, epi, nullptr,
-                                      ctx));
+            deconv::transformedDeconv(in, w, spec, ctx, &epi));
     // MACs of the transformed deconv = K*C*k² useful taps per ofmap
     // position (4 sub-kernels of 2x2 over a 2n² ofmap grid).
     state.SetItemsProcessed(state.iterations() * 64 * 32 * 16 * n *

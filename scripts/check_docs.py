@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs gate: markdown link checker, header comment lint, pool rule.
+"""Docs gate: markdown links, header comments, pool and deconv rules.
 
-Three checks, no third-party dependencies:
+Four checks, no third-party dependencies:
 
 1. Every relative link and image reference in the repo's markdown
    files (README.md, docs/, and the top-level record files) must
@@ -23,6 +23,11 @@ Three checks, no third-party dependencies:
    that define them (src/common/{thread_pool,exec_context,
    buffer_pool}.*). This keeps global-pool twins of the kernel
    signatures from coming back.
+
+4. The deconvolution transformation has one executor,
+   deconv::DeconvPlan. No non-comment line of a *.cc or *.hh file
+   under src/ outside src/deconv/ may call extractSubKernel(), so a
+   second hand-rolled copy of the phase loop cannot come back.
 
 Exit 0 when clean; prints one line per violation and exits 1
 otherwise.
@@ -128,22 +133,37 @@ def strip_comments(line: str, in_block: bool) -> tuple[str, bool]:
     return "".join(code), in_block
 
 
+def code_matches(path: Path, pattern: re.Pattern):
+    """(line number, match) of @p pattern on non-comment code."""
+    in_block = False
+    for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1):
+        code, in_block = strip_comments(line, in_block)
+        m = pattern.search(code)
+        if m:
+            yield lineno, m
+
+
 def check_global_pools(path: Path) -> list[str]:
     rel = path.relative_to(ROOT)
     if rel.parts[:2] == ("src", "common") and \
             path.stem in GLOBAL_POOL_OWNERS:
         return []
-    errors = []
-    in_block = False
-    for lineno, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), 1):
-        code, in_block = strip_comments(line, in_block)
-        m = GLOBAL_POOL_RE.search(code)
-        if m:
-            errors.append(f"{rel}:{lineno}: library code calls "
-                          f"{m.group(0)}; take an ExecContext from "
-                          f"the caller instead")
-    return errors
+    return [f"{rel}:{lineno}: library code calls {m.group(0)}; take "
+            f"an ExecContext from the caller instead"
+            for lineno, m in code_matches(path, GLOBAL_POOL_RE)]
+
+
+SUBKERNEL_RE = re.compile(r"\bextractSubKernel\(")
+
+
+def check_subkernel_callers(path: Path) -> list[str]:
+    rel = path.relative_to(ROOT)
+    if rel.parts[:2] == ("src", "deconv"):
+        return []
+    return [f"{rel}:{lineno}: calls extractSubKernel(); run the "
+            f"transformation through deconv::DeconvPlan instead"
+            for lineno, _ in code_matches(path, SUBKERNEL_RE)]
 
 
 def main() -> int:
@@ -161,6 +181,7 @@ def main() -> int:
         sorted((ROOT / "src").glob("**/*.hh"))
     for src in sources:
         errors += check_global_pools(src)
+        errors += check_subkernel_callers(src)
 
     for e in errors:
         print(e)

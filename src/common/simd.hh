@@ -158,7 +158,7 @@ using CostRowFn = void (*)(const uint64_t *cl, const uint64_t *cr,
 
 /**
  * One f32 GEMM output row — the DNN-path microkernel behind
- * convNd / transformedDeconv / dnn::NetworkRuntime. Computes
+ * convNd / deconv::DeconvPlan / dnn::NetworkRuntime. Computes
  *
  *   for j in [0, n):
  *     acc = +0.0f

@@ -105,7 +105,7 @@ ismPropagate(const image::Image &left, const image::Image &right,
              const stereo::DisparityMap &prev_disparity,
              const flow::FlowField &flow_l,
              const flow::FlowField &flow_r, const IsmParams &p,
-             const ExecContext &ctx, const stereo::Matcher *refiner)
+             const ExecContext &ctx)
 {
     const int w = left.width(), h = left.height();
     panic_if(prev_disparity.width() != w ||
@@ -167,19 +167,13 @@ ismPropagate(const image::Image &left, const image::Image &right,
         }
     }
 
-    // Step 4: refine around the propagated estimate — by default the
-    // guided 1-D SAD search, or an injected guided engine (the
-    // range-pruned streaming SGM) seeded with the propagated map.
-    stereo::DisparityMap disparity;
-    if (refiner != nullptr && refiner->guided()) {
-        disparity = refiner->computeGuided(left, right, init, ctx);
-    } else {
-        stereo::BlockMatchingParams bm;
-        bm.blockRadius = p.blockRadius;
-        bm.maxDisparity = p.maxDisparity;
-        disparity = stereo::refineDisparity(left, right, init,
-                                            p.refineRadius, bm, ctx);
-    }
+    // Step 4: refine around the propagated estimate with the guided
+    // 1-D SAD search.
+    stereo::BlockMatchingParams bm;
+    bm.blockRadius = p.blockRadius;
+    bm.maxDisparity = p.maxDisparity;
+    stereo::DisparityMap disparity = stereo::refineDisparity(
+        left, right, init, p.refineRadius, bm, ctx);
     if (p.medianPostprocess)
         disparity = stereo::medianFilter3x3(disparity);
     return disparity;
@@ -248,16 +242,10 @@ IsmPipeline::processFrame(const image::Image &left,
             ismFlow(prevRight_, right, params_, ctx);
         result.disparity =
             ismPropagate(left, right, prevDisparity_, flow_l, flow_r,
-                         params_, ctx, refiner_.get());
+                         params_, ctx);
         result.keyFrame = false;
         result.arithmeticOps =
             nonKeyFrameOps(left.width(), left.height(), params_);
-        if (refiner_ && refiner_->guided()) {
-            // The injected engine replaces the SAD refinement; its
-            // own estimate is the honest charge for that step.
-            result.arithmeticOps +=
-                refiner_->ops(left.width(), left.height());
-        }
     }
 
     prevLeft_ = left;

@@ -112,12 +112,6 @@ flow::FlowField ismFlow(const image::Image &from,
  *
  * @param prev_disparity disparity of the previous frame; must be
  *                       non-empty and match the pair's dimensions
- * @param refiner        optional guided engine for the refinement
- *                       step: when non-null and guided(), the
- *                       propagated estimate seeds its computeGuided()
- *                       (e.g. the range-pruned streaming SGM,
- *                       makeMatcher("sgm", "rangePrune=1")) instead
- *                       of the default 1-D SAD search
  */
 stereo::DisparityMap ismPropagate(const image::Image &left,
                                   const image::Image &right,
@@ -125,8 +119,7 @@ stereo::DisparityMap ismPropagate(const image::Image &left,
                                   const flow::FlowField &flow_l,
                                   const flow::FlowField &flow_r,
                                   const IsmParams &p,
-                                  const ExecContext &ctx,
-                                  const stereo::Matcher *refiner = nullptr);
+                                  const ExecContext &ctx);
 
 /**
  * Stateful ISM pipeline over a stereo video. Feed frames in order;
@@ -166,20 +159,6 @@ class IsmPipeline
     IsmFrameResult processFrame(const image::Image &left,
                                 const image::Image &right);
 
-    /**
-     * Replace the non-key refinement engine (null restores the
-     * default guided 1-D SAD search). A guided() == true engine —
-     * e.g. makeMatcher("sgm", "rangePrune=1") — receives each
-     * non-key frame's propagated disparity as its computeGuided()
-     * seed, turning non-key frames into range-pruned SGM solves.
-     * Call between frames, not concurrently with processFrame().
-     */
-    void
-    setRefiner(std::shared_ptr<const stereo::Matcher> refiner)
-    {
-        refiner_ = std::move(refiner);
-    }
-
     /** Forget all temporal state (start of a new sequence). */
     void reset();
 
@@ -208,7 +187,6 @@ class IsmPipeline
   private:
     IsmParams params_;
     std::shared_ptr<const stereo::Matcher> keyFrameSource_;
-    std::shared_ptr<const stereo::Matcher> refiner_; //!< null = SAD
     std::unique_ptr<KeyFrameSequencer> sequencer_;
     std::shared_ptr<ThreadPool> pool_;
     std::shared_ptr<BufferPool> buffers_ =

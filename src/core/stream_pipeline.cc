@@ -180,12 +180,6 @@ StreamPipeline::submit(const image::Image &left,
     slot.arithmeticOps =
         is_key ? keyFrameSource_->ops(left.width(), left.height())
                : nonKeyFrameOps(left.width(), left.height(), params_);
-    if (!is_key && refiner_ && refiner_->guided()) {
-        // Mirror IsmPipeline: an injected refinement engine is
-        // charged with its own op estimate.
-        slot.arithmeticOps +=
-            refiner_->ops(left.width(), left.height());
-    }
 
     if (is_key) {
         // Key-frame inference depends only on the submitted pair.
@@ -239,16 +233,14 @@ StreamPipeline::submit(const image::Image &left,
         // queue earlier, so the dependency chain always bottoms out
         // at a running, non-blocking stage.
         auto prev = prevDisparity_;
-        auto refiner = refiner_;
         slot.disparity =
             pool_->submit([this, l = left_ptr, r = right_ptr,
-                           flow_l, flow_r, prev, refiner]() {
+                           flow_l, flow_r, prev]() {
                      FrameCompletion done(this);
                      return ismPropagate(*l, *r, prev.get(),
                                          flow_l.get(), flow_r.get(),
                                          params_,
-                                         ExecContext(*pool_, *buffers_),
-                                         refiner.get());
+                                         ExecContext(*pool_, *buffers_));
                  })
                 .share();
     }

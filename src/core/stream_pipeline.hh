@@ -218,20 +218,6 @@ class StreamPipeline
     const stereo::Matcher &matcher() const { return *keyFrameSource_; }
 
     /**
-     * Replace the non-key refinement engine (null restores the
-     * default guided 1-D SAD search) — same seam as
-     * IsmPipeline::setRefiner(), so the two pipelines stay
-     * bit-identical under the same refiner. The engine is invoked
-     * from worker threads and must honor the Matcher thread-safety
-     * contract. Call between frames, not concurrently with submit().
-     */
-    void
-    setRefiner(std::shared_ptr<const stereo::Matcher> refiner)
-    {
-        refiner_ = std::move(refiner);
-    }
-
-    /**
      * The buffer arena every stage of every in-flight frame recycles
      * through — private to this pipeline. BufferPool is internally
      * synchronized, so concurrent stages share it safely.
@@ -255,7 +241,6 @@ class StreamPipeline
 
     IsmParams params_;
     std::shared_ptr<const stereo::Matcher> keyFrameSource_;
-    std::shared_ptr<const stereo::Matcher> refiner_; //!< null = SAD
     std::unique_ptr<KeyFrameSequencer> sequencer_;
     int maxInFlight_ = 1;
     int workers_ = 1;

@@ -209,154 +209,259 @@ extractSubKernel(const Tensor &weight, const SubConv &sub,
 namespace
 {
 
-Tensor
-transformedDeconvImpl(const Tensor &input, const Tensor &weight,
-                      const tensor::DeconvSpec &spec,
-                      tensor::ConvStats *stats,
-                      const tensor::ConvEpilogue *epi,
-                      const ExecContext &ctx)
+using tensor::kMaxSpatialDims;
+using tensor::spatialStrides;
+
+/** Crop the leading/trailing borders of @p in into @p out (the crop
+ *  extents are implied by the two shapes plus @p crop_lo). Channels
+ *  write disjoint slices; innermost runs are contiguous copies. */
+void
+runCrop(const Tensor &in, const Shape &crop_lo, Tensor &out,
+        const ExecContext &ctx)
 {
-    const int nd = input.rank() - 1;
-
-    // Build a LayerDesc-equivalent plan directly.
-    dnn::LayerDesc layer;
-    layer.name = "functional";
-    layer.kind = dnn::LayerKind::Deconv;
-    layer.inChannels = input.dim(0);
-    layer.outChannels = weight.dim(0);
-    layer.inSpatial.assign(input.shape().begin() + 1,
-                           input.shape().end());
-    layer.kernel.assign(weight.shape().begin() + 2,
-                        weight.shape().end());
-    layer.stride = spec.stride;
-    layer.pad = spec.pad;
-    const TransformedLayer plan = transformLayer(layer);
-
-    const Shape out_shape = tensor::deconvOutShape(
-        input.shape(), weight.shape(), spec);
-    Tensor out(out_shape);
-
-    for (const SubConv &sc : plan.subConvs) {
-        if (sc.empty())
-            continue;
-
-        const Tensor sk = extractSubKernel(weight, sc, spec.stride);
-
-        // Run the sub-convolution as a dense stride-1 convNd. The
-        // ifmap shift m0 maps to leading padding (m0 < 0) or a
-        // leading crop (m0 > 0); trailing pad/crop sizes the output
-        // to exactly `count` positions.
-        Shape crop_lo(nd), pad_lo(nd), pad_hi(nd), crop_hi(nd);
-        for (int d = 0; d < nd; ++d) {
-            const DimPlan &dp = sc.dims[d];
-            crop_lo[d] = std::max<int64_t>(0, dp.inOffset);
-            pad_lo[d] = std::max<int64_t>(0, -dp.inOffset);
-            const int64_t len = input.dim(1 + d) - crop_lo[d];
-            panic_if(len < 1, "sub-conv crop removed entire input");
-            const int64_t ph =
-                dp.count - 1 + dp.taps - pad_lo[d] - len;
-            pad_hi[d] = std::max<int64_t>(0, ph);
-            crop_hi[d] = std::max<int64_t>(0, -ph);
-        }
-
-        // Crop the input if needed.
-        const Tensor *eff_input = &input;
-        Tensor cropped;
-        bool need_crop = false;
-        for (int d = 0; d < nd; ++d)
-            if (crop_lo[d] > 0 || crop_hi[d] > 0)
-                need_crop = true;
-        if (need_crop) {
-            Shape cs;
-            cs.push_back(input.dim(0));
-            for (int d = 0; d < nd; ++d)
-                cs.push_back(input.dim(1 + d) - crop_lo[d] -
-                             crop_hi[d]);
-            cropped = Tensor(cs);
-            // Channels write disjoint slices: fan the copy out.
-            const Shape spatial(cs.begin() + 1, cs.end());
-            ctx.parallelFor(0, cs[0], [&](int64_t c0, int64_t c1) {
-                Shape src_idx(nd + 1), dst_idx(nd + 1);
-                for (int64_t c = c0; c < c1; ++c) {
-                    src_idx[0] = dst_idx[0] = c;
-                    tensor::forEachIndex(
-                        spatial, [&](std::span<const int64_t> j) {
-                            for (int d = 0; d < nd; ++d) {
-                                dst_idx[1 + d] = j[d];
-                                src_idx[1 + d] =
-                                    j[d] + crop_lo[d];
-                            }
-                            cropped.at(std::span<const int64_t>(
-                                dst_idx.data(), dst_idx.size())) =
-                                input.at(std::span<const int64_t>(
-                                    src_idx.data(),
-                                    src_idx.size()));
-                        });
+    const int nd = static_cast<int>(in.rank()) - 1;
+    int64_t sstr[kMaxSpatialDims];
+    int64_t dstr[kMaxSpatialDims];
+    const int64_t schan = spatialStrides(in, sstr);
+    const int64_t dchan = spatialStrides(out, dstr);
+    const int64_t inner = out.dim(nd);
+    ctx.parallelFor(0, in.dim(0), [&](int64_t c0, int64_t c1) {
+        int64_t o[kMaxSpatialDims];
+        for (int64_t c = c0; c < c1; ++c) {
+            const float *sbase = in.data() + c * schan;
+            float *dbase = out.data() + c * dchan;
+            for (int d = 0; d + 1 < nd; ++d)
+                o[d] = 0;
+            while (true) {
+                int64_t soff = crop_lo[nd - 1];
+                int64_t doff = 0;
+                for (int d = 0; d + 1 < nd; ++d) {
+                    soff += (o[d] + crop_lo[d]) * sstr[d];
+                    doff += o[d] * dstr[d];
                 }
-            });
-            eff_input = &cropped;
-        }
-
-        tensor::ConvSpec cspec;
-        cspec.stride.assign(nd, 1);
-        cspec.padLo = pad_lo;
-        cspec.padHi = pad_hi;
-        // Sub-convolutions write disjoint ofmap phases, so fusing
-        // the bias+ReLU epilogue into each sub-conv is exactly the
-        // epilogue on the gathered ofmap.
-        const Tensor sub_out =
-            epi != nullptr
-                ? convNd(*eff_input, sk, cspec, *epi, stats, ctx)
-                : convNd(*eff_input, sk, cspec, tensor::ConvOp::MAC,
-                         stats, ctx);
-
-        // Gather: interleave into the ofmap at stride positions.
-        // Filters write disjoint ofmap slices: fan the scatter out.
-        const Shape so_spatial(sub_out.shape().begin() + 1,
-                               sub_out.shape().end());
-        ctx.parallelFor(
-            0, sub_out.dim(0), [&](int64_t f0, int64_t f1) {
-                Shape so_idx(nd + 1), out_idx(nd + 1);
-                for (int64_t f = f0; f < f1; ++f) {
-                    so_idx[0] = out_idx[0] = f;
-                    tensor::forEachIndex(
-                        so_spatial, [&](std::span<const int64_t> j) {
-                            for (int d = 0; d < nd; ++d) {
-                                so_idx[1 + d] = j[d];
-                                out_idx[1 + d] =
-                                    j[d] * spec.stride[d] +
-                                    sc.dims[d].phase;
-                            }
-                            out.at(std::span<const int64_t>(
-                                out_idx.data(), out_idx.size())) =
-                                sub_out.at(std::span<const int64_t>(
-                                    so_idx.data(), so_idx.size()));
-                        });
+                std::copy_n(sbase + soff, inner, dbase + doff);
+                int d = nd - 2;
+                while (d >= 0) {
+                    if (++o[d] < out.dim(1 + d))
+                        break;
+                    o[d] = 0;
+                    --d;
                 }
-            });
-    }
-    return out;
+                if (d < 0)
+                    break;
+            }
+        }
+    });
+}
+
+/** Interleave @p sub_out into @p out at positions
+ *  j * stride + phase per spatial dim. Filters write disjoint
+ *  slices. */
+void
+runGather(const Tensor &sub_out, const Shape &stride,
+          const Shape &phase, Tensor &out, const ExecContext &ctx)
+{
+    const int nd = static_cast<int>(out.rank()) - 1;
+    int64_t sstr[kMaxSpatialDims];
+    int64_t ostr[kMaxSpatialDims];
+    const int64_t schan = spatialStrides(sub_out, sstr);
+    const int64_t ochan = spatialStrides(out, ostr);
+    const int64_t inner = sub_out.dim(nd);
+    const int64_t inner_step = stride[nd - 1];
+    ctx.parallelFor(0, sub_out.dim(0), [&](int64_t f0, int64_t f1) {
+        int64_t o[kMaxSpatialDims];
+        for (int64_t f = f0; f < f1; ++f) {
+            const float *sbase = sub_out.data() + f * schan;
+            float *obase = out.data() + f * ochan;
+            for (int d = 0; d + 1 < nd; ++d)
+                o[d] = 0;
+            while (true) {
+                int64_t soff = 0;
+                int64_t ooff = phase[nd - 1];
+                for (int d = 0; d + 1 < nd; ++d) {
+                    soff += o[d] * sstr[d];
+                    ooff += (o[d] * stride[d] + phase[d]) * ostr[d];
+                }
+                const float *s = sbase + soff;
+                float *dst = obase + ooff;
+                for (int64_t j = 0; j < inner; ++j)
+                    dst[j * inner_step] = s[j];
+                int d = nd - 2;
+                while (d >= 0) {
+                    if (++o[d] < sub_out.dim(1 + d))
+                        break;
+                    o[d] = 0;
+                    --d;
+                }
+                if (d < 0)
+                    break;
+            }
+        }
+    });
+}
+
+/** Fill one tap-free phase with the epilogue of zero, per filter:
+ *  relu(0 + bias), the ReLU with the kernels' `v > 0 ? v : +0`
+ *  semantics; +0 without an epilogue. */
+void
+gatherFill(const Shape &counts, const Shape &stride,
+           const Shape &phase, const tensor::ConvEpilogue *epilogue,
+           Tensor &out, const ExecContext &ctx)
+{
+    const int nd = static_cast<int>(out.rank()) - 1;
+    int64_t ostr[kMaxSpatialDims];
+    const int64_t ochan = spatialStrides(out, ostr);
+    const int64_t inner = counts[nd - 1];
+    const int64_t inner_step = stride[nd - 1];
+    ctx.parallelFor(0, out.dim(0), [&](int64_t f0, int64_t f1) {
+        int64_t o[kMaxSpatialDims];
+        for (int64_t f = f0; f < f1; ++f) {
+            float v = 0.0f;
+            if (epilogue != nullptr) {
+                if (epilogue->bias != nullptr)
+                    v += epilogue->bias[f];
+                if (epilogue->relu)
+                    v = v > 0.0f ? v : 0.0f;
+            }
+            float *obase = out.data() + f * ochan;
+            for (int d = 0; d + 1 < nd; ++d)
+                o[d] = 0;
+            while (true) {
+                int64_t ooff = phase[nd - 1];
+                for (int d = 0; d + 1 < nd; ++d)
+                    ooff += (o[d] * stride[d] + phase[d]) * ostr[d];
+                float *dst = obase + ooff;
+                for (int64_t j = 0; j < inner; ++j)
+                    dst[j * inner_step] = v;
+                int d = nd - 2;
+                while (d >= 0) {
+                    if (++o[d] < counts[d])
+                        break;
+                    o[d] = 0;
+                    --d;
+                }
+                if (d < 0)
+                    break;
+            }
+        }
+    });
 }
 
 } // namespace
 
-Tensor
-transformedDeconv(const Tensor &input, const Tensor &weight,
-                  const tensor::DeconvSpec &spec,
-                  tensor::ConvStats *stats, const ExecContext &ctx)
+DeconvPlan::DeconvPlan(const Tensor &weight, const Shape &input_shape,
+                       const tensor::DeconvSpec &spec)
+    : spec_(spec), in_shape_(input_shape),
+      out_shape_(tensor::deconvOutShape(input_shape, weight.shape(),
+                                        spec))
 {
-    return transformedDeconvImpl(input, weight, spec, stats, nullptr,
-                                 ctx);
+    const int nd = static_cast<int>(input_shape.size()) - 1;
+    panic_if(nd < 1 || nd > kMaxSpatialDims, "DeconvPlan: spatial rank ",
+             nd, " unsupported (1-", kMaxSpatialDims, ")");
+
+    dnn::LayerDesc layer;
+    layer.name = "deconv";
+    layer.kind = dnn::LayerKind::Deconv;
+    layer.inChannels = input_shape[0];
+    layer.outChannels = weight.dim(0);
+    layer.inSpatial.assign(input_shape.begin() + 1, input_shape.end());
+    layer.kernel.assign(weight.shape().begin() + 2,
+                        weight.shape().end());
+    layer.stride = spec.stride;
+    layer.pad = spec.pad;
+
+    for (const SubConv &sc : transformLayer(layer).subConvs) {
+        Phase ph;
+        ph.counts = sc.outExtents();
+        if (std::any_of(ph.counts.begin(), ph.counts.end(),
+                        [](int64_t c) { return c == 0; }))
+            continue; // phase has no output positions
+        ph.phase.resize(nd);
+        for (int d = 0; d < nd; ++d)
+            ph.phase[d] = sc.dims[d].phase;
+        if (sc.empty()) {
+            // Positions exist but no kernel taps overlap: filled
+            // with the epilogue of zero.
+            ph.tapFree = true;
+            phases_.push_back(std::move(ph));
+            continue;
+        }
+        ph.kernel = extractSubKernel(weight, sc, spec.stride);
+        // Map the ifmap shift m0 to a leading crop (m0 > 0) or
+        // leading padding (m0 < 0); trailing pad/crop sizes the
+        // output to exactly `count` positions.
+        ph.cropLo.resize(nd);
+        Shape crop_hi(nd);
+        ph.conv.stride.assign(nd, 1);
+        ph.conv.padLo.resize(nd);
+        ph.conv.padHi.resize(nd);
+        for (int d = 0; d < nd; ++d) {
+            const DimPlan &dp = sc.dims[d];
+            ph.cropLo[d] = std::max<int64_t>(0, dp.inOffset);
+            ph.conv.padLo[d] = std::max<int64_t>(0, -dp.inOffset);
+            const int64_t len = input_shape[1 + d] - ph.cropLo[d];
+            panic_if(len < 1, "sub-conv crop removed entire input");
+            const int64_t hi =
+                dp.count - 1 + dp.taps - ph.conv.padLo[d] - len;
+            ph.conv.padHi[d] = std::max<int64_t>(0, hi);
+            crop_hi[d] = std::max<int64_t>(0, -hi);
+            if (ph.cropLo[d] > 0 || crop_hi[d] > 0)
+                ph.needCrop = true;
+        }
+        if (ph.needCrop) {
+            Shape cs;
+            cs.push_back(input_shape[0]);
+            for (int d = 0; d < nd; ++d)
+                cs.push_back(input_shape[1 + d] - ph.cropLo[d] -
+                             crop_hi[d]);
+            ph.cropped = Tensor(cs);
+        }
+        Shape os;
+        os.push_back(weight.dim(0));
+        for (int64_t c : ph.counts)
+            os.push_back(c);
+        ph.out = Tensor(os);
+        phases_.push_back(std::move(ph));
+    }
+}
+
+void
+DeconvPlan::run(const Tensor &input,
+                const tensor::ConvEpilogue *epilogue,
+                const ExecContext &ctx, Tensor &out)
+{
+    panic_if(input.shape() != in_shape_, "DeconvPlan: input shape ",
+             tensor::toString(input.shape()), " != planned ",
+             tensor::toString(in_shape_));
+    panic_if(out.shape() != out_shape_, "DeconvPlan: output shape ",
+             tensor::toString(out.shape()), " != planned ",
+             tensor::toString(out_shape_));
+    for (Phase &ph : phases_) {
+        if (ph.tapFree) {
+            gatherFill(ph.counts, spec_.stride, ph.phase, epilogue, out,
+                       ctx);
+            continue;
+        }
+        const Tensor *src = &input;
+        if (ph.needCrop) {
+            runCrop(input, ph.cropLo, ph.cropped, ctx);
+            src = &ph.cropped;
+        }
+        tensor::convNdInto(*src, ph.kernel, ph.conv, epilogue, ctx,
+                           ph.out);
+        runGather(ph.out, spec_.stride, ph.phase, out, ctx);
+    }
 }
 
 Tensor
 transformedDeconv(const Tensor &input, const Tensor &weight,
-                  const tensor::DeconvSpec &spec,
-                  const tensor::ConvEpilogue &epilogue,
-                  tensor::ConvStats *stats, const ExecContext &ctx)
+                  const tensor::DeconvSpec &spec, const ExecContext &ctx,
+                  const tensor::ConvEpilogue *epilogue)
 {
-    return transformedDeconvImpl(input, weight, spec, stats,
-                                 &epilogue, ctx);
+    DeconvPlan plan(weight, input.shape(), spec);
+    Tensor out(plan.outputShape());
+    plan.run(input, epilogue, ctx, out);
+    return out;
 }
 
 } // namespace asv::deconv

@@ -111,40 +111,65 @@ Tensor extractSubKernel(const Tensor &weight, const SubConv &sub,
                         const Shape &stride);
 
 /**
- * Execute a deconvolution via the transformation: decompose, run each
- * sub-convolution as a dense convNd, and gather the interleaved
- * ofmap. Bit-equal to tensor::deconvNd.
- *
- * The sub-convolutions run on @p ctx (convNd partitions the output
- * range across its pool), and the crop/gather data movement fans out
- * over the channel dimension. Sub-convolutions execute in phase
- * order and write disjoint ofmap positions, so the result — and the
- * @p stats counters — are bit-identical for any worker count.
- *
- * @param input  [C, spatial...]
- * @param weight [K, C, kspatial...]
- * @param spec   deconvolution stride/padding
- * @param stats  if non-null, accumulates op counts of the dense
- *               sub-convolutions (to contrast with the naive path)
- * @param ctx    pool the sub-convolutions and data movement run on
+ * A compiled transformed deconvolution: the only executor of the
+ * Sec. 4.1 transformation. Construction extracts each phase's
+ * sub-kernel, derives its stride-1 ConvSpec and ifmap crop, and
+ * preallocates the crop and sub-output tensors. run() executes the
+ * phases in order: crop, dense convNdInto with the epilogue fused
+ * (exact, since phases write disjoint ofmap positions), gather into
+ * the interleaved ofmap. A tap-free phase (positions but no taps: a
+ * kernel smaller than the stride) gets the epilogue of zero.
+ * Bit-identical for any worker count; allocation-free once the
+ * ExecContext's BufferPool is warm. 1-4 spatial dims.
  */
-Tensor transformedDeconv(const Tensor &input, const Tensor &weight,
-                         const tensor::DeconvSpec &spec,
-                         tensor::ConvStats *stats,
-                         const ExecContext &ctx);
+class DeconvPlan
+{
+  public:
+    /** @p weight is [K, C, kspatial...] (copied, need not outlive
+     *  the plan); @p input_shape is run()'s [C, spatial...]. */
+    DeconvPlan(const Tensor &weight, const Shape &input_shape,
+               const tensor::DeconvSpec &spec);
+
+    /** Overwrite @p out (shape outputShape()) with the deconvolution
+     *  of @p input; @p epilogue may be nullptr. */
+    void run(const Tensor &input, const tensor::ConvEpilogue *epilogue,
+             const ExecContext &ctx, Tensor &out);
+
+    /** Shape of the ofmap run() writes, [K, outspatial...]. */
+    const Shape &outputShape() const { return out_shape_; }
+
+    const tensor::DeconvSpec &spec() const { return spec_; }
+
+  private:
+    /** One output phase: its sub-convolution and where it lands. */
+    struct Phase
+    {
+        Tensor kernel;         //!< extracted sub-kernel [K, C, taps..]
+        tensor::ConvSpec conv; //!< stride-1 + one-sided pads
+        Shape cropLo;          //!< leading input crop per dim
+        bool needCrop = false;
+        Tensor cropped;        //!< preallocated crop buffer
+        Shape phase;           //!< ofmap phase per dim
+        Shape counts;          //!< ofmap positions per dim
+        Tensor out;            //!< preallocated sub-conv output
+        bool tapFree = false;  //!< no taps: epilogue of zero
+    };
+
+    tensor::DeconvSpec spec_;
+    Shape in_shape_;
+    Shape out_shape_;
+    std::vector<Phase> phases_;
+};
 
 /**
- * transformedDeconv() with a fused per-filter bias+ReLU epilogue.
- * Sub-convolutions write disjoint ofmap phases, so applying the
- * epilogue inside each sub-convolution is exactly the epilogue on
- * the gathered ofmap — one fewer pass over the output. This is the
- * form dnn::NetworkRuntime's deconv layers lower to.
+ * Deconvolve via the transformation: build a DeconvPlan and run it
+ * once. Matches tensor::deconvNd to f32 rounding (the reference
+ * accumulates in double; see docs/KERNELS.md).
  */
 Tensor transformedDeconv(const Tensor &input, const Tensor &weight,
                          const tensor::DeconvSpec &spec,
-                         const tensor::ConvEpilogue &epilogue,
-                         tensor::ConvStats *stats,
-                         const ExecContext &ctx);
+                         const ExecContext &ctx,
+                         const tensor::ConvEpilogue *epilogue = nullptr);
 
 } // namespace asv::deconv
 

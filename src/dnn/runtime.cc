@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "deconv/transform.hh"
 #include "tensor/deconv.hh"
 
 namespace asv::dnn
@@ -15,22 +14,7 @@ namespace asv::dnn
 namespace
 {
 
-/** Stack-array odometer ceiling (spatial rank; the IR allows 1-3). */
-constexpr int kMaxDims = 4;
-
-/** Row-major strides of the spatial dims of a [C, spatial...] tensor;
- *  returns the elements per channel. */
-int64_t
-spatialStrides(const Tensor &t, int64_t *stride)
-{
-    const int nd = static_cast<int>(t.rank()) - 1;
-    int64_t s = 1;
-    for (int d = nd - 1; d >= 0; --d) {
-        stride[d] = s;
-        s *= t.dim(1 + d);
-    }
-    return s;
-}
+using tensor::kMaxSpatialDims;
 
 /** The dispatched kernels' ReLU semantics: v > 0 ? v : +0. */
 float
@@ -39,150 +23,20 @@ reluRef(float v)
     return v > 0.0f ? v : 0.0f;
 }
 
-/** Crop the leading/trailing borders of @p in into @p out (the crop
- *  extents are implied by the two shapes plus @p crop_lo). Channels
- *  write disjoint slices; innermost runs are contiguous copies. */
-void
-runCrop(const Tensor &in, const Shape &crop_lo, Tensor &out,
-        const ExecContext &ctx)
-{
-    const int nd = static_cast<int>(in.rank()) - 1;
-    int64_t sstr[kMaxDims];
-    int64_t dstr[kMaxDims];
-    const int64_t schan = spatialStrides(in, sstr);
-    const int64_t dchan = spatialStrides(out, dstr);
-    const int64_t inner = out.dim(nd);
-    ctx.parallelFor(0, in.dim(0), [&](int64_t c0, int64_t c1) {
-        int64_t o[kMaxDims];
-        for (int64_t c = c0; c < c1; ++c) {
-            const float *sbase = in.data() + c * schan;
-            float *dbase = out.data() + c * dchan;
-            for (int d = 0; d + 1 < nd; ++d)
-                o[d] = 0;
-            while (true) {
-                int64_t soff = crop_lo[nd - 1];
-                int64_t doff = 0;
-                for (int d = 0; d + 1 < nd; ++d) {
-                    soff += (o[d] + crop_lo[d]) * sstr[d];
-                    doff += o[d] * dstr[d];
-                }
-                std::copy_n(sbase + soff, inner, dbase + doff);
-                int d = nd - 2;
-                while (d >= 0) {
-                    if (++o[d] < out.dim(1 + d))
-                        break;
-                    o[d] = 0;
-                    --d;
-                }
-                if (d < 0)
-                    break;
-            }
-        }
-    });
-}
-
-/** Interleave @p sub_out into @p out at positions
- *  j * stride + phase per spatial dim. Filters write disjoint
- *  slices. */
-void
-runGather(const Tensor &sub_out, const Shape &stride,
-          const Shape &phase, Tensor &out, const ExecContext &ctx)
-{
-    const int nd = static_cast<int>(out.rank()) - 1;
-    int64_t sstr[kMaxDims];
-    int64_t ostr[kMaxDims];
-    const int64_t schan = spatialStrides(sub_out, sstr);
-    const int64_t ochan = spatialStrides(out, ostr);
-    const int64_t inner = sub_out.dim(nd);
-    const int64_t inner_step = stride[nd - 1];
-    ctx.parallelFor(0, sub_out.dim(0), [&](int64_t f0, int64_t f1) {
-        int64_t o[kMaxDims];
-        for (int64_t f = f0; f < f1; ++f) {
-            const float *sbase = sub_out.data() + f * schan;
-            float *obase = out.data() + f * ochan;
-            for (int d = 0; d + 1 < nd; ++d)
-                o[d] = 0;
-            while (true) {
-                int64_t soff = 0;
-                int64_t ooff = phase[nd - 1];
-                for (int d = 0; d + 1 < nd; ++d) {
-                    soff += o[d] * sstr[d];
-                    ooff += (o[d] * stride[d] + phase[d]) * ostr[d];
-                }
-                const float *s = sbase + soff;
-                float *dst = obase + ooff;
-                for (int64_t j = 0; j < inner; ++j)
-                    dst[j * inner_step] = s[j];
-                int d = nd - 2;
-                while (d >= 0) {
-                    if (++o[d] < sub_out.dim(1 + d))
-                        break;
-                    o[d] = 0;
-                    --d;
-                }
-                if (d < 0)
-                    break;
-            }
-        }
-    });
-}
-
-/** Fill one empty phase (no kernel taps) with the epilogue of zero:
- *  relu ? max-like(bias) : bias, per filter. */
-void
-gatherFill(const Shape &counts, const Shape &stride,
-           const Shape &phase, const std::vector<float> &bias,
-           bool relu, Tensor &out, const ExecContext &ctx)
-{
-    const int nd = static_cast<int>(out.rank()) - 1;
-    int64_t ostr[kMaxDims];
-    const int64_t ochan = spatialStrides(out, ostr);
-    const int64_t inner = counts[nd - 1];
-    const int64_t inner_step = stride[nd - 1];
-    ctx.parallelFor(0, out.dim(0), [&](int64_t f0, int64_t f1) {
-        int64_t o[kMaxDims];
-        for (int64_t f = f0; f < f1; ++f) {
-            float v = bias.empty() ? 0.0f : bias[f];
-            if (relu)
-                v = reluRef(v);
-            float *obase = out.data() + f * ochan;
-            for (int d = 0; d + 1 < nd; ++d)
-                o[d] = 0;
-            while (true) {
-                int64_t ooff = phase[nd - 1];
-                for (int d = 0; d + 1 < nd; ++d)
-                    ooff += (o[d] * stride[d] + phase[d]) * ostr[d];
-                float *dst = obase + ooff;
-                for (int64_t j = 0; j < inner; ++j)
-                    dst[j * inner_step] = v;
-                int d = nd - 2;
-                while (d >= 0) {
-                    if (++o[d] < counts[d])
-                        break;
-                    o[d] = 0;
-                    --d;
-                }
-                if (d < 0)
-                    break;
-            }
-        }
-    });
-}
-
 /** Max pooling (no padding), serial reduction order per output. */
 void
 runPool(const Tensor &in, const Shape &kernel, const Shape &stride,
         Tensor &out, const ExecContext &ctx)
 {
     const int nd = static_cast<int>(in.rank()) - 1;
-    int64_t istr[kMaxDims];
-    const int64_t ichan = spatialStrides(in, istr);
+    int64_t istr[kMaxSpatialDims];
+    const int64_t ichan = tensor::spatialStrides(in, istr);
     int64_t ochan = 1;
     for (int d = 0; d < nd; ++d)
         ochan *= out.dim(1 + d);
     ctx.parallelFor(0, in.dim(0), [&](int64_t c0, int64_t c1) {
-        int64_t o[kMaxDims];
-        int64_t t[kMaxDims];
+        int64_t o[kMaxSpatialDims];
+        int64_t t[kMaxSpatialDims];
         for (int64_t c = c0; c < c1; ++c) {
             const float *src = in.data() + c * ichan;
             float *dst = out.data() + c * ochan;
@@ -251,7 +105,7 @@ NetworkRuntime::NetworkRuntime(const Network &net, uint64_t seed)
         panic_if(l.batch != 1, "NetworkRuntime: layer ", l.name,
                  " has batch ", l.batch, " (only 1 is executable)");
         const int nd = static_cast<int>(cur.size()) - 1;
-        panic_if(nd < 1 || nd >= kMaxDims,
+        panic_if(nd < 1 || nd >= kMaxSpatialDims,
                  "NetworkRuntime: unsupported spatial rank ", nd);
         bool chains = l.inChannels == cur[0] &&
                       l.spatialDims() == nd;
@@ -294,72 +148,8 @@ NetworkRuntime::NetworkRuntime(const Network &net, uint64_t seed)
                 st.conv.padLo = l.pad;
                 st.conv.padHi = l.pad;
             } else {
-                st.stride = l.stride;
-                st.pad = l.pad;
-                const deconv::TransformedLayer plan =
-                    deconv::transformLayer(l);
-                for (const deconv::SubConv &sc : plan.subConvs) {
-                    Sub sub;
-                    sub.counts = sc.outExtents();
-                    if (std::any_of(sub.counts.begin(),
-                                    sub.counts.end(),
-                                    [](int64_t c) { return c == 0; }))
-                        continue; // phase has no output positions
-                    sub.phase.resize(nd);
-                    for (int d = 0; d < nd; ++d)
-                        sub.phase[d] = sc.dims[d].phase;
-                    if (sc.empty()) {
-                        // Positions exist but no kernel taps overlap:
-                        // filled with the epilogue of zero.
-                        sub.emptyPhase = true;
-                        st.anyEmptySub = true;
-                        st.subs.push_back(std::move(sub));
-                        continue;
-                    }
-                    sub.kernel = deconv::extractSubKernel(
-                        st.weight, sc, l.stride);
-                    // Map the ifmap shift m0 to a leading crop
-                    // (m0 > 0) or leading padding (m0 < 0); trailing
-                    // pad/crop sizes the output to `count` positions
-                    // (same arithmetic as transformedDeconv).
-                    sub.cropLo.resize(nd);
-                    Shape crop_hi(nd);
-                    sub.spec.stride.assign(nd, 1);
-                    sub.spec.padLo.resize(nd);
-                    sub.spec.padHi.resize(nd);
-                    for (int d = 0; d < nd; ++d) {
-                        const deconv::DimPlan &dp = sc.dims[d];
-                        sub.cropLo[d] =
-                            std::max<int64_t>(0, dp.inOffset);
-                        sub.spec.padLo[d] =
-                            std::max<int64_t>(0, -dp.inOffset);
-                        const int64_t len =
-                            cur[1 + d] - sub.cropLo[d];
-                        panic_if(len < 1,
-                                 "sub-conv crop removed entire input");
-                        const int64_t ph = dp.count - 1 + dp.taps -
-                                           sub.spec.padLo[d] - len;
-                        sub.spec.padHi[d] =
-                            std::max<int64_t>(0, ph);
-                        crop_hi[d] = std::max<int64_t>(0, -ph);
-                        if (sub.cropLo[d] > 0 || crop_hi[d] > 0)
-                            sub.needCrop = true;
-                    }
-                    if (sub.needCrop) {
-                        Shape cs;
-                        cs.push_back(cur[0]);
-                        for (int d = 0; d < nd; ++d)
-                            cs.push_back(cur[1 + d] - sub.cropLo[d] -
-                                         crop_hi[d]);
-                        sub.cropped = Tensor(cs);
-                    }
-                    Shape os;
-                    os.push_back(l.outChannels);
-                    for (int64_t c : sub.counts)
-                        os.push_back(c);
-                    sub.out = Tensor(os);
-                    st.subs.push_back(std::move(sub));
-                }
+                st.deconv.emplace(st.weight, cur,
+                                  tensor::DeconvSpec{l.stride, l.pad});
             }
             break;
           }
@@ -386,28 +176,6 @@ NetworkRuntime::NetworkRuntime(const Network &net, uint64_t seed)
     output_shape_ = cur;
 }
 
-void
-NetworkRuntime::runDeconv(Step &st, const Tensor &in,
-                          const ExecContext &ctx)
-{
-    for (Sub &sub : st.subs) {
-        if (sub.emptyPhase) {
-            gatherFill(sub.counts, st.stride, sub.phase, st.bias,
-                       st.relu, st.out, ctx);
-            continue;
-        }
-        const Tensor *src = &in;
-        if (sub.needCrop) {
-            runCrop(in, sub.cropLo, sub.cropped, ctx);
-            src = &sub.cropped;
-        }
-        const tensor::ConvEpilogue epi{st.bias.data(), st.relu};
-        tensor::convNdInto(*src, sub.kernel, sub.spec, &epi, ctx,
-                           sub.out);
-        runGather(sub.out, st.stride, sub.phase, st.out, ctx);
-    }
-}
-
 const Tensor &
 NetworkRuntime::forward(const Tensor &input, const ExecContext &ctx)
 {
@@ -418,15 +186,16 @@ NetworkRuntime::forward(const Tensor &input, const ExecContext &ctx)
     const Tensor *cur = &input;
     for (Step &st : steps_) {
         switch (st.kind) {
-          case LayerKind::Conv: {
+          case LayerKind::Conv:
+          case LayerKind::Deconv: {
             const tensor::ConvEpilogue epi{st.bias.data(), st.relu};
-            tensor::convNdInto(*cur, st.weight, st.conv, &epi, ctx,
-                               st.out);
+            if (st.deconv)
+                st.deconv->run(*cur, &epi, ctx, st.out);
+            else
+                tensor::convNdInto(*cur, st.weight, st.conv, &epi, ctx,
+                                   st.out);
             break;
           }
-          case LayerKind::Deconv:
-            runDeconv(st, *cur, ctx);
-            break;
           case LayerKind::Activation:
             runRelu(*cur, st.out, ctx);
             break;
@@ -460,10 +229,8 @@ NetworkRuntime::referenceForward(const Tensor &input,
                 o = tensor::convNd(cur, st.weight, st.conv,
                                    tensor::ConvOp::MAC, &stats, ctx);
             } else {
-                tensor::DeconvSpec dspec;
-                dspec.stride = st.stride;
-                dspec.pad = st.pad;
-                o = tensor::deconvNd(cur, st.weight, dspec, &stats, ctx);
+                o = tensor::deconvNd(cur, st.weight, st.deconv->spec(),
+                                     &stats, ctx);
             }
             const int64_t K = o.dim(0);
             const int64_t P = o.size() / std::max<int64_t>(K, 1);

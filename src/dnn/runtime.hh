@@ -12,23 +12,22 @@
  *  - Conv layers lower to tensor::convNdInto — the im2col-or-direct
  *    GEMM route — with the following Activation layer fused into the
  *    per-filter bias+ReLU epilogue;
- *  - Deconv layers run the Sec. 4.1 transformation: sub-kernels are
- *    extracted once at construction, each sub-convolution runs as a
- *    dense stride-1 convNdInto (epilogue fused — sub-convolutions
- *    write disjoint ofmap phases, so this is exact), and the
- *    interleaved ofmap is gathered with allocation-free odometer
- *    loops;
+ *  - Deconv layers run the Sec. 4.1 transformation through a
+ *    deconv::DeconvPlan compiled at construction (the same executor
+ *    deconv::transformedDeconv runs), with the epilogue fused into
+ *    each sub-convolution;
  *  - Activation (ReLU) and Pooling (max) execute directly;
  *  - FullyConnected and CostVolume layers are analytic-only and
  *    rejected, as are IR chains whose shapes do not actually chain
  *    (NetworkBuilder::setChannels / concatChannels splices).
  *
- * Everything a frame needs — weights, biases, sub-kernels, crop
- * buffers, every intermediate activation — is allocated at
- * construction; forward() performs zero heap allocations once the
- * ExecContext's BufferPool has warmed up (its im2col scratch is the
- * only pooled acquisition). This is the "dnn" entry enforced exactly
- * by alloc_baseline_test / BASELINE_alloc.json.
+ * Everything a frame needs — weights, biases, deconv plans (with
+ * their sub-kernels and crop buffers), every intermediate
+ * activation — is allocated at construction; forward() performs
+ * zero heap allocations once the ExecContext's BufferPool has
+ * warmed up (its im2col scratch is the only pooled acquisition).
+ * This is the "dnn" entry enforced exactly by alloc_baseline_test /
+ * BASELINE_alloc.json.
  *
  * Determinism: forward() is bit-identical for any worker count and
  * across the fused SIMD levels (scalar / AVX2+FMA / NEON); SSE4.2
@@ -39,9 +38,11 @@
 #define ASV_DNN_RUNTIME_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/exec_context.hh"
+#include "deconv/transform.hh"
 #include "dnn/network.hh"
 #include "tensor/conv.hh"
 #include "tensor/tensor.hh"
@@ -58,7 +59,7 @@ class NetworkRuntime
   public:
     /**
      * Compile @p net and allocate weights (seeded uniform init,
-     * deterministic per @p seed), biases, sub-kernels, and all
+     * deterministic per @p seed), biases, deconv plans, and all
      * intermediate activations. Panics on unsupported layer kinds,
      * batch != 1, or non-chaining layer shapes.
      */
@@ -91,22 +92,6 @@ class NetworkRuntime
     size_t numSteps() const { return steps_.size(); }
 
   private:
-    /** One sub-convolution of a transformed deconv step. */
-    struct Sub
-    {
-        Tensor kernel;         //!< extracted sub-kernel [K, C, taps..]
-        tensor::ConvSpec spec; //!< stride-1 + one-sided pads
-        Shape cropLo;          //!< leading input crop per dim
-        bool needCrop = false;
-        Tensor cropped;        //!< preallocated crop buffer
-        Shape phase;           //!< ofmap phase per dim
-        Shape counts;          //!< ofmap positions per dim
-        Tensor out;            //!< preallocated sub-conv output
-        /** taps == 0 in some dim: the phase's outputs carry no MACs
-         *  and are filled with the epilogue of zero. */
-        bool emptyPhase = false;
-    };
-
     struct Step
     {
         LayerKind kind = LayerKind::Conv;
@@ -114,16 +99,11 @@ class NetworkRuntime
         std::vector<float> bias; //!< per-filter bias [K]
         bool relu = false;       //!< fused following Activation
         tensor::ConvSpec conv;   //!< Conv lowering
-        Shape stride;            //!< Deconv upsampling stride
-        Shape pad;               //!< Deconv DL-convention padding
-        std::vector<Sub> subs;   //!< Deconv sub-convolutions
-        bool anyEmptySub = false;
+        std::optional<deconv::DeconvPlan> deconv; //!< Deconv lowering
         Shape poolKernel;        //!< Pooling window
         Shape poolStride;        //!< Pooling stride
         Tensor out;              //!< preallocated step output
     };
-
-    void runDeconv(Step &st, const Tensor &in, const ExecContext &ctx);
 
     Shape input_shape_;
     Shape output_shape_;

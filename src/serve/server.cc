@@ -30,6 +30,8 @@
 #include <climits>
 #include <cstddef>
 #include <exception>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 #include "core/sequencer.hh"
@@ -226,19 +228,26 @@ Server::~Server()
 StreamId
 Server::openStream(StreamConfig config)
 {
-    fatal_if(!config.matcher, "StreamConfig needs a key-frame matcher");
-    fatal_if(!config.onResult, "StreamConfig needs a result callback");
-    fatal_if(config.maxQueued < 1, "StreamConfig maxQueued must be >= 1");
-    fatal_if(config.maxInFlight < 1,
-             "StreamConfig maxInFlight must be >= 1");
-    fatal_if(config.params.propagationWindow < 1,
-             "StreamConfig propagation window must be >= 1");
+    // A bad client request is the client's error, not the server's:
+    // reject it before touching any state.
+    auto require = [](bool ok, const char *what) {
+        if (!ok)
+            throw std::invalid_argument(std::string("StreamConfig ") +
+                                        what);
+    };
+    require(config.matcher != nullptr, "needs a key-frame matcher");
+    require(config.onResult != nullptr, "needs a result callback");
+    require(config.maxQueued >= 1, "maxQueued must be >= 1");
+    require(config.maxInFlight >= 1, "maxInFlight must be >= 1");
+    require(config.params.propagationWindow >= 1,
+            "propagation window must be >= 1");
 
     MutexLock lock(streamsMutex_);
     const int id = numStreams_.load(std::memory_order_relaxed);
-    fatal_if(id >= config_.maxStreams,
-             "Server stream table full (maxStreams = ",
-             config_.maxStreams, ")");
+    if (id >= config_.maxStreams)
+        throw std::length_error(
+            "Server stream table full (maxStreams = " +
+            std::to_string(config_.maxStreams) + ")");
 
     auto state = std::make_unique<StreamState>(
         static_cast<StreamId>(id), std::move(config));

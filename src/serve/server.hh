@@ -226,8 +226,11 @@ class Server
 
     /**
      * Register a stream; returns its id (dense, starting at 0).
-     * Safe while the server is running; fatal when the matcher or
-     * callback is missing or maxStreams is exhausted.
+     * Safe while the server is running. Throws
+     * std::invalid_argument when the matcher or callback is missing
+     * or maxQueued, maxInFlight or params.propagationWindow is < 1,
+     * and std::length_error when maxStreams is exhausted; either
+     * way the server is left unchanged.
      */
     StreamId openStream(StreamConfig config);
 

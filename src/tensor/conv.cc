@@ -15,10 +15,6 @@ namespace asv::tensor
 namespace
 {
 
-/** Spatial-rank ceiling of the GEMM route's stack-array odometers
- *  (no heap in the steady state); the paper's workloads are 2-D. */
-constexpr int kMaxSpatialDims = 4;
-
 /**
  * True when a MAC convolution rides the dispatched f32 GEMM kernels.
  * Stats collection stays on the double-accumulation reference loop:
@@ -50,12 +46,7 @@ im2colRows(const Tensor &input, std::span<const int64_t> ospatial,
 {
     const int nd = static_cast<int>(ospatial.size());
     int64_t istride[kMaxSpatialDims];
-    int64_t s = 1;
-    for (int d = nd - 1; d >= 0; --d) {
-        istride[d] = s;
-        s *= input.dim(1 + d);
-    }
-    const int64_t chan_elems = s;
+    const int64_t chan_elems = spatialStrides(input, istride);
 
     int64_t tap[kMaxSpatialDims];
     int64_t o[kMaxSpatialDims];
@@ -309,33 +300,6 @@ convNd(const Tensor &input, const Tensor &weight, const ConvSpec &spec,
         }
     }
 
-    return out;
-}
-
-Tensor
-convNd(const Tensor &input, const Tensor &weight, const ConvSpec &spec,
-       const ConvEpilogue &epilogue, ConvStats *stats,
-       const ExecContext &ctx)
-{
-    if (gemmEligible(ConvOp::MAC, stats) &&
-        static_cast<int>(input.rank()) - 1 <= kMaxSpatialDims) {
-        Tensor out(convOutShape(input.shape(), weight.shape(), spec));
-        convNdInto(input, weight, spec, &epilogue, ctx, out);
-        return out;
-    }
-    // Stats requested: reference loop for the exact counters, then
-    // the epilogue as a separate dispatched pass per filter row.
-    Tensor out = convNd(input, weight, spec, ConvOp::MAC, stats, ctx);
-    const simd::Kernels &kt = simd::kernels();
-    const int64_t K = out.dim(0);
-    const int64_t P = out.size() / std::max<int64_t>(K, 1);
-    float *od = out.data();
-    ctx.parallelFor(0, K, [&](int64_t f0, int64_t f1) {
-        for (int64_t f = f0; f < f1; ++f)
-            kt.biasReluRow(od + f * P, static_cast<int>(P),
-                           epilogue.bias ? epilogue.bias[f] : 0.0f,
-                           epilogue.relu);
-    });
     return out;
 }
 

@@ -24,7 +24,7 @@
  *  - MAC with no stats requested rides the dispatched f32 GEMM
  *    kernels (asv::simd) behind an im2col-or-direct lowering with
  *    BufferPool-backed scratch — the fast path behind
- *    transformedDeconv and dnn::NetworkRuntime. f32 fused-multiply-
+ *    deconv::DeconvPlan and dnn::NetworkRuntime. f32 fused-multiply-
  *    add accumulation, bit-identical across worker counts and across
  *    the fused SIMD levels (scalar/AVX2/NEON); SSE4.2 agrees to
  *    documented tolerance.
@@ -112,16 +112,6 @@ Shape convOutShape(const Shape &input, const Shape &weight,
 Tensor convNd(const Tensor &input, const Tensor &weight,
               const ConvSpec &spec, ConvOp op, ConvStats *stats,
               const ExecContext &ctx);
-
-/**
- * MAC convolution with a fused bias+ReLU epilogue. Routes like
- * convNd: the f32 GEMM path when @p stats is null, the reference
- * loop (epilogue applied afterwards with the dispatched kernel)
- * when op counts are requested.
- */
-Tensor convNd(const Tensor &input, const Tensor &weight,
-              const ConvSpec &spec, const ConvEpilogue &epilogue,
-              ConvStats *stats, const ExecContext &ctx);
 
 /**
  * MAC convolution into a preallocated output — the zero-allocation

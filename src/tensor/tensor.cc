@@ -34,6 +34,18 @@ toString(const Shape &shape)
     return os.str();
 }
 
+int64_t
+spatialStrides(const Tensor &t, int64_t *stride)
+{
+    const int nd = t.rank() - 1;
+    int64_t s = 1;
+    for (int d = nd - 1; d >= 0; --d) {
+        stride[d] = s;
+        s *= t.dim(1 + d);
+    }
+    return s;
+}
+
 void
 forEachIndex(const Shape &shape,
              const std::function<void(std::span<const int64_t>)> &fn)

@@ -33,6 +33,10 @@ int64_t numElems(const Shape &shape);
 /** Human-readable "[a, b, c]" form of a shape. */
 std::string toString(const Shape &shape);
 
+/** Spatial-rank ceiling of the executors' stack-array odometers
+ *  (no heap in the steady state); the paper's workloads are 2-D. */
+constexpr int kMaxSpatialDims = 4;
+
 /**
  * Invoke @p fn for every index vector in row-major order over @p shape.
  * The span passed to @p fn is reused between calls; copy it if needed.
@@ -116,6 +120,11 @@ class Tensor
     Shape strides_;
     std::vector<float> data_;
 };
+
+/** Row-major strides of the spatial dims of a [C, spatial...] tensor,
+ *  written to @p stride[0 .. rank-2]; returns the elements per
+ *  channel. */
+int64_t spatialStrides(const Tensor &t, int64_t *stride);
 
 } // namespace asv::tensor
 

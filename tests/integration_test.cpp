@@ -243,10 +243,10 @@ TEST(Linearity, TransformedDeconvIsLinearToo)
         v *= 3.f;
 
     const auto spec = tensor::DeconvSpec::uniform(2, 2, 1);
-    const auto y = deconv::transformedDeconv(a, w, spec, nullptr,
-                                             ExecContext::global());
-    const auto y2 = deconv::transformedDeconv(a2, w, spec, nullptr,
-                                              ExecContext::global());
+    const auto y =
+        deconv::transformedDeconv(a, w, spec, ExecContext::global());
+    const auto y2 =
+        deconv::transformedDeconv(a2, w, spec, ExecContext::global());
     tensor::Tensor expect(y.shape());
     for (int64_t i = 0; i < expect.size(); ++i)
         expect.flat()[i] = 3.f * y.flat()[i];

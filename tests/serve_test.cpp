@@ -2,7 +2,7 @@
  * @file
  * asv::serve::Server contract suite.
  *
- * Covers the serving frontend's five load-bearing guarantees:
+ * Covers the serving frontend's load-bearing guarantees:
  *
  *  - per-stream FIFO delivery under concurrent submitters (including
  *    two clients racing into the *same* stream);
@@ -14,7 +14,9 @@
  *    same frames (the serving layer adds scheduling, not arithmetic);
  *  - the serve hot path — submit, ring transfer, routing, shedding,
  *    shed delivery — is allocation-free at steady state
- *    (AllocTracker-guarded, including the FrameQueue in isolation).
+ *    (AllocTracker-guarded, including the FrameQueue in isolation);
+ *  - a malformed StreamConfig or a full stream table throws from
+ *    openStream() and leaves the server unchanged and serving.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -136,6 +139,62 @@ TEST(Serve, SubmitStatuses)
     EXPECT_EQ(stats.streams[0].accepted, 2);
     EXPECT_EQ(stats.delivered, stats.accepted);
     EXPECT_EQ(log.results.size(), 2u);
+}
+
+TEST(Serve, BadStreamConfigThrowsAndLeavesServerUsable)
+{
+    ServerConfig sc;
+    sc.workers = 2;
+    sc.maxStreams = 1;
+    Server server(sc);
+    ResultLog log;
+
+    auto broken = [&log](auto &&mutate) {
+        StreamConfig cfg = streamConfig(log);
+        mutate(cfg);
+        return cfg;
+    };
+    EXPECT_THROW(server.openStream(broken(
+                     [](StreamConfig &c) { c.matcher = nullptr; })),
+                 std::invalid_argument);
+    EXPECT_THROW(server.openStream(broken(
+                     [](StreamConfig &c) { c.onResult = nullptr; })),
+                 std::invalid_argument);
+    EXPECT_THROW(server.openStream(
+                     broken([](StreamConfig &c) { c.maxQueued = 0; })),
+                 std::invalid_argument);
+    EXPECT_THROW(server.openStream(broken(
+                     [](StreamConfig &c) { c.maxInFlight = 0; })),
+                 std::invalid_argument);
+    EXPECT_THROW(server.openStream(broken([](StreamConfig &c) {
+                     c.params.propagationWindow = 0;
+                 })),
+                 std::invalid_argument);
+    EXPECT_TRUE(server.stats().streams.empty());
+
+    // The rejected requests left the table untouched: the one slot
+    // is still free, and the stream opened into it serves.
+    const StreamId id = server.openStream(streamConfig(log));
+    EXPECT_EQ(id, 0);
+    EXPECT_THROW(server.openStream(streamConfig(log)),
+                 std::length_error);
+    const auto frames = makeFrames(4, 9);
+    for (const FramePair &f : frames)
+        ASSERT_EQ(server.submit(id, f.left, f.right),
+                  SubmitStatus::Accepted);
+    server.drain();
+    server.stop();
+
+    const ServerStats stats = server.stats();
+    ASSERT_EQ(stats.streams.size(), 1u);
+    EXPECT_EQ(stats.streams[0].completed, 4);
+    ASSERT_EQ(log.results.size(), frames.size());
+    for (size_t f = 0; f < frames.size(); ++f) {
+        EXPECT_EQ(log.results[f].ticket, static_cast<int64_t>(f));
+        EXPECT_EQ(log.results[f].status, ResultStatus::Ok);
+        EXPECT_EQ(log.results[f].disparity.width(),
+                  frames[f].left.width());
+    }
 }
 
 TEST(Serve, BitIdenticalToSerialLoop)

@@ -359,8 +359,8 @@ TEST(ConvGemmRoute, EpilogueMatchesManualBiasRelu)
     tensor::ConvEpilogue epi;
     epi.bias = bias.data();
     epi.relu = true;
-    const Tensor fused =
-        tensor::convNd(in, w, spec, epi, nullptr, ctx);
+    Tensor fused(tensor::convOutShape(in.shape(), w.shape(), spec));
+    tensor::convNdInto(in, w, spec, &epi, ctx, fused);
 
     Tensor manual = tensor::convNd(in, w, spec, tensor::ConvOp::MAC,
                                    nullptr, ctx);
@@ -421,34 +421,49 @@ TEST(ConvGemmRoute, CrossLevelAndThreadIdentity)
 
 TEST(TransformedDeconvF32, FusedEpilogueMatchesSeparatePass)
 {
+    // k1 s2 p0 and k2 s3 p0 have tap-free phases: output positions
+    // no sub-kernel tap reaches, which must still read relu(bias).
     Rng rng(37);
     ThreadPool pool(2);
     BufferPool buffers;
     ExecContext ctx(pool, buffers);
     const Tensor in = randomTensor({3, 9, 7}, rng);
-    const Tensor w = randomTensor({4, 3, 4, 4}, rng);
-    const auto spec = tensor::DeconvSpec::uniform(2, 2, 1);
     const std::vector<float> bias = randomVec(4, rng);
+    struct Case
+    {
+        int64_t k, s, p;
+    };
+    for (const Case c : {Case{4, 2, 1}, Case{1, 2, 0}, Case{2, 3, 0}}) {
+        const Tensor w = randomTensor({4, 3, c.k, c.k}, rng);
+        const auto spec = tensor::DeconvSpec::uniform(2, c.s, c.p);
+        const Tensor plain = deconv::transformedDeconv(in, w, spec, ctx);
+        for (bool relu : {false, true}) {
+            tensor::ConvEpilogue epi;
+            epi.bias = bias.data();
+            epi.relu = relu;
+            const Tensor fused =
+                deconv::transformedDeconv(in, w, spec, ctx, &epi);
 
-    tensor::ConvEpilogue epi;
-    epi.bias = bias.data();
-    epi.relu = true;
-    const Tensor fused =
-        deconv::transformedDeconv(in, w, spec, epi, nullptr, ctx);
-
-    Tensor manual =
-        deconv::transformedDeconv(in, w, spec, nullptr, ctx);
-    const int64_t P = manual.size() / manual.dim(0);
-    for (int64_t f = 0; f < manual.dim(0); ++f) {
-        for (int64_t j = 0; j < P; ++j) {
-            float &v = manual.data()[f * P + j];
-            v += bias[size_t(f)];
-            v = v > 0.0f ? v : 0.0f;
+            Tensor manual = plain;
+            const int64_t P = manual.size() / manual.dim(0);
+            for (int64_t f = 0; f < manual.dim(0); ++f) {
+                for (int64_t j = 0; j < P; ++j) {
+                    float &v = manual.data()[f * P + j];
+                    v += bias[size_t(f)];
+                    if (relu)
+                        v = v > 0.0f ? v : 0.0f;
+                }
+            }
+            // Disjoint-phase fusion is exact: bitwise.
+            expectBitEqual(fused.data(), manual.data(),
+                           size_t(fused.size()),
+                           "fused deconv epilogue k" +
+                               std::to_string(c.k) + " s" +
+                               std::to_string(c.s) + " p" +
+                               std::to_string(c.p) +
+                               (relu ? " relu" : ""));
         }
     }
-    // Disjoint-phase fusion is exact: bitwise.
-    expectBitEqual(fused.data(), manual.data(), size_t(fused.size()),
-                   "fused deconv epilogue");
 }
 
 // --------------------------------------------------------- NetworkRuntime
@@ -465,6 +480,55 @@ makeTestNet()
     nb.pool("p1", 2, 2);
     return nb.build();
 }
+
+/**
+ * A deconv-only stack: @p k x @p k kernel, stride @p s, pad @p p on
+ * a non-square input, ReLU fused.
+ */
+dnn::Network
+makeDeconvNet(int64_t k, int64_t s, int64_t p)
+{
+    dnn::NetworkBuilder nb("deconv", 3, {7, 9});
+    nb.deconv("d", 4, k, s, p, dnn::Stage::DisparityRefinement);
+    nb.activation("r");
+    return nb.build();
+}
+
+/**
+ * Conv followed by the three deconvolution shapes the transformed
+ * executor distinguishes: k4 s2 p1 (every phase has taps, no crop),
+ * k3 s2 p2 (a phase whose ifmap shift needs a leading and trailing
+ * crop) and k2 s3 p0 (a tap-free phase).
+ */
+dnn::Network
+makePinNet()
+{
+    dnn::NetworkBuilder nb("pin", 3, {5, 6});
+    nb.conv("c1", 4, 3, 1, 1, dnn::Stage::FeatureExtraction);
+    nb.activation("r1");
+    nb.deconv("d1", 4, 4, 2, 1, dnn::Stage::DisparityRefinement);
+    nb.activation("r2");
+    nb.deconv("d2", 3, 3, 2, 2, dnn::Stage::DisparityRefinement);
+    nb.deconv("d3", 2, 2, 3, 0, dnn::Stage::DisparityRefinement);
+    nb.activation("r3");
+    return nb.build();
+}
+
+/** FNV-1a (64-bit) over the bit patterns of @p t. */
+uint64_t
+fnv1a(const Tensor &t)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (int64_t i = 0; i < t.size(); ++i) {
+        const uint32_t bits = std::bit_cast<uint32_t>(t.data()[i]);
+        for (int b = 0; b < 4; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
 
 TEST(NetworkRuntime, ForwardMatchesZeroInsertionReference)
 {
@@ -542,21 +606,47 @@ TEST(NetworkRuntime, BitIdenticalAcrossWorkerCountsAndFusedLevels)
 
 TEST(NetworkRuntime, SteadyStateIsAllocationFree)
 {
+    // k4 s2 p1 needs no crop and has no tap-free phase; k5 s3 p2
+    // mixes sub-kernel extents, k3 s2 p2 crops the ifmap and k2 s3
+    // p0 has a tap-free phase, so every preallocated path of the
+    // transformed deconvolution is checked.
     ThreadPool pool(2);
     BufferPool buffers;
     ExecContext ctx(pool, buffers);
-    dnn::NetworkRuntime rt(makeTestNet(), 42);
-    Rng rng(53);
+    for (const dnn::Network &net :
+         {makeTestNet(), makeDeconvNet(5, 3, 2), makeDeconvNet(3, 2, 2),
+          makeDeconvNet(2, 3, 0)}) {
+        dnn::NetworkRuntime rt(net, 42);
+        Rng rng(53);
+        const Tensor in = randomTensor(rt.inputShape(), rng);
+
+        // Warm the BufferPool (im2col scratch) and any lazy init.
+        rt.forward(in, ctx);
+        rt.forward(in, ctx);
+
+        debug::AllocScope scope;
+        rt.forward(in, ctx);
+        EXPECT_EQ(scope.counts().allocs, 0u)
+            << "DNN steady-state frame allocated: " << net.name();
+    }
+}
+
+TEST(NetworkRuntime, ForwardPinnedAtScalarLevel)
+{
+    // Cross-commit bit-identity pin: any change to the conv or
+    // deconv executors must reproduce these bits exactly. Scalar
+    // level, so the value is the same on every host that replays
+    // std::fmaf (the fused levels equal it by the test above).
+    dnn::NetworkRuntime rt(makePinNet(), 42);
+    EXPECT_EQ(rt.outputShape(), (Shape{2, 50, 62}));
+    Rng rng(59);
     const Tensor in = randomTensor(rt.inputShape(), rng);
-
-    // Warm the BufferPool (im2col scratch) and any lazy init.
-    rt.forward(in, ctx);
-    rt.forward(in, ctx);
-
-    debug::AllocScope scope;
-    rt.forward(in, ctx);
-    EXPECT_EQ(scope.counts().allocs, 0u)
-        << "DNN steady-state frame allocated";
+    LevelGuard g(simd::Level::Scalar);
+    ThreadPool pool(2);
+    BufferPool buffers;
+    const Tensor &got = rt.forward(in, ExecContext(pool, buffers));
+    EXPECT_EQ(fnv1a(got), 0xf9e3dcce0849a40full)
+        << std::hex << "got 0x" << fnv1a(got);
 }
 
 } // namespace
