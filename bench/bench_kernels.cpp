@@ -9,10 +9,12 @@
  * census, SGM aggregation-row, and fused cost-row kernels, of the
  * f32 DNN route (BM_ConvGemm /
  * BM_Deconv: im2col + gemmRow with the fused bias+ReLU epilogue), and
- * of the Farnebäck separable filter (BM_SepRow / BM_GaussianBlur) —
- * the vector-vs-scalar datapoints tracked in BENCH_kernels.json. The
- * benchmark context records the dispatched ISA (asv_simd) so
- * trajectory comparisons across hosts stay meaningful.
+ * of the Farnebäck separable filter (BM_SepRow / BM_GaussianBlur) and
+ * of one non-key ISM propagation (BM_IsmPropagate: scatter, hole fill
+ * and the pixel-lane sadBlock search) — the vector-vs-scalar
+ * datapoints tracked in BENCH_kernels.json. The benchmark context
+ * records the dispatched ISA (asv_simd) so trajectory comparisons
+ * across hosts stay meaningful.
  */
 
 #include <benchmark/benchmark.h>
@@ -26,6 +28,8 @@
 #include "common/exec_context.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
+#include "core/ism.hh"
+#include "data/oracle.hh"
 #include "data/scene.hh"
 #include "debug/alloc_tracker.hh"
 #include "deconv/transform.hh"
@@ -469,6 +473,35 @@ BM_GaussianBlur(benchmark::State &state, simd::Level level)
     state.SetItemsProcessed(state.iterations() * w * h);
 }
 
+void
+BM_IsmPropagate(benchmark::State &state, simd::Level level)
+{
+    // One non-key propagation of asv_camera's shape: a 320x240 frame,
+    // the previous frame's oracle DispNet map moved by the real
+    // ismFlow pair, refined on a 2-worker pool. Inputs are built once;
+    // the loop times ismPropagate alone (scatter, hole fill, guided
+    // SAD search).
+    LevelGuard guard(level);
+    data::SceneConfig cfg;
+    cfg.width = 320;
+    cfg.height = 240;
+    const data::StereoSequence seq = data::generateSequence(cfg, 2, 1000);
+    const data::StereoFrame &a = seq.frames[0], &b = seq.frames[1];
+    ThreadPool pool(2);
+    BufferPool buffers;
+    const ExecContext ctx(pool, buffers);
+    const core::IsmParams p;
+    Rng rng(9);
+    const stereo::DisparityMap prev = data::oracleInference(
+        a.gtDisparity, data::OracleModel::forNetwork("DispNet"), rng);
+    const flow::FlowField fl = core::ismFlow(a.left, b.left, p, ctx);
+    const flow::FlowField fr = core::ismFlow(a.right, b.right, p, ctx);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            core::ismPropagate(b.left, b.right, prev, fl, fr, p, ctx));
+    state.SetItemsProcessed(state.iterations() * cfg.width * cfg.height);
+}
+
 } // namespace
 
 int
@@ -506,6 +539,10 @@ main(int argc, char **argv)
             ("BM_GaussianBlur/" + suffix).c_str(), BM_GaussianBlur,
             level)
             ->Args({160, 120})
+            ->UseRealTime();
+        benchmark::RegisterBenchmark(
+            ("BM_IsmPropagate/" + suffix).c_str(), BM_IsmPropagate,
+            level)
             ->UseRealTime();
     }
     benchmark::AddCustomContext("asv_simd", simd::activeName());

@@ -33,8 +33,10 @@
 #                              aggregate-row, fused cost-row,
 #                              conv-GEMM and deconv SIMD sweeps, the
 #                              per-ISA Fig. 11 / Fig. 13 wall-time
-#                              datapoints, plus the end-to-end
-#                              BM_Sgm/{256,512,1024} datapoints;
+#                              datapoints, the end-to-end
+#                              BM_Sgm/{256,512,1024} datapoints, plus
+#                              block matching (full and guided) and
+#                              the per-ISA ISM propagation;
 #                              datapoints absent from the committed
 #                              baseline are reported as new and
 #                              skipped, so the gate degrades
@@ -85,7 +87,7 @@ else
     OUT="${1:-BENCH_kernels.json}"
 fi
 THRESHOLD="${ASV_BENCH_CHECK_THRESHOLD:-1.5}"
-KERNELS="${ASV_BENCH_CHECK_KERNELS:-^BM_Census/|^BM_AggregateRow/|^BM_FusedCostRow/|^BM_ConvGemm/|^BM_Deconv/|^BM_Fig11|^BM_Fig13|^BM_Sgm/(256|512|1024)}"
+KERNELS="${ASV_BENCH_CHECK_KERNELS:-^BM_Census/|^BM_AggregateRow/|^BM_FusedCostRow/|^BM_ConvGemm/|^BM_Deconv/|^BM_Fig11|^BM_Fig13|^BM_Sgm/(256|512|1024)|^BM_BlockMatching|^BM_IsmPropagate}"
 
 if [[ $RUN -eq 1 ]]; then
 

@@ -20,7 +20,7 @@
  *  - **Typed shelves, exact-shape keys.** The pool recycles
  *    `std::vector<T>` storage for a closed list of element types
  *    (float, double, uint8_t, uint16_t, uint32_t, uint64_t,
- *    const float *).
+ *    const float *, const double *).
  *    A shelf maps element count -> stack of idle buffers. Acquire
  *    with a count that has no idle buffer is a *miss* (a fresh
  *    vector is allocated); a shape mismatch never reuses or resizes
@@ -156,7 +156,7 @@ class PoolState
     Mutex mutex_;
     std::tuple<Shelf<float>, Shelf<double>, Shelf<uint8_t>,
                Shelf<uint16_t>, Shelf<uint32_t>, Shelf<uint64_t>,
-               Shelf<const float *>>
+               Shelf<const float *>, Shelf<const double *>>
         shelves_ ASV_GUARDED_BY(mutex_);
     bool closed_ ASV_GUARDED_BY(mutex_) = false;
     uint64_t hits_ ASV_GUARDED_BY(mutex_) = 0;

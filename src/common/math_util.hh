@@ -35,6 +35,22 @@ clamp(T v, T lo, T hi)
     return std::min(std::max(v, lo), hi);
 }
 
+/**
+ * int(std::lround(v)) — round half away from zero — without the libm
+ * call on the hot path: for |v| < 2^31, truncate and round the
+ * remainder, which v - trunc(v) holds exactly. Huge values and NaN
+ * take std::lround itself, so every input gives the same int.
+ */
+inline int
+roundToInt(float v)
+{
+    if (!(std::abs(v) < 2147483648.f))
+        return static_cast<int>(std::lround(v));
+    const int i = static_cast<int>(v);
+    const float frac = v - static_cast<float>(i);
+    return i + (frac >= 0.5f) - (frac <= -0.5f);
+}
+
 /** True if |a - b| <= atol + rtol * |b|. */
 inline bool
 approxEqual(double a, double b, double atol = 1e-9, double rtol = 1e-6)

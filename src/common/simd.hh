@@ -29,9 +29,9 @@
  * Bit-identity contract: every level produces results bit-identical
  * to the scalar reference. The census kernel is pure
  * integer/predicate arithmetic, so this is automatic; the SAD kernel
- * vectorizes across *candidates* (one disparity per lane) so each
- * lane performs the exact double-precision accumulation sequence of
- * the scalar loop; the aggregation kernel's saturating uint16 lane
+ * (SadBlockFn) puts one *pixel* in each lane and keeps each lane's
+ * double-precision accumulation in the scalar loop's order, so it is
+ * exact floating point; the aggregation kernel's saturating uint16 lane
  * arithmetic provably reproduces the scalar clamped-uint32 order
  * (see AggregateRowFn); the fused pixel-major cost row (CostRowFn,
  * feeding the streaming SGM without a resident volume) is again pure
@@ -79,24 +79,29 @@ using CensusRowFn = void (*)(const float *const *rows, int radius,
                              int x0, int x1, uint64_t *out);
 
 /**
- * SAD over a span of disparity candidates at one pixel.
+ * SAD of a block of pixels against a window of disparity candidates —
+ * the block-matching search. Pixels sit in the vector lanes.
  *
- * @p lrows / @p rrows hold the 2*radius+1 y-clamped row base pointers
- * of the left/right image. For each candidate j in [0, n), with
- * d = d0 + j, writes
+ * @p lrows / @p rrows hold the 2*radius+1 row pointers of the
+ * left/right image around the center row (index t is dy = t - radius),
+ * already widened to double. For pixel i in [0, n) at x = x0 + i and
+ * candidate j in [0, nd) at d = d0 + j, writes
  *
- *   cost[j] = sum over (t, dx) of
- *             |double(lrows[t][x+dx]) - rrows[t][x+dx-d]|
+ *   cost[j * n + i] = sum over t ascending, then dx ascending, of
+ *                     |lrows[t][x + dx] - rrows[t][x + dx - d]|
  *
- * accumulated in double precision in (t, dx ascending) order — the
- * exact operation sequence of the scalar SAD loop, so every lane is
- * bit-identical to it. The caller guarantees all taps are in bounds:
- * x-radius >= 0, x+radius < width, x-(d0+n-1)-radius >= 0 and
- * x-d0+radius < width.
+ * in double precision: one IEEE subtract, abs and add per tap, in the
+ * scalar loop's order. Widening a float is exact, so every (pixel,
+ * candidate) sum equals the per-pixel float SAD loop bit for bit at
+ * every level; the vector bodies keep one accumulator per lane and
+ * never reassociate. The caller guarantees every tap it reads is
+ * addressable: the block matcher edge-replicates each row, which
+ * also reproduces image::Image::atClamped at the borders.
  */
-using SadSpanFn = void (*)(const float *const *lrows,
-                           const float *const *rrows, int radius,
-                           int x, int d0, int n, double *cost);
+using SadBlockFn = void (*)(const double *const *lrows,
+                            const double *const *rrows, int radius,
+                            int x0, int n, int d0, int nd,
+                            double *cost);
 
 /**
  * One pixel of the semi-global aggregation recurrence across all
@@ -237,7 +242,7 @@ struct Kernels
     const char *name;     //!< "scalar" / "sse42" / "avx2" / "neon"
     Level level;          //!< ISA this table was compiled for
     CensusRowFn censusRow;
-    SadSpanFn sadSpan;
+    SadBlockFn sadBlock;
     AggregateRowFn aggregateRow;
     CostRowFn costRow;
     GemmRowFn gemmRow;

@@ -2,7 +2,8 @@
  * @file
  * AVX2 kernel table: 8-wide census bit-packing, popcount-by-nibble
  * (PSHUFB lookup + SAD reduction) Hamming cost rows over 4x64-bit
- * lanes, 8-wide (two 4-lane double accumulators) SAD spans, 16-lane
+ * lanes, 8-pixel (two 4-lane double accumulators per candidate, two
+ * candidates interleaved) SAD blocks, 16-lane
  * saturating-uint16 SGM aggregation rows, the 8-lane FMA f32
  * GEMM row + bias/ReLU epilogue for the DNN path (bit-identical to
  * the scalar std::fmaf reference when built with FMA), and the
@@ -67,63 +68,115 @@ censusRowAvx2(const float *const *rows, int radius, int x0, int x1,
     censusRowRef(rows, radius, x, x1, out);
 }
 
-void
-sadSpanAvx2(const float *const *lrows, const float *const *rrows,
-            int radius, int x, int d0, int n, double *cost)
+/**
+ * One tile of the SAD block: B 4-lane pixel blocks (pixels x ..
+ * x+4B-1) against the C candidates d .. d+C-1, in B*C independent
+ * accumulators that share each left-image load. Lane k of a block
+ * holds one pixel; its right tap for a candidate sits that many
+ * columns left of its left tap, so every load is a plain unaligned
+ * load and each lane folds |l - r| (abs by clearing the sign bit)
+ * over t, then dx, ascending — the scalar order. With Tail, the last
+ * block's lanes outside @p mask neither load nor store.
+ */
+template <int B, int C, bool Tail>
+inline void
+sadTile(const double *const *lrows, const double *const *rrows,
+        int radius, int x, int d, __m256i mask, double *cost,
+        size_t stride)
 {
-    const int taps = 2 * radius + 1;
     const __m256d sign = _mm256_set1_pd(-0.0);
+    const auto load = [&](const double *p, int b) {
+        return Tail && b == B - 1 ? _mm256_maskload_pd(p, mask)
+                                  : _mm256_loadu_pd(p);
+    };
+    __m256d acc[B][C];
+    for (int b = 0; b < B; ++b)
+        for (int c = 0; c < C; ++c)
+            acc[b][c] = _mm256_setzero_pd();
+    for (int t = 0; t <= 2 * radius; ++t) {
+        const double *l = lrows[t] + x;
+        const double *r = rrows[t] + x - d;
+        for (int dx = -radius; dx <= radius; ++dx) {
+            for (int b = 0; b < B; ++b) {
+                const __m256d lv = load(l + dx + 4 * b, b);
+                for (int c = 0; c < C; ++c) {
+                    const __m256d diff = _mm256_sub_pd(
+                        lv, load(r + dx + 4 * b - c, b));
+                    acc[b][c] = _mm256_add_pd(
+                        acc[b][c], _mm256_andnot_pd(sign, diff));
+                }
+            }
+        }
+    }
+    for (int b = 0; b < B; ++b) {
+        for (int c = 0; c < C; ++c) {
+            double *o = cost + size_t(c) * stride + size_t(4 * b);
+            if (Tail && b == B - 1)
+                _mm256_maskstore_pd(o, mask, acc[b][c]);
+            else
+                _mm256_storeu_pd(o, acc[b][c]);
+        }
+    }
+}
+
+/**
+ * All @p nd candidates for B pixel blocks at x, four accumulators at
+ * a time (two candidates for two blocks, four for one).
+ */
+template <int B, bool Tail>
+inline void
+sadSweep(const double *const *lrows, const double *const *rrows,
+         int radius, int x, int d0, int nd, __m256i mask, double *cost,
+         size_t stride)
+{
+    constexpr int C = 4 / B;
     int j = 0;
-    // 8 candidates per iteration in two 4-lane double accumulators.
-    // Lane k of block m holds candidate d0+j+4m+k; right-image
-    // addresses decrease with the candidate, so load ascending and
-    // reverse before widening to double.
-    for (; j + 8 <= n; j += 8) {
-        const int d = d0 + j;
-        __m256d acc0 = _mm256_setzero_pd();
-        __m256d acc1 = _mm256_setzero_pd();
-        for (int t = 0; t < taps; ++t) {
-            const float *l = lrows[t];
-            const float *r = rrows[t];
-            for (int dx = -radius; dx <= radius; ++dx) {
-                const __m256d lv = _mm256_set1_pd(double(l[x + dx]));
-                const float *rp = r + x + dx - d;
-                __m128 r0 = _mm_loadu_ps(rp - 3);
-                __m128 r1 = _mm_loadu_ps(rp - 7);
-                r0 = _mm_shuffle_ps(r0, r0, _MM_SHUFFLE(0, 1, 2, 3));
-                r1 = _mm_shuffle_ps(r1, r1, _MM_SHUFFLE(0, 1, 2, 3));
-                const __m256d d0v =
-                    _mm256_sub_pd(lv, _mm256_cvtps_pd(r0));
-                const __m256d d1v =
-                    _mm256_sub_pd(lv, _mm256_cvtps_pd(r1));
-                acc0 = _mm256_add_pd(acc0,
-                                     _mm256_andnot_pd(sign, d0v));
-                acc1 = _mm256_add_pd(acc1,
-                                     _mm256_andnot_pd(sign, d1v));
-            }
-        }
-        _mm256_storeu_pd(cost + j, acc0);
-        _mm256_storeu_pd(cost + j + 4, acc1);
+    for (; j + C <= nd; j += C)
+        sadTile<B, C, Tail>(lrows, rrows, radius, x, d0 + j, mask,
+                            cost + size_t(j) * stride, stride);
+    double *rest = cost + size_t(j) * stride;
+    switch (nd - j) {
+    case 1:
+        sadTile<B, 1, Tail>(lrows, rrows, radius, x, d0 + j, mask, rest,
+                            stride);
+        break;
+    case 2:
+        sadTile<B, 2, Tail>(lrows, rrows, radius, x, d0 + j, mask, rest,
+                            stride);
+        break;
+    case 3:
+        sadTile<B, 3, Tail>(lrows, rrows, radius, x, d0 + j, mask, rest,
+                            stride);
+        break;
+    default:
+        break;
     }
-    for (; j + 4 <= n; j += 4) {
-        const int d = d0 + j;
-        __m256d acc = _mm256_setzero_pd();
-        for (int t = 0; t < taps; ++t) {
-            const float *l = lrows[t];
-            const float *r = rrows[t];
-            for (int dx = -radius; dx <= radius; ++dx) {
-                const __m256d lv = _mm256_set1_pd(double(l[x + dx]));
-                __m128 rf = _mm_loadu_ps(r + x + dx - d - 3);
-                rf = _mm_shuffle_ps(rf, rf, _MM_SHUFFLE(0, 1, 2, 3));
-                const __m256d diff =
-                    _mm256_sub_pd(lv, _mm256_cvtps_pd(rf));
-                acc = _mm256_add_pd(acc,
-                                    _mm256_andnot_pd(sign, diff));
-            }
-        }
-        _mm256_storeu_pd(cost + j, acc);
-    }
-    sadSpanRef(lrows, rrows, radius, x, d0, j, n - j, cost);
+}
+
+void
+sadBlockAvx2(const double *const *lrows, const double *const *rrows,
+             int radius, int x0, int n, int d0, int nd, double *cost)
+{
+    const size_t stride = size_t(n);
+    // 8 pixels at a time, then the 1-7 left over as one or two blocks
+    // whose last is lane-masked — no scalar tail.
+    int i = 0;
+    const __m256i all = _mm256_set1_epi64x(-1);
+    for (; i + 8 <= n; i += 8)
+        sadSweep<2, false>(lrows, rrows, radius, x0 + i, d0, nd, all,
+                           cost + i, stride);
+    const int rest = n - i;
+    const __m256i mask = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(rest % 4), _mm256_setr_epi64x(0, 1, 2, 3));
+    if (rest > 4)
+        sadSweep<2, true>(lrows, rrows, radius, x0 + i, d0, nd, mask,
+                          cost + i, stride);
+    else if (rest == 4)
+        sadSweep<1, false>(lrows, rrows, radius, x0 + i, d0, nd, all,
+                           cost + i, stride);
+    else if (rest > 0)
+        sadSweep<1, true>(lrows, rrows, radius, x0 + i, d0, nd, mask,
+                          cost + i, stride);
 }
 
 uint16_t
@@ -421,7 +474,7 @@ sepRowF64Avx2(const float *const *rows, const double *k, int ntaps,
 
 constexpr Kernels kAvx2Kernels = {
     "avx2",            Level::Avx2,       censusRowAvx2,
-    sadSpanAvx2,       aggregateRowAvx2,  costRowAvx2,
+    sadBlockAvx2,      aggregateRowAvx2,  costRowAvx2,
     gemmRowAvx2,       biasReluRowAvx2,   sepRowF32Avx2,
     sepRowF64Avx2,     kAvx2GemmFused,
 };

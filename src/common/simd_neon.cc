@@ -2,7 +2,8 @@
  * @file
  * NEON (aarch64 Advanced SIMD) kernel table: 4-wide census
  * bit-packing (vcltq_f32 masks shifted in MSB-first), vcntq_u8 +
- * pairwise-widening Hamming cost rows, 2-lane float64x2_t SAD spans,
+ * pairwise-widening Hamming cost rows, 4-pixel (two float64x2_t
+ * blocks) SAD blocks,
  * 8-lane saturating-uint16 SGM aggregation rows (vminvq_u16
  * horizontal min), the 4-lane FMLA f32 GEMM row + bias/ReLU
  * epilogue for the DNN path (FMLA is fused, so gemmRow is
@@ -68,33 +69,111 @@ censusRowNeon(const float *const *rows, int radius, int x0, int x1,
     censusRowRef(rows, radius, x, x1, out);
 }
 
-void
-sadSpanNeon(const float *const *lrows, const float *const *rrows,
-            int radius, int x, int d0, int n, double *cost)
+/**
+ * One tile of the SAD block: B 2-lane pixel blocks (pixels x ..
+ * x+2B-1) against the C candidates d .. d+C-1, in B*C independent
+ * accumulators that share each left-image load; lane k of a block
+ * holds one pixel and folds |l - r| (FSUB then FABS, never FABD)
+ * over t, then dx, ascending (see the AVX2 tile). With Half, the last
+ * block holds one pixel: its upper lane loads zero and is never
+ * stored.
+ */
+template <int B, int C, bool Half>
+inline void
+sadTile(const double *const *lrows, const double *const *rrows,
+        int radius, int x, int d, double *cost, size_t stride)
 {
-    const int taps = 2 * radius + 1;
-    int j = 0;
-    // Two candidates per 128-bit double lane pair. Lane k holds
-    // candidate d0+j+k; for a fixed tap the right-image addresses
-    // decrease with the candidate, so load ascending and reverse.
-    for (; j + 2 <= n; j += 2) {
-        const int d = d0 + j;
-        float64x2_t acc = vdupq_n_f64(0.0);
-        for (int t = 0; t < taps; ++t) {
-            const float *l = lrows[t];
-            const float *r = rrows[t];
-            for (int dx = -radius; dx <= radius; ++dx) {
-                const float64x2_t lv =
-                    vdupq_n_f64(double(l[x + dx]));
-                const float32x2_t rf =
-                    vrev64_f32(vld1_f32(r + x + dx - d - 1));
-                const float64x2_t rv = vcvt_f64_f32(rf);
-                acc = vaddq_f64(acc, vabsq_f64(vsubq_f64(lv, rv)));
+    const auto load = [](const double *p, int b) {
+        return Half && b == B - 1
+                   ? vcombine_f64(vld1_f64(p), vdup_n_f64(0.0))
+                   : vld1q_f64(p);
+    };
+    float64x2_t acc[B][C];
+    for (int b = 0; b < B; ++b)
+        for (int c = 0; c < C; ++c)
+            acc[b][c] = vdupq_n_f64(0.0);
+    for (int t = 0; t <= 2 * radius; ++t) {
+        const double *l = lrows[t] + x;
+        const double *r = rrows[t] + x - d;
+        for (int dx = -radius; dx <= radius; ++dx) {
+            for (int b = 0; b < B; ++b) {
+                const float64x2_t lv = load(l + dx + 2 * b, b);
+                for (int c = 0; c < C; ++c) {
+                    const float64x2_t diff =
+                        vsubq_f64(lv, load(r + dx + 2 * b - c, b));
+                    acc[b][c] = vaddq_f64(acc[b][c], vabsq_f64(diff));
+                }
             }
         }
-        vst1q_f64(cost + j, acc);
     }
-    sadSpanRef(lrows, rrows, radius, x, d0, j, n - j, cost);
+    for (int b = 0; b < B; ++b) {
+        for (int c = 0; c < C; ++c) {
+            double *o = cost + size_t(c) * stride + size_t(2 * b);
+            if (Half && b == B - 1)
+                vst1_f64(o, vget_low_f64(acc[b][c]));
+            else
+                vst1q_f64(o, acc[b][c]);
+        }
+    }
+}
+
+/**
+ * All @p nd candidates for B pixel blocks at x, four accumulators at
+ * a time (two candidates for two blocks, four for one).
+ */
+template <int B, bool Half>
+inline void
+sadSweep(const double *const *lrows, const double *const *rrows,
+         int radius, int x, int d0, int nd, double *cost, size_t stride)
+{
+    constexpr int C = 4 / B;
+    int j = 0;
+    for (; j + C <= nd; j += C)
+        sadTile<B, C, Half>(lrows, rrows, radius, x, d0 + j,
+                            cost + size_t(j) * stride, stride);
+    double *rest = cost + size_t(j) * stride;
+    switch (nd - j) {
+    case 1:
+        sadTile<B, 1, Half>(lrows, rrows, radius, x, d0 + j, rest, stride);
+        break;
+    case 2:
+        sadTile<B, 2, Half>(lrows, rrows, radius, x, d0 + j, rest, stride);
+        break;
+    case 3:
+        sadTile<B, 3, Half>(lrows, rrows, radius, x, d0 + j, rest, stride);
+        break;
+    default:
+        break;
+    }
+}
+
+void
+sadBlockNeon(const double *const *lrows, const double *const *rrows,
+             int radius, int x0, int n, int d0, int nd, double *cost)
+{
+    const size_t stride = size_t(n);
+    // 4 pixels at a time, then the 1-3 left over as one or two
+    // blocks whose last may hold one pixel — no scalar tail.
+    int i = 0;
+    for (; i + 4 <= n; i += 4)
+        sadSweep<2, false>(lrows, rrows, radius, x0 + i, d0, nd, cost + i,
+                           stride);
+    switch (n - i) {
+    case 3:
+        sadSweep<2, true>(lrows, rrows, radius, x0 + i, d0, nd, cost + i,
+                          stride);
+        break;
+    case 2:
+        sadSweep<1, false>(lrows, rrows, radius, x0 + i, d0, nd, cost + i,
+                           stride);
+        break;
+    case 1:
+        sadSweep<1, true>(lrows, rrows, radius, x0 + i, d0, nd, cost + i,
+                          stride);
+        break;
+    default:
+        break;
+    }
 }
 
 uint16_t
@@ -292,7 +371,7 @@ sepRowF64Neon(const float *const *rows, const double *k, int ntaps,
 
 constexpr Kernels kNeonKernels = {
     "neon",            Level::Neon,       censusRowNeon,
-    sadSpanNeon,       aggregateRowNeon,  costRowNeon,
+    sadBlockNeon,      aggregateRowNeon,  costRowNeon,
     gemmRowNeon,       biasReluRowNeon,   sepRowF32Neon,
     sepRowF64Neon,     /*fusedF32=*/true,
 };

@@ -3,11 +3,13 @@
  * Shared scalar reference loops for the SIMD kernel table.
  *
  * One definition of the census bit-pack, the fused census->Hamming
- * pixel-major cost row, SAD accumulation, semi-global aggregation,
+ * pixel-major cost row, SAD block, semi-global aggregation,
  * f32 GEMM row, bias+ReLU epilogue, and separable filter row
  * semantics, included by
  * every per-ISA translation unit: the scalar table uses them as its
- * kernels, and the vector tables use them for sub-vector tails.
+ * kernels, and the vector tables use them for sub-vector tails (the
+ * SAD block's vector bodies mask their tail lanes instead, so only
+ * the scalar table runs sadBlockRef).
  * Keeping a single copy means a future change to the encoding or
  * accumulation order cannot silently diverge between the scalar
  * baseline and a tail path — the exact breakage the bit-identity
@@ -59,25 +61,24 @@ censusRowRef(const float *const *rows, int radius, int x0, int x1,
     }
 }
 
-/**
- * SAD of candidates [j0, j0 + count) of a span; see SadSpanFn. The
- * vector tables call this with j0 > 0 for the sub-vector tail.
- */
+/** SAD block of n pixels against nd candidates; see SadBlockFn. */
 inline void
-sadSpanRef(const float *const *lrows, const float *const *rrows,
-           int radius, int x, int d0, int j0, int count, double *cost)
+sadBlockRef(const double *const *lrows, const double *const *rrows,
+            int radius, int x0, int n, int d0, int nd, double *cost)
 {
-    const int taps = 2 * radius + 1;
-    for (int j = j0; j < j0 + count; ++j) {
+    for (int j = 0; j < nd; ++j) {
         const int d = d0 + j;
-        double s = 0.0;
-        for (int t = 0; t < taps; ++t) {
-            const float *l = lrows[t];
-            const float *r = rrows[t];
-            for (int dx = -radius; dx <= radius; ++dx)
-                s += std::abs(double(l[x + dx]) - r[x + dx - d]);
+        for (int i = 0; i < n; ++i) {
+            const int x = x0 + i;
+            double s = 0.0;
+            for (int t = 0; t <= 2 * radius; ++t) {
+                const double *l = lrows[t];
+                const double *r = rrows[t];
+                for (int dx = -radius; dx <= radius; ++dx)
+                    s += std::abs(l[x + dx] - r[x + dx - d]);
+            }
+            cost[size_t(j) * size_t(n) + size_t(i)] = s;
         }
-        cost[j] = s;
     }
 }
 

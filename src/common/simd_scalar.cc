@@ -25,10 +25,10 @@ censusRowScalar(const float *const *rows, int radius, int x0, int x1,
 }
 
 void
-sadSpanScalar(const float *const *lrows, const float *const *rrows,
-              int radius, int x, int d0, int n, double *cost)
+sadBlockScalar(const double *const *lrows, const double *const *rrows,
+               int radius, int x0, int n, int d0, int nd, double *cost)
 {
-    sadSpanRef(lrows, rrows, radius, x, d0, 0, n, cost);
+    sadBlockRef(lrows, rrows, radius, x0, n, d0, nd, cost);
 }
 
 uint16_t
@@ -76,7 +76,7 @@ sepRowF64Scalar(const float *const *rows, const double *k, int ntaps,
 
 constexpr Kernels kScalarKernels = {
     "scalar",          Level::Scalar,     censusRowScalar,
-    sadSpanScalar,     aggregateRowScalar, costRowScalar,
+    sadBlockScalar,    aggregateRowScalar, costRowScalar,
     gemmRowScalar,     biasReluRowScalar, sepRowF32Scalar,
     sepRowF64Scalar,   /*fusedF32=*/true,
 };

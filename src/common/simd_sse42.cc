@@ -1,8 +1,8 @@
 /**
  * @file
  * SSE4.2 kernel table: 4-wide census bit-packing, hardware-POPCNT
- * Hamming cost rows, 2-lane double SAD spans, 8-lane saturating-uint16
- * SGM aggregation rows (PHMINPOSUW horizontal min), the 4-lane
+ * Hamming cost rows, 4-pixel (two 2-lane double blocks) SAD blocks,
+ * 8-lane saturating-uint16 SGM aggregation rows (PHMINPOSUW horizontal min), the 4-lane
  * f32 GEMM row + bias/ReLU epilogue for the DNN path, and 8-wide
  * separable filter rows (four 2-lane double accumulators). SSE4.2
  * has no FMA, so gemmRow is the table's one tolerance-tested kernel
@@ -66,36 +66,110 @@ censusRowSse42(const float *const *rows, int radius, int x0, int x1,
     censusRowRef(rows, radius, x, x1, out);
 }
 
-void
-sadSpanSse42(const float *const *lrows, const float *const *rrows,
-             int radius, int x, int d0, int n, double *cost)
+/**
+ * One tile of the SAD block: B 2-lane pixel blocks (pixels x ..
+ * x+2B-1) against the C candidates d .. d+C-1, in B*C independent
+ * accumulators that share each left-image load; lane k of a block
+ * holds one pixel and folds |l - r| over t, then dx, ascending (see
+ * the AVX2 tile). With Half, the last block holds one pixel: its
+ * upper lane loads zero (MOVSD) and is never stored.
+ */
+template <int B, int C, bool Half>
+inline void
+sadTile(const double *const *lrows, const double *const *rrows,
+        int radius, int x, int d, double *cost, size_t stride)
 {
-    const int taps = 2 * radius + 1;
     const __m128d sign = _mm_set1_pd(-0.0);
-    int j = 0;
-    // Two candidates per 128-bit double lane pair. Lane k holds
-    // candidate d0+j+k; for a fixed tap the right-image addresses
-    // decrease with the candidate, so load ascending and reverse.
-    for (; j + 2 <= n; j += 2) {
-        const int d = d0 + j;
-        __m128d acc = _mm_setzero_pd();
-        for (int t = 0; t < taps; ++t) {
-            const float *l = lrows[t];
-            const float *r = rrows[t];
-            for (int dx = -radius; dx <= radius; ++dx) {
-                const __m128d lv = _mm_set1_pd(double(l[x + dx]));
-                const float *rp = r + x + dx - d - 1;
-                __m128 rf = _mm_castsi128_ps(_mm_loadl_epi64(
-                    reinterpret_cast<const __m128i *>(rp)));
-                rf = _mm_shuffle_ps(rf, rf, _MM_SHUFFLE(3, 2, 0, 1));
-                const __m128d rv = _mm_cvtps_pd(rf);
-                const __m128d diff = _mm_sub_pd(lv, rv);
-                acc = _mm_add_pd(acc, _mm_andnot_pd(sign, diff));
+    const auto load = [](const double *p, int b) {
+        return Half && b == B - 1 ? _mm_load_sd(p) : _mm_loadu_pd(p);
+    };
+    __m128d acc[B][C];
+    for (int b = 0; b < B; ++b)
+        for (int c = 0; c < C; ++c)
+            acc[b][c] = _mm_setzero_pd();
+    for (int t = 0; t <= 2 * radius; ++t) {
+        const double *l = lrows[t] + x;
+        const double *r = rrows[t] + x - d;
+        for (int dx = -radius; dx <= radius; ++dx) {
+            for (int b = 0; b < B; ++b) {
+                const __m128d lv = load(l + dx + 2 * b, b);
+                for (int c = 0; c < C; ++c) {
+                    const __m128d diff =
+                        _mm_sub_pd(lv, load(r + dx + 2 * b - c, b));
+                    acc[b][c] = _mm_add_pd(acc[b][c],
+                                           _mm_andnot_pd(sign, diff));
+                }
             }
         }
-        _mm_storeu_pd(cost + j, acc);
     }
-    sadSpanRef(lrows, rrows, radius, x, d0, j, n - j, cost);
+    for (int b = 0; b < B; ++b) {
+        for (int c = 0; c < C; ++c) {
+            double *o = cost + size_t(c) * stride + size_t(2 * b);
+            if (Half && b == B - 1)
+                _mm_store_sd(o, acc[b][c]);
+            else
+                _mm_storeu_pd(o, acc[b][c]);
+        }
+    }
+}
+
+/**
+ * All @p nd candidates for B pixel blocks at x, four accumulators at
+ * a time (two candidates for two blocks, four for one).
+ */
+template <int B, bool Half>
+inline void
+sadSweep(const double *const *lrows, const double *const *rrows,
+         int radius, int x, int d0, int nd, double *cost, size_t stride)
+{
+    constexpr int C = 4 / B;
+    int j = 0;
+    for (; j + C <= nd; j += C)
+        sadTile<B, C, Half>(lrows, rrows, radius, x, d0 + j,
+                            cost + size_t(j) * stride, stride);
+    double *rest = cost + size_t(j) * stride;
+    switch (nd - j) {
+    case 1:
+        sadTile<B, 1, Half>(lrows, rrows, radius, x, d0 + j, rest, stride);
+        break;
+    case 2:
+        sadTile<B, 2, Half>(lrows, rrows, radius, x, d0 + j, rest, stride);
+        break;
+    case 3:
+        sadTile<B, 3, Half>(lrows, rrows, radius, x, d0 + j, rest, stride);
+        break;
+    default:
+        break;
+    }
+}
+
+void
+sadBlockSse42(const double *const *lrows, const double *const *rrows,
+              int radius, int x0, int n, int d0, int nd, double *cost)
+{
+    const size_t stride = size_t(n);
+    // 4 pixels at a time, then the 1-3 left over as one or two
+    // blocks whose last may hold one pixel — no scalar tail.
+    int i = 0;
+    for (; i + 4 <= n; i += 4)
+        sadSweep<2, false>(lrows, rrows, radius, x0 + i, d0, nd, cost + i,
+                           stride);
+    switch (n - i) {
+    case 3:
+        sadSweep<2, true>(lrows, rrows, radius, x0 + i, d0, nd, cost + i,
+                          stride);
+        break;
+    case 2:
+        sadSweep<1, false>(lrows, rrows, radius, x0 + i, d0, nd, cost + i,
+                           stride);
+        break;
+    case 1:
+        sadSweep<1, true>(lrows, rrows, radius, x0 + i, d0, nd, cost + i,
+                          stride);
+        break;
+    default:
+        break;
+    }
 }
 
 uint16_t
@@ -314,7 +388,7 @@ sepRowF64Sse42(const float *const *rows, const double *k, int ntaps,
 
 constexpr Kernels kSse42Kernels = {
     "sse42",           Level::Sse42,      censusRowSse42,
-    sadSpanSse42,      aggregateRowSse42, costRowSse42,
+    sadBlockSse42,     aggregateRowSse42, costRowSse42,
     gemmRowSse42,      biasReluRowSse42,  sepRowF32Sse42,
     sepRowF64Sse42,    /*fusedF32=*/false,
 };

@@ -1,6 +1,8 @@
 #include "core/ism.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -101,71 +103,111 @@ ismFlow(const image::Image &from, const image::Image &to,
 }
 
 stereo::DisparityMap
+ismSeed(const stereo::DisparityMap &prev_disparity,
+        const flow::FlowField &flow_l, const flow::FlowField &flow_r,
+        const IsmParams &p, const ExecContext &ctx)
+{
+    const int w = prev_disparity.width(), h = prev_disparity.height();
+    panic_if(flow_l.width() != w || flow_l.height() != h ||
+                 flow_r.width() != w || flow_r.height() != h,
+             "flow field size mismatch");
+    const size_t pixels = size_t(w) * size_t(h);
+    constexpr uint32_t kNoTarget = ~uint32_t(0);
+
+    // Step 2 + 3, phase 1, row-parallel: reconstruct each source
+    // pixel's correspondence pair, move both endpoints, and record
+    // where its disparity lands (or that it lands nowhere). The seed
+    // map's rows are cleared in the same pass.
+    stereo::DisparityMap init =
+        image::acquireImageUninit(ctx.buffers(), w, h);
+    auto target = ctx.buffers().acquire<uint32_t>(pixels);
+    auto moved = ctx.buffers().acquire<float>(pixels);
+    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
+        for (int y = int(y0); y < int(y1); ++y) {
+            const size_t row = size_t(y) * size_t(w);
+            std::fill(init.data() + row, init.data() + row + w,
+                      stereo::kInvalidDisparity);
+            // Rectified pairs stay on the same row, so the right
+            // endpoint's motion is sampled at row y (its y axis is
+            // shared by the whole row) and only along x.
+            const image::BilinearAxis ay =
+                image::BilinearAxis::at(float(y), h);
+            const float *prev = prev_disparity.data() + row;
+            const float *ul = flow_l.u.data() + row;
+            const float *vl = flow_l.v.data() + row;
+            for (int x = 0; x < w; ++x) {
+                target[row + x] = kNoTarget;
+                const float d = prev[x];
+                if (!stereo::isValidDisparity(d))
+                    continue;
+                const float xr = float(x) - d;
+                if (xr < 0)
+                    continue;
+
+                const float xl1 = x + ul[x];
+                const float yl1 = y + vl[x];
+                const float xr1 =
+                    xr + image::BilinearSample(
+                             w, image::BilinearAxis::at(xr, w), ay)
+                             .apply(flow_r.u);
+
+                const float d1 = xl1 - xr1;
+                const int tx = roundToInt(xl1);
+                const int ty = roundToInt(yl1);
+                if (tx < 0 || tx >= w || ty < 0 || ty >= h)
+                    continue;
+                if (d1 < 0 || d1 > float(p.maxDisparity))
+                    continue;
+                target[row + x] =
+                    uint32_t(ty) * uint32_t(w) + uint32_t(tx);
+                moved[row + x] = d1;
+            }
+        }
+    });
+
+    // Phase 2, serial in source order: the nearest surface wins a
+    // collision (occlusion), and equal disparities keep the first.
+    float *seed = init.data();
+    for (size_t i = 0; i < pixels; ++i) {
+        const uint32_t t = target[i];
+        if (t != kNoTarget &&
+            (!stereo::isValidDisparity(seed[t]) || moved[i] > seed[t]))
+            seed[t] = moved[i];
+    }
+
+    // Fill scatter holes from row neighbors so that the guided
+    // search has a seed everywhere possible: rightward, then
+    // leftward for a row's leading run. Rows are independent.
+    ctx.parallelFor(0, h, [&](int64_t y0, int64_t y1) {
+        for (int y = int(y0); y < int(y1); ++y) {
+            float *row = seed + size_t(y) * size_t(w);
+            for (int x = 1; x < w; ++x) {
+                if (!stereo::isValidDisparity(row[x]) &&
+                    stereo::isValidDisparity(row[x - 1]))
+                    row[x] = row[x - 1];
+            }
+            for (int x = w - 2; x >= 0; --x) {
+                if (!stereo::isValidDisparity(row[x]) &&
+                    stereo::isValidDisparity(row[x + 1]))
+                    row[x] = row[x + 1];
+            }
+        }
+    });
+    return init;
+}
+
+stereo::DisparityMap
 ismPropagate(const image::Image &left, const image::Image &right,
              const stereo::DisparityMap &prev_disparity,
              const flow::FlowField &flow_l,
              const flow::FlowField &flow_r, const IsmParams &p,
              const ExecContext &ctx)
 {
-    const int w = left.width(), h = left.height();
-    panic_if(prev_disparity.width() != w ||
-                 prev_disparity.height() != h,
+    panic_if(prev_disparity.width() != left.width() ||
+                 prev_disparity.height() != left.height(),
              "previous disparity size mismatch");
-    panic_if(flow_l.width() != w || flow_l.height() != h ||
-                 flow_r.width() != w || flow_r.height() != h,
-             "flow field size mismatch");
-
-    // Step 2 + 3: reconstruct correspondence pairs from the previous
-    // disparity map and move both endpoints.
-    stereo::DisparityMap init =
-        image::acquireImageUninit(ctx.buffers(), w, h);
-    init.fill(stereo::kInvalidDisparity);
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            const float d = prev_disparity.at(x, y);
-            if (!stereo::isValidDisparity(d))
-                continue;
-            const float xr = float(x) - d;
-            if (xr < 0)
-                continue;
-
-            const float xl1 = x + flow_l.u.at(x, y);
-            const float yl1 = y + flow_l.v.at(x, y);
-            const float xr1 = xr + flow_r.u.sample(xr, float(y));
-            const float yr1 =
-                float(y) + flow_r.v.sample(xr, float(y));
-            (void)yr1; // rectified pairs stay on the same row
-
-            const float d1 = xl1 - xr1;
-            const int tx = int(std::lround(xl1));
-            const int ty = int(std::lround(yl1));
-            if (tx < 0 || tx >= w || ty < 0 || ty >= h)
-                continue;
-            if (d1 < 0 || d1 > float(p.maxDisparity))
-                continue;
-            // Nearest surface wins on collisions (occlusion).
-            if (!stereo::isValidDisparity(init.at(tx, ty)) ||
-                d1 > init.at(tx, ty)) {
-                init.at(tx, ty) = d1;
-            }
-        }
-    }
-
-    // Fill scatter holes from row neighbors so that the guided
-    // search has a seed everywhere possible.
-    for (int pass = 0; pass < 2; ++pass) {
-        for (int y = 0; y < h; ++y) {
-            for (int xi = 0; xi < w; ++xi) {
-                const int x = pass == 0 ? xi : w - 1 - xi;
-                if (stereo::isValidDisparity(init.at(x, y)))
-                    continue;
-                const int nx = pass == 0 ? x - 1 : x + 1;
-                if (nx >= 0 && nx < w &&
-                    stereo::isValidDisparity(init.at(nx, y)))
-                    init.at(x, y) = init.at(nx, y);
-            }
-        }
-    }
+    const stereo::DisparityMap init =
+        ismSeed(prev_disparity, flow_l, flow_r, p, ctx);
 
     // Step 4: refine around the propagated estimate with the guided
     // 1-D SAD search.

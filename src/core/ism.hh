@@ -103,12 +103,30 @@ flow::FlowField ismFlow(const image::Image &from,
                         const ExecContext &ctx);
 
 /**
- * Stages 2-4 of a non-key frame: reconstruct correspondence pairs
- * from the predecessor's disparity map, move both endpoints by the
- * per-camera flows, fill scatter holes from row neighbors, and
- * refine with the guided 1-D SAD search (plus the optional median).
- * This is the only part of a non-key frame that depends on the
- * predecessor's output.
+ * Stages 2-3 of a non-key frame: the seeds of the guided search.
+ * Reconstructs correspondence pairs from the predecessor's disparity
+ * map, moves both endpoints by the per-camera flows and scatters each
+ * moved disparity to its new left pixel (the nearest surface wins a
+ * collision; ties keep the first in raster order of the source
+ * pixels), then fills scatter holes from row neighbors. A pixel stays
+ * kInvalidDisparity only when its whole row received no seed. The
+ * per-pixel moves and the row fills fan out on @p ctx's pool; the
+ * collision pass runs in source order, so the map is bit-identical
+ * for any worker count.
+ *
+ * @param prev_disparity disparity of the previous frame; must match
+ *                       the flows' dimensions
+ */
+stereo::DisparityMap ismSeed(const stereo::DisparityMap &prev_disparity,
+                             const flow::FlowField &flow_l,
+                             const flow::FlowField &flow_r,
+                             const IsmParams &p, const ExecContext &ctx);
+
+/**
+ * Stages 2-4 of a non-key frame: ismSeed, then the guided 1-D SAD
+ * search around the seeds (plus the optional median). This is the
+ * only part of a non-key frame that depends on the predecessor's
+ * output.
  *
  * @param prev_disparity disparity of the previous frame; must be
  *                       non-empty and match the pair's dimensions

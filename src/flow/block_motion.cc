@@ -11,8 +11,9 @@ namespace asv::flow
 namespace
 {
 
+/** SAD of the size x size patches at (ax, ay) in a and (bx, by) in b. */
 double
-blockSad(const image::Image &a, const image::Image &b, int ax,
+patchSad(const image::Image &a, const image::Image &b, int ax,
          int ay, int bx, int by, int size)
 {
     double sad = 0;
@@ -44,7 +45,7 @@ blockMotion(const image::Image &frame0, const image::Image &frame1,
             int best_dx = 0, best_dy = 0;
             for (int dy = -r; dy <= r; ++dy) {
                 for (int dx = -r; dx <= r; ++dx) {
-                    const double sad = blockSad(
+                    const double sad = patchSad(
                         frame0, frame1, bx, by, bx + dx, by + dy,
                         bs);
                     if (sad < best) {

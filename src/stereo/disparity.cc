@@ -8,12 +8,6 @@
 namespace asv::stereo
 {
 
-bool
-isValidDisparity(float d)
-{
-    return d >= 0.f;
-}
-
 double
 badPixelRate(const DisparityMap &pred, const DisparityMap &gt,
              double threshold, int margin)

@@ -27,8 +27,16 @@ constexpr float kInvalidDisparity = -1.f;
  */
 using DisparityMap = image::Image;
 
-/** Per-pixel validity of a disparity map (value != invalid). */
-bool isValidDisparity(float d);
+/**
+ * Per-pixel validity of a disparity map (value != invalid). Inline:
+ * the propagation scatter, hole fill and guided search test every
+ * pixel.
+ */
+inline bool
+isValidDisparity(float d)
+{
+    return d >= 0.f;
+}
 
 /**
  * Fraction (in percent) of valid ground-truth pixels whose disparity

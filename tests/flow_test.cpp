@@ -11,7 +11,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <utility>
 
 #include "common/exec_context.hh"
@@ -23,6 +22,7 @@
 #include "flow/farneback.hh"
 #include "flow/flow_field.hh"
 #include "image/ops.hh"
+#include "hash_util.hh"
 
 namespace
 {
@@ -185,34 +185,19 @@ TEST(FlowCost, ScalesWithResolution)
                 0.4);
 }
 
-/** FNV-1a (64-bit) over the bit patterns of @p img, folded into @p h. */
-uint64_t
-fnv1a(uint64_t h, const image::Image &img)
-{
-    for (int64_t i = 0; i < img.size(); ++i) {
-        uint32_t bits;
-        std::memcpy(&bits, img.data() + i, sizeof(bits));
-        for (int b = 0; b < 4; ++b) {
-            h ^= (bits >> (8 * b)) & 0xffu;
-            h *= 0x100000001b3ull;
-        }
-    }
-    return h;
-}
-
 /** Hash of core::ismFlow's u/v for both cameras over @p seq. */
 uint64_t
 ismFlowClipHash(const data::StereoSequence &seq, const ExecContext &exec)
 {
     const core::IsmParams p;
-    uint64_t h = 0xcbf29ce484222325ull;
+    uint64_t h = testref::kFnvBasis;
     for (size_t t = 1; t < seq.frames.size(); ++t) {
         const data::StereoFrame &a = seq.frames[t - 1];
         const data::StereoFrame &b = seq.frames[t];
         for (const auto &[from, to] :
              {std::pair{&a.left, &b.left}, std::pair{&a.right, &b.right}}) {
             const FlowField f = core::ismFlow(*from, *to, p, exec);
-            h = fnv1a(fnv1a(h, f.u), f.v);
+            h = testref::fnv1a(testref::fnv1a(h, f.u), f.v);
         }
     }
     return h;

@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "common/exec_context.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 #include "core/ism.hh"
 #include "data/oracle.hh"
 #include "data/scene.hh"
 #include "fn_matcher.hh"
+#include "hash_util.hh"
 #include "stereo/disparity.hh"
 
 namespace
@@ -336,6 +340,131 @@ TEST(Ism, FastMotionDegradesGracefully)
     const double err = runIsm(seq, 3, oracle, 12);
     // Degrades (worse than slow scenes) but stays bounded.
     EXPECT_LT(err, 35.0);
+}
+
+/** One non-key step's inputs: the previous map and both flows. */
+struct PropagateStep
+{
+    const data::StereoFrame *frame;
+    stereo::DisparityMap prev;
+    flow::FlowField flowL, flowR;
+};
+
+/**
+ * The steps of the IsmFlowPin clip (320x240, seed 7): frame t-1's
+ * oracle DispNet map propagated to frame t by the real ismFlow.
+ * Computed once; the pins below rerun only the propagation.
+ */
+const std::vector<PropagateStep> &
+propagateClip()
+{
+    static const data::StereoSequence seq = [] {
+        data::SceneConfig cfg;
+        cfg.width = 320;
+        cfg.height = 240;
+        return data::generateSequence(cfg, 12, 7);
+    }();
+    static const std::vector<PropagateStep> steps = [] {
+        const IsmParams p;
+        const auto oracle = data::OracleModel::forNetwork("DispNet");
+        Rng rng(21);
+        ThreadPool pool(2);
+        BufferPool buffers;
+        const ExecContext ctx(pool, buffers);
+        std::vector<PropagateStep> out;
+        for (size_t t = 1; t < seq.frames.size(); ++t) {
+            const data::StereoFrame &a = seq.frames[t - 1];
+            const data::StereoFrame &b = seq.frames[t];
+            out.push_back({&b,
+                           data::oracleInference(a.gtDisparity, oracle,
+                                                 rng),
+                           ismFlow(a.left, b.left, p, ctx),
+                           ismFlow(a.right, b.right, p, ctx)});
+        }
+        return out;
+    }();
+    return steps;
+}
+
+TEST(IsmPropagatePin, ClipHashHoldsAtEverySimdLevelAndPoolSize)
+{
+    // Computed with the per-pixel, candidate-lane SAD search and the
+    // serial scatter and hole fill that preceded the pixel-lane
+    // kernel; a change of any output bit moves it.
+    constexpr uint64_t kPinned = 0x56c84da33383f940ull;
+
+    const IsmParams p;
+    const simd::Level saved = simd::activeLevel();
+    for (simd::Level level : {simd::Level::Scalar, simd::Level::Sse42,
+                              simd::Level::Avx2, simd::Level::Neon}) {
+        if (!simd::levelSupported(level))
+            continue;
+        simd::setLevel(level);
+        for (int workers : {1, 2, 4}) {
+            ThreadPool pool(workers);
+            BufferPool buffers;
+            const ExecContext ctx(pool, buffers);
+            uint64_t h = testref::kFnvBasis;
+            for (const PropagateStep &s : propagateClip())
+                h = testref::fnv1a(
+                    h, ismPropagate(s.frame->left, s.frame->right,
+                                    s.prev, s.flowL, s.flowR, p, ctx));
+            EXPECT_EQ(kPinned, h) << simd::levelName(level) << ", "
+                                  << workers << " workers";
+        }
+    }
+    simd::setLevel(saved);
+}
+
+/** Rows of @p seed that are neither wholly seeded nor wholly empty. */
+int
+partlySeededRows(const stereo::DisparityMap &seed)
+{
+    int rows = 0;
+    for (int y = 0; y < seed.height(); ++y) {
+        int valid = 0;
+        for (int x = 0; x < seed.width(); ++x)
+            valid += stereo::isValidDisparity(seed.at(x, y));
+        rows += valid != 0 && valid != seed.width();
+    }
+    return rows;
+}
+
+TEST(IsmSeed, HoleFillLeavesOnlyRowsWithoutAnySeed)
+{
+    // Still flow and a constant previous map with three blank rows:
+    // every other row is seeded end to end (its leading x < d run
+    // has no right endpoint and is filled from the right), and the
+    // blank rows stay blank.
+    const int w = 37, h = 11;
+    stereo::DisparityMap prev(w, h);
+    prev.fill(6.f);
+    for (int y = 3; y <= 5; ++y)
+        for (int x = 0; x < w; ++x)
+            prev.at(x, y) = stereo::kInvalidDisparity;
+    flow::FlowField still;
+    still.u = image::Image(w, h, 0.f);
+    still.v = image::Image(w, h, 0.f);
+    for (int workers : {1, 3}) {
+        ThreadPool pool(workers);
+        BufferPool buffers;
+        const stereo::DisparityMap seed = ismSeed(
+            prev, still, still, IsmParams{}, ExecContext(pool, buffers));
+        for (int y = 0; y < h; ++y)
+            for (int x = 0; x < w; ++x)
+                EXPECT_EQ(seed.at(x, y), y >= 3 && y <= 5
+                                             ? stereo::kInvalidDisparity
+                                             : 6.f)
+                    << x << "," << y << ", " << workers << " workers";
+    }
+
+    // On the pinned clip every row is wholly seeded or wholly empty.
+    ThreadPool pool(2);
+    BufferPool buffers;
+    const ExecContext ctx(pool, buffers);
+    for (const PropagateStep &s : propagateClip())
+        EXPECT_EQ(0, partlySeededRows(ismSeed(s.prev, s.flowL, s.flowR,
+                                              IsmParams{}, ctx)));
 }
 
 } // namespace

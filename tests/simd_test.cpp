@@ -201,40 +201,99 @@ TEST(SimdKernels, CostRowMatchesScalarOnOddWindows)
     }
 }
 
-TEST(SimdKernels, SadSpanMatchesScalarOnOddSpans)
+/**
+ * The 2r+1 rows of @p img around row @p y (y clamped), widened to
+ * double and edge-replicated over @p pad columns on both sides: the
+ * layout the block matcher hands sadBlock. ptrs[t][x] is column x.
+ */
+struct PaddedRows
+{
+    std::vector<std::vector<double>> store;
+    std::vector<const double *> ptrs;
+
+    PaddedRows(const image::Image &img, int y, int radius, int pad)
+    {
+        for (int dy = -radius; dy <= radius; ++dy) {
+            const int yr = std::clamp(y + dy, 0, img.height() - 1);
+            std::vector<double> row;
+            for (int x = -pad; x < img.width() + pad; ++x)
+                row.push_back(img.atClamped(x, yr));
+            store.push_back(std::move(row));
+        }
+        for (const auto &row : store)
+            ptrs.push_back(row.data() + pad);
+    }
+};
+
+TEST(SimdKernels, SadBlockMatchesScalarOnOddBlocks)
 {
     const simd::Kernels *scalar =
         simd::kernelsFor(simd::Level::Scalar);
     ASSERT_NE(scalar, nullptr);
     Rng rng(12);
-    const int w = 96, h = 9;
+    const int w = 40, h = 9;
     const image::Image left = randomImage(w, h, rng);
     const image::Image right = randomImage(w, h, rng);
-    for (simd::Level level : supportedLevels()) {
-        const simd::Kernels *k = simd::kernelsFor(level);
-        ASSERT_NE(k, nullptr);
-        for (int radius : {1, 2, 4}) {
-            std::vector<const float *> lrows, rrows;
-            for (int dy = -radius; dy <= radius; ++dy) {
-                const int yr =
-                    std::clamp(4 + dy, 0, h - 1);
-                lrows.push_back(left.data() + int64_t(yr) * w);
-                rrows.push_back(right.data() + int64_t(yr) * w);
+    for (int radius : {0, 1, 2, 4}) {
+        const PaddedRows l(left, 4, radius, 80), r(right, 4, radius, 80);
+        for (int n = 1; n <= 19; ++n) {
+            for (int nd = 1; nd <= 70; ++nd) {
+                // Vary the start column so loads hit every alignment.
+                const int x0 = 5 + (n + nd) % 7, d0 = 3;
+                std::vector<double> ref(size_t(n) * nd);
+                scalar->sadBlock(l.ptrs.data(), r.ptrs.data(), radius,
+                                 x0, n, d0, nd, ref.data());
+                for (simd::Level level : supportedLevels()) {
+                    std::vector<double> got(
+                        ref.size(),
+                        std::numeric_limits<double>::quiet_NaN());
+                    simd::kernelsFor(level)->sadBlock(
+                        l.ptrs.data(), r.ptrs.data(), radius, x0, n,
+                        d0, nd, got.data());
+                    for (size_t k = 0; k < ref.size(); ++k)
+                        ASSERT_EQ(std::bit_cast<uint64_t>(ref[k]),
+                                  std::bit_cast<uint64_t>(got[k]))
+                            << simd::levelName(level) << " r=" << radius
+                            << " n=" << n << " nd=" << nd << " k=" << k;
+                }
             }
-            const int x = w - radius - 1;
-            for (int n : {1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 17}) {
-                const int d0 = 3;
-                ASSERT_GE(x - (d0 + n - 1) - radius, 0);
-                std::vector<double> ref(n), got(n);
-                scalar->sadSpan(lrows.data(), rrows.data(), radius,
-                                x, d0, n, ref.data());
-                k->sadSpan(lrows.data(), rrows.data(), radius, x,
-                           d0, n, got.data());
-                for (int j = 0; j < n; ++j) {
-                    EXPECT_EQ(std::bit_cast<uint64_t>(ref[j]),
-                              std::bit_cast<uint64_t>(got[j]))
-                        << simd::levelName(level) << " r=" << radius
-                        << " n=" << n << " j=" << j;
+        }
+    }
+}
+
+TEST(SimdKernels, SadBlockOnReplicatedRowsIsTheClampedSad)
+{
+    // The scalar reference over edge-replicated double rows is the
+    // float SAD with every tap read through atClamped, in (dy, dx)
+    // order — at every row and column, the borders included.
+    const simd::Kernels *scalar =
+        simd::kernelsFor(simd::Level::Scalar);
+    ASSERT_NE(scalar, nullptr);
+    Rng rng(13);
+    const int w = 23, h = 7, nd = 30;
+    const image::Image left = randomImage(w, h, rng);
+    const image::Image right = randomImage(w, h, rng);
+    for (int radius : {0, 1, 2, 4}) {
+        for (int y = 0; y < h; ++y) {
+            const int pad = radius + nd;
+            const PaddedRows l(left, y, radius, pad);
+            const PaddedRows r(right, y, radius, pad);
+            std::vector<double> cost(size_t(w) * nd);
+            scalar->sadBlock(l.ptrs.data(), r.ptrs.data(), radius, 0, w,
+                             0, nd, cost.data());
+            for (int d = 0; d < nd; ++d) {
+                for (int x = 0; x < w; ++x) {
+                    double sad = 0.0;
+                    for (int dy = -radius; dy <= radius; ++dy)
+                        for (int dx = -radius; dx <= radius; ++dx)
+                            sad += std::abs(
+                                double(left.atClamped(x + dx, y + dy)) -
+                                right.atClamped(x + dx - d, y + dy));
+                    ASSERT_EQ(std::bit_cast<uint64_t>(sad),
+                              std::bit_cast<uint64_t>(
+                                  cost[size_t(d) * w + x]))
+                        << "r=" << radius << " y=" << y << " x=" << x
+                        << " d=" << d;
                 }
             }
         }

@@ -7,10 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
+#include "common/exec_context.hh"
+#include "common/math_util.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 #include "data/scene.hh"
+#include "hash_util.hh"
 #include "stereo/block_matching.hh"
 #include "stereo/disparity.hh"
 #include "stereo/sgm.hh"
@@ -254,6 +262,145 @@ TEST(BlockMatching, UniquenessRejectsPeriodicAmbiguity)
     EXPECT_LT(validFraction(blockMatching(left, right, unique,
                                           ExecContext::global()), 33, 5),
               0.1);
+}
+
+/**
+ * A 97x31 pair (true disparity 12) whose odd width leaves sub-vector
+ * pixel tails in every row, plus a guide that mixes exact, off-by-2,
+ * out-of-range and unseeded pixels so the guided search sees narrow,
+ * wide and beyond-maxDisparity windows, the left border included.
+ */
+struct OddPair
+{
+    image::Image left, right;
+    DisparityMap guide;
+
+    OddPair()
+    {
+        Rng rng(31);
+        const image::Image tex = data::makeTexture(97 + 12, 31, 7.f, rng);
+        makePair(tex, 12, left, right);
+        guide = DisparityMap(left.width(), left.height());
+        for (int y = 0; y < guide.height(); ++y) {
+            for (int x = 0; x < guide.width(); ++x) {
+                float g = 12.f + float((x + y) % 5 - 2);
+                if ((x * 7 + y * 3) % 11 == 0)
+                    g = kInvalidDisparity;
+                else if ((x + 2 * y) % 13 == 0)
+                    g = 60.f;
+                guide.at(x, y) = g;
+            }
+        }
+    }
+};
+
+/** Hash of one map at every SIMD level and pool size; all must agree. */
+template <typename Run>
+void
+expectPinnedEverywhere(uint64_t pinned, Run run)
+{
+    const simd::Level saved = simd::activeLevel();
+    for (simd::Level level : {simd::Level::Scalar, simd::Level::Sse42,
+                              simd::Level::Avx2, simd::Level::Neon}) {
+        if (!simd::levelSupported(level))
+            continue;
+        simd::setLevel(level);
+        for (int workers : {1, 3}) {
+            ThreadPool pool(workers);
+            BufferPool buffers;
+            EXPECT_EQ(pinned, testref::fnv1a(testref::kFnvBasis,
+                                             run(ExecContext(pool, buffers))))
+                << simd::levelName(level) << ", " << workers
+                << " workers";
+        }
+    }
+    simd::setLevel(saved);
+}
+
+// The pins below were computed with the per-pixel, candidate-lane SAD
+// search and its clamped scalar border path that preceded the
+// pixel-lane kernel.
+
+TEST(BlockMatchingPin, FullSearchOnOddSizedPair)
+{
+    const OddPair pair;
+    BlockMatchingParams params;
+    params.maxDisparity = 48;
+    expectPinnedEverywhere(0xb6930682b681aa87ull, [&](const ExecContext &ctx) {
+        return blockMatching(pair.left, pair.right, params, ctx);
+    });
+    params.uniquenessRatio = 0.15f;
+    params.blockRadius = 3;
+    expectPinnedEverywhere(0xf4b42825e280e2fcull, [&](const ExecContext &ctx) {
+        return blockMatching(pair.left, pair.right, params, ctx);
+    });
+}
+
+TEST(BlockMatchingPin, GuidedRefinementOnOddSizedPair)
+{
+    const OddPair pair;
+    BlockMatchingParams params;
+    params.maxDisparity = 48;
+    expectPinnedEverywhere(0xcd07a1153656a908ull, [&](const ExecContext &ctx) {
+        return refineDisparity(pair.left, pair.right, pair.guide, 2,
+                               params, ctx);
+    });
+    params.uniquenessRatio = 0.15f;
+    params.blockRadius = 1;
+    expectPinnedEverywhere(0x8eff7bf1bb0e9541ull, [&](const ExecContext &ctx) {
+        return refineDisparity(pair.left, pair.right, pair.guide, 3,
+                               params, ctx);
+    });
+}
+
+TEST(BlockMatching, UnseededRefinementIsTheFullSearch)
+{
+    // With no seed at all, every pixel searches [0, min(maxD, x)] —
+    // exactly blockMatching's window — and must give its bits.
+    const OddPair pair;
+    DisparityMap blank(pair.left.width(), pair.left.height());
+    blank.fill(kInvalidDisparity);
+    for (float ratio : {0.f, 0.15f}) {
+        for (int radius : {0, 2}) {
+            BlockMatchingParams params;
+            params.maxDisparity = 48;
+            params.uniquenessRatio = ratio;
+            const ExecContext ctx = ExecContext::global();
+            EXPECT_EQ(testref::fnv1a(testref::kFnvBasis,
+                                     blockMatching(pair.left, pair.right,
+                                                   params, ctx)),
+                      testref::fnv1a(testref::kFnvBasis,
+                                     refineDisparity(pair.left, pair.right,
+                                                     blank, radius, params,
+                                                     ctx)))
+                << "ratio " << ratio << ", radius " << radius;
+        }
+    }
+}
+
+TEST(MathUtil, RoundToIntIsLround)
+{
+    // The scatter and the guided search round with roundToInt; it
+    // must give int(std::lround(v)) for every float, halves and their
+    // neighbours, both signs, the int range edge and non-finite input
+    // included.
+    std::vector<float> vals = {0.f, -0.f, 0.5f, -0.5f, 2147483520.f,
+                               -2147483648.f, 2147483648.f, 1e30f,
+                               std::numeric_limits<float>::infinity(),
+                               std::numeric_limits<float>::quiet_NaN()};
+    for (int k = -4000; k <= 4000; ++k) {
+        const float half = float(k) * 0.25f;
+        vals.push_back(half);
+        vals.push_back(std::nextafter(half, 1e9f));
+        vals.push_back(std::nextafter(half, -1e9f));
+    }
+    Rng rng(41);
+    for (int k = 0; k < 100000; ++k)
+        vals.push_back(std::bit_cast<float>(
+            uint32_t(rng.uniformInt(0, 0x7fffffff)) |
+            (k % 2 ? 0x80000000u : 0u)));
+    for (float v : vals)
+        EXPECT_EQ(roundToInt(v), static_cast<int>(std::lround(v))) << v;
 }
 
 TEST(BlockMatching, OpsModel)
