@@ -224,11 +224,7 @@ main(int argc, char **argv)
     }
     benchmark::RegisterBenchmark("BM_Fig11DeconvReference",
                                  BM_Fig11DeconvReference);
-    for (asv::simd::Level level :
-         {asv::simd::Level::Scalar, asv::simd::Level::Sse42,
-          asv::simd::Level::Avx2, asv::simd::Level::Neon}) {
-        if (!asv::simd::levelSupported(level))
-            continue;
+    for (asv::simd::Level level : asv::simd::supportedLevels()) {
         const std::string suffix = asv::simd::levelName(level);
         benchmark::RegisterBenchmark(
             ("BM_Fig11DeconvTransformed/" + suffix).c_str(),

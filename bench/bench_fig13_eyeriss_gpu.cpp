@@ -191,11 +191,7 @@ main(int argc, char **argv)
             return 0;
         }
     }
-    for (asv::simd::Level level :
-         {asv::simd::Level::Scalar, asv::simd::Level::Sse42,
-          asv::simd::Level::Avx2, asv::simd::Level::Neon}) {
-        if (!asv::simd::levelSupported(level))
-            continue;
+    for (asv::simd::Level level : asv::simd::supportedLevels()) {
         const std::string suffix = asv::simd::levelName(level);
         benchmark::RegisterBenchmark(
             ("BM_Fig13RefinementForward/" + suffix).c_str(),

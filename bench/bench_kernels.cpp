@@ -507,11 +507,7 @@ BM_IsmPropagate(benchmark::State &state, simd::Level level)
 int
 main(int argc, char **argv)
 {
-    for (simd::Level level :
-         {simd::Level::Scalar, simd::Level::Sse42, simd::Level::Avx2,
-          simd::Level::Neon}) {
-        if (!simd::levelSupported(level))
-            continue;
+    for (simd::Level level : simd::supportedLevels()) {
         const std::string suffix = simd::levelName(level);
         benchmark::RegisterBenchmark(
             ("BM_Census/" + suffix).c_str(), BM_Census, level)

@@ -2,12 +2,19 @@
  * @file
  * Frames-in-flight throughput of the streaming ISM pipeline — the
  * wall-clock counterpart of the Sec. 5.2 sequencer design. Compares
- * the serial processFrame() loop against StreamPipeline at 1/2/4
- * executors on the same bench scene with an expensive (SGM, standing
- * in for DNN inference) key-frame source. items_per_second is
- * frames/second; the streaming speedup comes from overlapping key
- * inference and flow estimation across frames while propagation
- * chains stay ordered.
+ * the serial processFrame() loop on a 1/2/4-thread pool against
+ * StreamPipeline at 1/2/4 executors on the same bench scene with an
+ * expensive (SGM, standing in for DNN inference) key-frame source.
+ * items_per_second is frames/second; the streaming speedup comes
+ * from overlapping key inference and flow estimation across frames
+ * while propagation chains stay ordered.
+ *
+ * The two Arg(N) families are like for like in thread count, not in
+ * kernel parallelism: the serial loop's N threads all fan out every
+ * kernel, while StreamPipeline's N executors each run a whole stage,
+ * and a nested parallelFor on their own pool runs serially. So
+ * BM_IsmSerialLoop/1 and BM_IsmStreamPipeline/1 both run every
+ * kernel on one thread.
  *
  * run_benchmarks.sh appends these datapoints to BENCH_kernels.json.
  */
@@ -16,6 +23,7 @@
 
 #include <memory>
 
+#include "common/thread_pool.hh"
 #include "core/ism.hh"
 #include "core/stream_pipeline.hh"
 #include "data/scene.hh"
@@ -62,12 +70,17 @@ benchParams()
     return params;
 }
 
+/** Arg = pool threads (a pool of 1 runs every kernel on the caller). */
 void
 BM_IsmSerialLoop(benchmark::State &state)
 {
     const auto &seq = benchScene();
+    const auto pool = std::make_shared<ThreadPool>(int(state.range(0)));
     for (auto _ : state) {
-        core::IsmPipeline ism(benchParams(), sgmKeySource());
+        core::IsmPipeline ism(
+            benchParams(), sgmKeySource(),
+            core::makeStaticSequencer(benchParams().propagationWindow),
+            pool);
         for (const auto &f : seq.frames)
             benchmark::DoNotOptimize(ism.processFrame(f.left,
                                                       f.right));
@@ -75,7 +88,7 @@ BM_IsmSerialLoop(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             int64_t(seq.frames.size()));
 }
-BENCHMARK(BM_IsmSerialLoop)->UseRealTime();
+BENCHMARK(BM_IsmSerialLoop)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 /** Arg = executor threads; maxInFlight = 8 frames. */
 void

@@ -19,14 +19,10 @@ cpuSupports(Level level)
     if (level == Level::Scalar)
         return true;
 #if defined(__x86_64__) || defined(__i386__)
-    if (level == Level::Sse42)
-        return __builtin_cpu_supports("sse4.2") &&
-               __builtin_cpu_supports("popcnt");
     if (level == Level::Avx2)
-        // The AVX2 table's f32 GEMM row uses FMA when the TU is
-        // built with -mfma (every AVX2 CPU since Haswell has it);
-        // requiring both keeps a hypothetical FMA-less host off a
-        // table it could not execute.
+        // The AVX2 table's f32 GEMM row is an FMA chain (every AVX2
+        // CPU since Haswell has FMA); an FMA-less host falls back to
+        // the bit-identical scalar table.
         return __builtin_cpu_supports("avx2") &&
                __builtin_cpu_supports("fma");
 #endif
@@ -51,15 +47,13 @@ initialTable()
     Level level;
     if (spec == "scalar") {
         level = Level::Scalar;
-    } else if (spec == "sse42") {
-        level = Level::Sse42;
     } else if (spec == "avx2") {
         level = Level::Avx2;
     } else if (spec == "neon") {
         level = Level::Neon;
     } else {
         fatal("unknown ASV_SIMD value '", spec,
-              "' (want scalar|sse42|avx2|neon|native)");
+              "' (want scalar|avx2|neon|native)");
     }
     const Kernels *k = kernelsFor(level);
     fatal_if(!k, "ASV_SIMD=", spec,
@@ -101,8 +95,6 @@ levelName(Level level)
     switch (level) {
     case Level::Scalar:
         return "scalar";
-    case Level::Sse42:
-        return "sse42";
     case Level::Avx2:
         return "avx2";
     case Level::Neon:
@@ -119,8 +111,6 @@ kernelsFor(Level level)
     switch (level) {
     case Level::Scalar:
         return detail::scalarKernels();
-    case Level::Sse42:
-        return detail::sse42Kernels();
     case Level::Avx2:
         return detail::avx2Kernels();
     case Level::Neon:
@@ -135,15 +125,24 @@ levelSupported(Level level)
     return kernelsFor(level) != nullptr;
 }
 
+const std::vector<Level> &
+supportedLevels()
+{
+    static const std::vector<Level> levels = [] {
+        std::vector<Level> out;
+        for (Level level : {Level::Scalar, Level::Avx2, Level::Neon}) {
+            if (kernelsFor(level))
+                out.push_back(level);
+        }
+        return out;
+    }();
+    return levels;
+}
+
 Level
 bestSupported()
 {
-    for (Level level :
-         {Level::Avx2, Level::Sse42, Level::Neon, Level::Scalar}) {
-        if (kernelsFor(level))
-            return level;
-    }
-    return Level::Scalar;
+    return supportedLevels().back();
 }
 
 void

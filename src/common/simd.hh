@@ -13,10 +13,11 @@
  * pointers (`Kernels`) with one implementation per ISA, selected once
  * at startup:
  *
- *  - detection order: AVX2 > SSE4.2 > NEON > scalar, via cpuid
+ *  - detection order: AVX2 > NEON > scalar, via cpuid
  *    (`__builtin_cpu_supports`); only levels both compiled into the
- *    binary and supported by the host CPU are eligible;
- *  - override with `ASV_SIMD=scalar|sse42|avx2|neon|native`
+ *    binary and supported by the host CPU are eligible
+ *    (supportedLevels());
+ *  - override with `ASV_SIMD=scalar|avx2|neon|native`
  *    ("native" = best supported, the default). Requesting a level the
  *    host or build cannot run is a fatal configuration error;
  *  - tests force a level programmatically with setLevel().
@@ -27,32 +28,32 @@
  * instructions can never leak into the dispatch path.
  *
  * Bit-identity contract: every level produces results bit-identical
- * to the scalar reference. The census kernel is pure
- * integer/predicate arithmetic, so this is automatic; the SAD kernel
- * (SadBlockFn) puts one *pixel* in each lane and keeps each lane's
- * double-precision accumulation in the scalar loop's order, so it is
- * exact floating point; the aggregation kernel's saturating uint16 lane
- * arithmetic provably reproduces the scalar clamped-uint32 order
- * (see AggregateRowFn); the fused pixel-major cost row (CostRowFn,
- * feeding the streaming SGM without a resident volume) is again pure
- * integer arithmetic. The f32 GEMM row (GemmRowFn) extends the
- * discipline to floating point where the hardware allows: the
- * reference accumulates with std::fmaf, so fused lanes (AVX2+FMA,
- * NEON) replay it bit-exactly, while the one mul-then-add lane
- * (SSE4.2) is tolerance-tested under an explicitly documented
- * contract — `Kernels::fusedF32` records which case a table is.
- * The separable-row filter (SepRowF32Fn / SepRowF64Fn, the Farnebäck
- * blur and moment passes) is exact floating point at every level: one
- * IEEE multiply and one IEEE add per tap, never fused, so it needs no
- * tolerance lane. Adding an ISA means porting the eight kernels under
- * the same contract (see docs/KERNELS.md for the full bit-identity contract,
- * tolerance carve-outs, sentinel conventions, and a porting guide).
+ * to the scalar reference, for every kernel and every input. The
+ * census kernel is pure integer/predicate arithmetic, so this is
+ * automatic; the SAD kernel (SadBlockFn) puts one *pixel* in each
+ * lane and keeps each lane's double-precision accumulation in the
+ * scalar loop's order, so it is exact floating point; the aggregation
+ * kernel's saturating uint16 lane arithmetic provably reproduces the
+ * scalar clamped-uint32 order (see AggregateRowFn); the fused
+ * pixel-major cost row (CostRowFn, feeding the streaming SGM without
+ * a resident volume) is again pure integer arithmetic. The f32 GEMM
+ * row (GemmRowFn) is exact too: the reference accumulates with
+ * std::fmaf, and every vector table has a fused multiply-add (AVX2
+ * is only built and dispatched together with FMA; NEON's FMLA is
+ * baseline), so each lane replays the chain bit for bit. The
+ * separable-row filter (SepRowF32Fn / SepRowF64Fn, the Farnebäck blur
+ * and moment passes) is exact the other way round: one IEEE multiply
+ * and one IEEE add per tap, never fused. No level has a tolerance
+ * lane. Adding an ISA means porting the eight kernels under the same
+ * contract (see docs/KERNELS.md for the full contract, sentinel
+ * conventions, and a porting guide).
  */
 
 #ifndef ASV_COMMON_SIMD_HH
 #define ASV_COMMON_SIMD_HH
 
 #include <cstdint>
+#include <vector>
 
 namespace asv::simd
 {
@@ -60,9 +61,8 @@ namespace asv::simd
 /** Instruction-set level of a kernel table. */
 enum class Level {
     Scalar = 0, //!< portable reference (always available)
-    Sse42 = 1,  //!< x86 SSE4.2 + POPCNT
-    Avx2 = 2,   //!< x86 AVX2 (popcount-by-nibble, 256-bit lanes)
-    Neon = 3,   //!< aarch64 NEON (Advanced SIMD, baseline on armv8-a)
+    Avx2 = 1,   //!< x86 AVX2 + FMA (popcount-by-nibble, 256-bit lanes)
+    Neon = 2,   //!< aarch64 NEON (Advanced SIMD, baseline on armv8-a)
 };
 
 /**
@@ -178,11 +178,10 @@ using CostRowFn = void (*)(const uint64_t *cl, const uint64_t *cr,
  * no horizontal reductions — so each lane replays the scalar
  * per-output accumulation order.
  *
- * Accuracy contract: the reference uses std::fmaf (one rounding per
- * step). Tables with `fusedF32 == true` (scalar, AVX2 built with FMA,
- * NEON) are bit-identical to it for all finite inputs; tables with
- * `fusedF32 == false` (SSE4.2, or AVX2 built without -mfma) round
- * twice per step and agree only to relative tolerance. NaN *payloads*
+ * Exactness contract: the reference uses std::fmaf (one rounding per
+ * step), and every vector lane is a hardware fused multiply-add
+ * (AVX2's VFMADD, NEON's FMLA), so every level is bit-identical to it
+ * for all finite inputs. NaN *payloads*
  * may differ between a software fmaf and hardware FMA; NaN *positions*
  * always propagate identically. See docs/KERNELS.md.
  */
@@ -195,7 +194,7 @@ using GemmRowFn = void (*)(const float *a, int k, const float *b,
  * the ReLU is exactly `v > 0 ? v : +0` — NaN and -0 both map to +0
  * (the x86 maxps(v, 0) semantics; the NEON lane uses compare+select
  * because FMAX would propagate NaN). Plain IEEE adds: bit-identical
- * across every level for non-NaN inputs regardless of fusedF32.
+ * across every level for non-NaN inputs.
  */
 using BiasReluRowFn = void (*)(float *out, int n, float bias,
                                bool relu);
@@ -225,8 +224,7 @@ using BiasReluRowFn = void (*)(float *out, int n, float bias,
  *
  * Exactness contract: every lane replays the scalar per-output
  * sequence (one IEEE multiply, one IEEE add per tap, same order), so
- * every level is bit-identical to the reference for all inputs. There
- * is no tolerance lane and Kernels::fusedF32 is irrelevant here; the
+ * every level is bit-identical to the reference for all inputs. The
  * one way to break it is a fused multiply-add, which is why vector
  * bodies spell out mul + add and the library builds with
  * -ffp-contract=off (docs/KERNELS.md).
@@ -239,7 +237,7 @@ using SepRowF64Fn = void (*)(const float *const *rows, const double *k,
 /** One ISA's kernel table. */
 struct Kernels
 {
-    const char *name;     //!< "scalar" / "sse42" / "avx2" / "neon"
+    const char *name;     //!< "scalar" / "avx2" / "neon"
     Level level;          //!< ISA this table was compiled for
     CensusRowFn censusRow;
     SadBlockFn sadBlock;
@@ -249,13 +247,6 @@ struct Kernels
     BiasReluRowFn biasReluRow;
     SepRowF32Fn sepRowF32;
     SepRowF64Fn sepRowF64;
-    /**
-     * True when gemmRow replays the scalar std::fmaf chain bit-exactly
-     * (single rounding per multiply-add). False for mul-then-add
-     * lanes, which are covered by the documented tolerance contract
-     * instead (docs/KERNELS.md).
-     */
-    bool fusedF32;
 };
 
 /**
@@ -270,7 +261,7 @@ const Kernels &kernels();
 Level activeLevel();
 const char *activeName();
 
-/** Static name of @p level ("scalar", "sse42", ...). */
+/** Static name of @p level ("scalar", "avx2", "neon"). */
 const char *levelName(Level level);
 
 /**
@@ -282,7 +273,14 @@ const Kernels *kernelsFor(Level level);
 /** True if kernelsFor(level) would return a table. */
 bool levelSupported(Level level);
 
-/** Best level this host + build supports (>= Level::Scalar). */
+/**
+ * Every level this host + build supports, in ascending Level order:
+ * always Level::Scalar first, so the best level is last. The one list
+ * that dispatch, tests and benchmarks sweep.
+ */
+const std::vector<Level> &supportedLevels();
+
+/** Best level this host + build supports (supportedLevels().back()). */
 Level bestSupported();
 
 /**
@@ -296,7 +294,6 @@ namespace detail
 
 /** Per-ISA table getters; nullptr when not compiled into the build. */
 const Kernels *scalarKernels();
-const Kernels *sse42Kernels();
 const Kernels *avx2Kernels();
 const Kernels *neonKernels();
 

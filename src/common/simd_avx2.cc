@@ -6,17 +6,19 @@
  * candidates interleaved) SAD blocks, 16-lane
  * saturating-uint16 SGM aggregation rows, the 8-lane FMA f32
  * GEMM row + bias/ReLU epilogue for the DNN path (bit-identical to
- * the scalar std::fmaf reference when built with FMA), and the
- * 16-wide separable filter rows of Farnebäck flow (four 4-lane
- * double accumulators, explicit mul then add).
+ * the scalar std::fmaf reference), and the 16-wide separable filter
+ * rows of Farnebäck flow (four 4-lane double accumulators, explicit
+ * mul then add).
  *
  * Compiled with -mavx2 -mfma -mpopcnt (see CMakeLists); degrades to
- * a nullptr getter without AVX2.
+ * a nullptr getter without AVX2 or FMA, so such a build dispatches
+ * the bit-identical scalar table instead.
  */
 
 #include "common/simd.hh"
 
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__AVX2__)
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__AVX2__) && \
+    defined(__FMA__)
 
 #include <immintrin.h>
 
@@ -283,27 +285,6 @@ costRowAvx2(const uint64_t *cl, const uint64_t *cr, int w, int dlo,
     }
 }
 
-#if defined(__FMA__)
-// Fused multiply-add: one rounding per step, bit-identical to the
-// scalar std::fmaf reference chain.
-inline __m256
-gemmStep(__m256 acc, __m256 av, __m256 bv)
-{
-    return _mm256_fmadd_ps(av, bv, acc);
-}
-constexpr bool kAvx2GemmFused = true;
-#else
-// Built without -mfma (shouldn't happen with the CMake flag probe,
-// but keep the TU self-contained): falls back to mul-then-add and
-// honestly reports itself as a tolerance lane.
-inline __m256
-gemmStep(__m256 acc, __m256 av, __m256 bv)
-{
-    return _mm256_add_ps(acc, _mm256_mul_ps(av, bv));
-}
-constexpr bool kAvx2GemmFused = false;
-#endif
-
 void
 gemmRowAvx2(const float *a, int k, const float *b, int64_t ldb,
             float *out, int n)
@@ -311,8 +292,9 @@ gemmRowAvx2(const float *a, int k, const float *b, int64_t ldb,
     int j = 0;
     // 32 outputs per iteration: four 8-lane accumulators hide the
     // 4-cycle FMA latency behind independent chains while a[i] is
-    // broadcast once. Each lane j still folds i ascending from +0 —
-    // the scalar accumulation order, replayed per output.
+    // broadcast once. Each lane j still folds i ascending from +0
+    // with one rounding per step — the scalar std::fmaf chain,
+    // replayed per output.
     for (; j + 32 <= n; j += 32) {
         __m256 acc0 = _mm256_setzero_ps();
         __m256 acc1 = _mm256_setzero_ps();
@@ -322,10 +304,10 @@ gemmRowAvx2(const float *a, int k, const float *b, int64_t ldb,
         for (int i = 0; i < k; ++i) {
             const __m256 av = _mm256_broadcast_ss(a + i);
             const float *bi = bj + int64_t(i) * ldb;
-            acc0 = gemmStep(acc0, av, _mm256_loadu_ps(bi));
-            acc1 = gemmStep(acc1, av, _mm256_loadu_ps(bi + 8));
-            acc2 = gemmStep(acc2, av, _mm256_loadu_ps(bi + 16));
-            acc3 = gemmStep(acc3, av, _mm256_loadu_ps(bi + 24));
+            acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bi), acc0);
+            acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bi + 8), acc1);
+            acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bi + 16), acc2);
+            acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bi + 24), acc3);
         }
         _mm256_storeu_ps(out + j, acc0);
         _mm256_storeu_ps(out + j + 8, acc1);
@@ -336,21 +318,12 @@ gemmRowAvx2(const float *a, int k, const float *b, int64_t ldb,
         __m256 acc = _mm256_setzero_ps();
         const float *bj = b + j;
         for (int i = 0; i < k; ++i)
-            acc = gemmStep(acc, _mm256_broadcast_ss(a + i),
-                           _mm256_loadu_ps(bj + int64_t(i) * ldb));
+            acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a + i),
+                                  _mm256_loadu_ps(bj + int64_t(i) * ldb),
+                                  acc);
         _mm256_storeu_ps(out + j, acc);
     }
-#if defined(__FMA__)
     gemmRowRef(a, k, b, ldb, j, n, out);
-#else
-    // Match the vector body's mul-then-add rounding in the tail.
-    for (; j < n; ++j) {
-        float acc = 0.0f;
-        for (int i = 0; i < k; ++i)
-            acc += a[i] * b[int64_t(i) * ldb + j];
-        out[j] = acc;
-    }
-#endif
 }
 
 void
@@ -476,7 +449,7 @@ constexpr Kernels kAvx2Kernels = {
     "avx2",            Level::Avx2,       censusRowAvx2,
     sadBlockAvx2,      aggregateRowAvx2,  costRowAvx2,
     gemmRowAvx2,       biasReluRowAvx2,   sepRowF32Avx2,
-    sepRowF64Avx2,     kAvx2GemmFused,
+    sepRowF64Avx2,
 };
 
 } // namespace
@@ -489,7 +462,7 @@ avx2Kernels()
 
 } // namespace asv::simd::detail
 
-#else // !x86 or no -mavx2
+#else // !x86, or no -mavx2 -mfma
 
 namespace asv::simd::detail
 {

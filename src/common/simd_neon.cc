@@ -253,7 +253,7 @@ gemmRowNeon(const float *a, int k, const float *b, int64_t ldb,
     // 8 outputs per iteration over two independent 4-lane FMLA
     // chains. vfmaq_f32 is a fused multiply-add (one rounding per
     // step), so each lane replays the scalar std::fmaf chain
-    // bit-exactly (fusedF32 == true).
+    // bit-exactly.
     for (; j + 8 <= n; j += 8) {
         float32x4_t acc0 = vdupq_n_f32(0.0f);
         float32x4_t acc1 = vdupq_n_f32(0.0f);
@@ -373,7 +373,7 @@ constexpr Kernels kNeonKernels = {
     "neon",            Level::Neon,       censusRowNeon,
     sadBlockNeon,      aggregateRowNeon,  costRowNeon,
     gemmRowNeon,       biasReluRowNeon,   sepRowF32Neon,
-    sepRowF64Neon,     /*fusedF32=*/true,
+    sepRowF64Neon,
 };
 
 } // namespace

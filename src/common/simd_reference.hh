@@ -148,10 +148,9 @@ costRowRef(const uint64_t *cl, const uint64_t *cr, int dlo, int ndw,
  * is an independent fused-multiply-add chain over i ascending with
  * the accumulator starting at +0.0f — the accumulation order every
  * vector lane replays. std::fmaf is correctly rounded (a single
- * rounding per step), so a fused vector lane (AVX2+FMA, NEON FMLA)
- * reproduces these bits exactly; a mul-then-add lane (SSE4.2) rounds
- * twice per step and is tolerance-tested instead. docs/KERNELS.md
- * spells out the contract.
+ * rounding per step), so every vector lane — a hardware fused
+ * multiply-add (AVX2+FMA, NEON FMLA) — reproduces these bits exactly.
+ * docs/KERNELS.md spells out the contract.
  */
 inline void
 gemmRowRef(const float *a, int k, const float *b, int64_t ldb, int j0,

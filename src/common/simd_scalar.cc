@@ -5,7 +5,7 @@
  * bodies live in simd_reference.hh (shared with the vector tables'
  * sub-vector tails). Compiled with the baseline target flags only —
  * std::popcount lowers to the bit-twiddling fallback here, which is
- * precisely the gap the SSE4.2/AVX2 tables close.
+ * precisely the gap the AVX2/NEON tables close.
  */
 
 #include "common/simd.hh"
@@ -78,7 +78,7 @@ constexpr Kernels kScalarKernels = {
     "scalar",          Level::Scalar,     censusRowScalar,
     sadBlockScalar,    aggregateRowScalar, costRowScalar,
     gemmRowScalar,     biasReluRowScalar, sepRowF32Scalar,
-    sepRowF64Scalar,   /*fusedF32=*/true,
+    sepRowF64Scalar,
 };
 
 } // namespace

@@ -18,10 +18,11 @@ namespace
  * The pool this thread is a worker of (nullptr on non-worker
  * threads). A nested parallelFor() on the *same* pool runs serially
  * instead of re-entering the queue, which would deadlock a pool
- * whose workers are all waiting on the nested loop. Nesting across
- * *different* pools is fine — e.g. a StreamPipeline stage running on
- * that pipeline's private executor still fans its kernels out on the
- * global pool — so the guard is per-pool, not a global flag.
+ * whose workers are all waiting on the nested loop. A StreamPipeline
+ * stage is this case: it runs on the pipeline's own pool, so the
+ * kernels it calls run serially on its executor. Nesting across
+ * *different* pools still fans out (the inner pool's workers are
+ * free), so the guard is per-pool, not a global flag.
  */
 thread_local const ThreadPool *t_workerOf = nullptr;
 

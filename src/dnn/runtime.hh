@@ -30,8 +30,7 @@
  * BASELINE_alloc.json.
  *
  * Determinism: forward() is bit-identical for any worker count and
- * across the fused SIMD levels (scalar / AVX2+FMA / NEON); SSE4.2
- * agrees to the documented tolerance (docs/KERNELS.md).
+ * across every SIMD level (scalar / AVX2+FMA / NEON; docs/KERNELS.md).
  */
 
 #ifndef ASV_DNN_RUNTIME_HH

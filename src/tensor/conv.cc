@@ -193,7 +193,7 @@ convNdInto(const Tensor &input, const Tensor &weight,
     // One output row (filter) per gemmRow call: every output element
     // is produced by exactly one thread replaying the serial
     // reduction order, so results are bit-identical for any worker
-    // count (and across fused SIMD levels; see docs/KERNELS.md).
+    // count (and across SIMD levels; see docs/KERNELS.md).
     ctx.parallelFor(0, K, [&](int64_t f0, int64_t f1) {
         for (int64_t f = f0; f < f1; ++f) {
             float *row = od + f * P;

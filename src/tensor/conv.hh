@@ -20,14 +20,13 @@
  * onto the systolic array (Sec. 3.3 / 5.1): the block is the kernel and
  * the search window is the input.
  *
- * Execution routes (see docs/KERNELS.md for the accuracy contract):
+ * Execution routes (see docs/KERNELS.md for the exactness contract):
  *  - MAC with no stats requested rides the dispatched f32 GEMM
  *    kernels (asv::simd) behind an im2col-or-direct lowering with
  *    BufferPool-backed scratch — the fast path behind
  *    deconv::DeconvPlan and dnn::NetworkRuntime. f32 fused-multiply-
  *    add accumulation, bit-identical across worker counts and across
- *    the fused SIMD levels (scalar/AVX2/NEON); SSE4.2 agrees to
- *    documented tolerance.
+ *    every SIMD level (scalar/AVX2/NEON).
  *  - SAD, and any call carrying a ConvStats sink, runs the reference
  *    loop nest: double-precision accumulation and exact per-tap op
  *    counters, bit-identical across worker counts.

@@ -217,10 +217,7 @@ TEST(IsmFlowPin, ClipHashHoldsAtEverySimdLevelAndPoolSize)
     const data::StereoSequence seq = data::generateSequence(cfg, 12, 7);
 
     const simd::Level saved = simd::activeLevel();
-    for (simd::Level level : {simd::Level::Scalar, simd::Level::Sse42,
-                              simd::Level::Avx2, simd::Level::Neon}) {
-        if (!simd::levelSupported(level))
-            continue;
+    for (simd::Level level : simd::supportedLevels()) {
         simd::setLevel(level);
         for (int workers : {1, 2, 4}) {
             ThreadPool pool(workers);

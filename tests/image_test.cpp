@@ -218,11 +218,7 @@ TEST(SeparableFilter, MatchesScalarReferenceBitExactly)
 {
     Rng rng(21);
     const asv::simd::Level saved = asv::simd::activeLevel();
-    for (asv::simd::Level level :
-         {asv::simd::Level::Scalar, asv::simd::Level::Sse42,
-          asv::simd::Level::Avx2, asv::simd::Level::Neon}) {
-        if (!asv::simd::levelSupported(level))
-            continue;
+    for (asv::simd::Level level : asv::simd::supportedLevels()) {
         asv::simd::setLevel(level);
         for (int r : {0, 1, 2, 3, 4, 5, 6, 32}) {
             std::vector<std::pair<int, int>> sizes = {

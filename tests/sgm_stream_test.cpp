@@ -28,19 +28,6 @@ namespace
 
 using namespace asv;
 
-std::vector<simd::Level>
-supportedLevels()
-{
-    std::vector<simd::Level> levels;
-    for (simd::Level level :
-         {simd::Level::Scalar, simd::Level::Sse42, simd::Level::Avx2,
-          simd::Level::Neon}) {
-        if (simd::levelSupported(level))
-            levels.push_back(level);
-    }
-    return levels;
-}
-
 /** Force a SIMD level for one scope; restores the previous level. */
 class LevelGuard
 {
@@ -114,7 +101,7 @@ TEST(SgmStream, StreamingMatchesDirectionalReference)
         params.maxDisparity = max_d;
         params.censusRadius = radius;
         const auto ref = testref::referenceSgm(left, right, params);
-        for (simd::Level level : supportedLevels()) {
+        for (simd::Level level : simd::supportedLevels()) {
             LevelGuard guard(level);
             for (ThreadPool *pool : {&t1, &t8}) {
                 const auto got = stereo::sgmCompute(
@@ -140,7 +127,7 @@ TEST(SgmStream, FewerPathsBitIdenticalAcrossLevelsAndThreads)
         LevelGuard scalar(simd::Level::Scalar);
         const auto ref =
             stereo::sgmCompute(left, right, params, ExecContext(t1));
-        for (simd::Level level : supportedLevels()) {
+        for (simd::Level level : simd::supportedLevels()) {
             LevelGuard guard(level);
             for (ThreadPool *pool : {&t1, &t8}) {
                 const auto got = stereo::sgmCompute(
@@ -225,7 +212,7 @@ TEST(SgmStream, RangePrunedBitIdenticalAcrossLevelsAndThreads)
         stereo::sgmCompute(left, right, params, ExecContext(t1));
     const auto ref = stereo::sgmComputeGuided(left, right, guide,
                                               params, ExecContext(t1));
-    for (simd::Level level : supportedLevels()) {
+    for (simd::Level level : simd::supportedLevels()) {
         LevelGuard guard(level);
         for (ThreadPool *pool : {&t1, &t8}) {
             const auto got = stereo::sgmComputeGuided(

@@ -6,12 +6,10 @@
  * dnn::NetworkRuntime end-to-end path.
  *
  * The contract under test is docs/KERNELS.md's f32 contract:
- *  - tables with fusedF32 == true (scalar, AVX2+FMA, NEON) replay
- *    the scalar std::fmaf accumulation chain bit-exactly for finite
- *    inputs, across odd widths, non-lane-multiple reductions,
- *    denormals, and worker counts;
- *  - tables with fusedF32 == false (SSE4.2) round twice per step and
- *    agree to relative tolerance only — the one documented carve-out;
+ *  - every table (scalar, AVX2+FMA, NEON) replays the scalar
+ *    std::fmaf accumulation chain bit-exactly for finite inputs,
+ *    across odd widths, non-lane-multiple reductions, denormals, and
+ *    worker counts — no level is compared with a tolerance;
  *  - NaN *positions* propagate identically everywhere (payload bits
  *    may differ between software fmaf and hardware FMA);
  *  - biasReluRow is bit-identical on every level, and its ReLU sends
@@ -47,19 +45,6 @@ namespace
 using namespace asv;
 using tensor::Shape;
 using tensor::Tensor;
-
-std::vector<simd::Level>
-supportedLevels()
-{
-    std::vector<simd::Level> levels;
-    for (simd::Level level :
-         {simd::Level::Scalar, simd::Level::Sse42, simd::Level::Avx2,
-          simd::Level::Neon}) {
-        if (simd::levelSupported(level))
-            levels.push_back(level);
-    }
-    return levels;
-}
 
 /** Force a SIMD level for one scope; restores the previous level. */
 class LevelGuard
@@ -107,19 +92,6 @@ expectBitEqual(const float *a, const float *b, size_t n,
     }
 }
 
-void
-expectNear(const float *a, const float *b, size_t n, double rtol,
-           double atol, const std::string &what)
-{
-    for (size_t i = 0; i < n; ++i) {
-        const double tol =
-            atol + rtol * std::max(std::abs(double(a[i])),
-                                   std::abs(double(b[i])));
-        ASSERT_NEAR(a[i], b[i], tol)
-            << what << ": element " << i;
-    }
-}
-
 // ---------------------------------------------------------------- gemmRow
 
 TEST(GemmRow, MatchesScalarAcrossShapes)
@@ -139,28 +111,16 @@ TEST(GemmRow, MatchesScalarAcrossShapes)
             std::vector<float> want(size_t(n), -777.0f);
             scalar->gemmRow(a.data(), k, b.data(), ldb, want.data(),
                             n);
-            for (const simd::Kernels *t :
-                 {simd::kernelsFor(simd::Level::Sse42),
-                  simd::kernelsFor(simd::Level::Avx2),
-                  simd::kernelsFor(simd::Level::Neon)}) {
-                if (!t)
-                    continue;
+            for (simd::Level level : simd::supportedLevels()) {
+                const simd::Kernels *t = simd::kernelsFor(level);
                 // Pre-poison: gemmRow writes, it must not accumulate.
                 std::vector<float> got(size_t(n), 1e30f);
                 t->gemmRow(a.data(), k, b.data(), ldb, got.data(),
                            n);
-                const std::string what = std::string(t->name) +
-                                         " k=" + std::to_string(k) +
-                                         " n=" + std::to_string(n);
-                if (t->fusedF32) {
-                    expectBitEqual(got.data(), want.data(),
-                                   size_t(n), what);
-                } else {
-                    // Documented tolerance lane: two roundings per
-                    // step instead of one.
-                    expectNear(got.data(), want.data(), size_t(n),
-                               1e-5 * k, 1e-7, what);
-                }
+                expectBitEqual(got.data(), want.data(), size_t(n),
+                               std::string(t->name) +
+                                   " k=" + std::to_string(k) +
+                                   " n=" + std::to_string(n));
             }
         }
     }
@@ -172,13 +132,8 @@ TEST(GemmRow, NaNPositionsPropagate)
     const float nan = std::numeric_limits<float>::quiet_NaN();
     const int k = 9;
     const int n = 13;
-    for (const simd::Kernels *t :
-         {simd::kernelsFor(simd::Level::Scalar),
-          simd::kernelsFor(simd::Level::Sse42),
-          simd::kernelsFor(simd::Level::Avx2),
-          simd::kernelsFor(simd::Level::Neon)}) {
-        if (!t)
-            continue;
+    for (simd::Level level : simd::supportedLevels()) {
+        const simd::Kernels *t = simd::kernelsFor(level);
         // NaN in one B column: only that output is NaN.
         std::vector<float> a = randomVec(size_t(k), rng);
         std::vector<float> b = randomVec(size_t(k) * size_t(n), rng);
@@ -196,13 +151,13 @@ TEST(GemmRow, NaNPositionsPropagate)
     }
 }
 
-TEST(GemmRow, DenormalsStayExactOnFusedLanes)
+TEST(GemmRow, DenormalsStayExactOnEveryLevel)
 {
     Rng rng(13);
     const int k = 8;
     const int n = 19;
     // Products around 1e-39..1e-41: results live in the denormal
-    // range. No FTZ/DAZ anywhere (no -ffast-math), so fused lanes
+    // range. No FTZ/DAZ anywhere (no -ffast-math), so every level
     // must still match the scalar chain bit-for-bit.
     std::vector<float> a = randomVec(size_t(k), rng, 1e-20, 2e-20);
     std::vector<float> b =
@@ -219,22 +174,12 @@ TEST(GemmRow, DenormalsStayExactOnFusedLanes)
                                              float>::min());
     EXPECT_TRUE(any_denormal) << "test inputs failed to produce "
                                  "denormal outputs";
-    for (const simd::Kernels *t :
-         {simd::kernelsFor(simd::Level::Sse42),
-          simd::kernelsFor(simd::Level::Avx2),
-          simd::kernelsFor(simd::Level::Neon)}) {
-        if (!t)
-            continue;
+    for (simd::Level level : simd::supportedLevels()) {
+        const simd::Kernels *t = simd::kernelsFor(level);
         std::vector<float> got(static_cast<size_t>(n));
         t->gemmRow(a.data(), k, b.data(), n, got.data(), n);
-        if (t->fusedF32) {
-            expectBitEqual(got.data(), want.data(), size_t(n),
-                           std::string(t->name) + " denormal");
-        } else {
-            for (int j = 0; j < n; ++j)
-                EXPECT_NEAR(got[j], want[j], 1e-42)
-                    << t->name << " " << j;
-        }
+        expectBitEqual(got.data(), want.data(), size_t(n),
+                       std::string(t->name) + " denormal");
     }
 }
 
@@ -252,12 +197,8 @@ TEST(BiasReluRow, BitIdenticalOnEveryLevel)
                     randomVec(size_t(n), rng, -2.0, 2.0);
                 std::vector<float> want = in;
                 scalar->biasReluRow(want.data(), n, bias, relu);
-                for (const simd::Kernels *t :
-                     {simd::kernelsFor(simd::Level::Sse42),
-                      simd::kernelsFor(simd::Level::Avx2),
-                      simd::kernelsFor(simd::Level::Neon)}) {
-                    if (!t)
-                        continue;
+                for (simd::Level level : simd::supportedLevels()) {
+                    const simd::Kernels *t = simd::kernelsFor(level);
                     std::vector<float> got = in;
                     t->biasReluRow(got.data(), n, bias, relu);
                     expectBitEqual(
@@ -280,13 +221,8 @@ TEST(BiasReluRow, ReluSendsNaNNegZeroAndNegInfToPlusZero)
     const std::vector<float> in = {nan,     -nan, -0.0f,  0.0f,
                                    -1.0f,   2.0f, denorm, -denorm,
                                    -inf,    inf,  0.25f,  -0.25f};
-    for (const simd::Kernels *t :
-         {simd::kernelsFor(simd::Level::Scalar),
-          simd::kernelsFor(simd::Level::Sse42),
-          simd::kernelsFor(simd::Level::Avx2),
-          simd::kernelsFor(simd::Level::Neon)}) {
-        if (!t)
-            continue;
+    for (simd::Level level : simd::supportedLevels()) {
+        const simd::Kernels *t = simd::kernelsFor(level);
         std::vector<float> got = in;
         t->biasReluRow(got.data(), static_cast<int>(got.size()),
                        0.0f, /*relu=*/true);
@@ -393,26 +329,17 @@ TEST(ConvGemmRoute, CrossLevelAndThreadIdentity)
                               nullptr,
                               ExecContext(serial, buffers));
     }
-    for (simd::Level level : supportedLevels()) {
+    for (simd::Level level : simd::supportedLevels()) {
         LevelGuard g(level);
-        const bool fused = simd::kernelsFor(level)->fusedF32;
         for (int threads : {1, 3}) {
             ThreadPool pool(threads);
             BufferPool buffers;
             const Tensor got =
                 tensor::convNd(in, w, spec, tensor::ConvOp::MAC,
                                nullptr, ExecContext(pool, buffers));
-            const std::string what =
-                std::string(simd::levelName(level)) + " threads=" +
-                std::to_string(threads);
-            if (fused) {
-                expectBitEqual(got.data(), want.data(),
-                               size_t(got.size()), what);
-            } else {
-                expectNear(got.data(), want.data(),
-                           size_t(got.size()), 1e-5 * 45, 1e-7,
-                           what);
-            }
+            expectBitEqual(got.data(), want.data(), size_t(got.size()),
+                           std::string(simd::levelName(level)) +
+                               " threads=" + std::to_string(threads));
         }
     }
 }
@@ -569,7 +496,7 @@ TEST(NetworkRuntime, EmptyDeconvPhaseGetsEpilogueOfZero)
         << "max diff " << got.maxAbsDiff(ref);
 }
 
-TEST(NetworkRuntime, BitIdenticalAcrossWorkerCountsAndFusedLevels)
+TEST(NetworkRuntime, BitIdenticalAcrossWorkerCountsAndLevels)
 {
     dnn::NetworkRuntime rt(makeTestNet(), 42);
     Rng rng(47);
@@ -582,24 +509,16 @@ TEST(NetworkRuntime, BitIdenticalAcrossWorkerCountsAndFusedLevels)
         BufferPool buffers;
         want = rt.forward(in, ExecContext(serial, buffers));
     }
-    for (simd::Level level : supportedLevels()) {
+    for (simd::Level level : simd::supportedLevels()) {
         LevelGuard g(level);
-        const bool fused = simd::kernelsFor(level)->fusedF32;
         for (int threads : {1, 4}) {
             ThreadPool pool(threads);
             BufferPool buffers;
             const Tensor &got =
                 rt.forward(in, ExecContext(pool, buffers));
-            const std::string what =
-                std::string(simd::levelName(level)) + " threads=" +
-                std::to_string(threads);
-            if (fused) {
-                expectBitEqual(got.data(), want.data(),
-                               size_t(got.size()), what);
-            } else {
-                expectNear(got.data(), want.data(),
-                           size_t(got.size()), 1e-4, 1e-6, what);
-            }
+            expectBitEqual(got.data(), want.data(), size_t(got.size()),
+                           std::string(simd::levelName(level)) +
+                               " threads=" + std::to_string(threads));
         }
     }
 }
@@ -631,22 +550,28 @@ TEST(NetworkRuntime, SteadyStateIsAllocationFree)
     }
 }
 
-TEST(NetworkRuntime, ForwardPinnedAtScalarLevel)
+TEST(NetworkRuntime, ForwardPinnedAtEveryLevel)
 {
     // Cross-commit bit-identity pin: any change to the conv or
-    // deconv executors must reproduce these bits exactly. Scalar
-    // level, so the value is the same on every host that replays
-    // std::fmaf (the fused levels equal it by the test above).
+    // deconv executors must reproduce these bits exactly, at every
+    // SIMD level and worker count (every level replays the std::fmaf
+    // chain, so the value is host-independent).
     dnn::NetworkRuntime rt(makePinNet(), 42);
     EXPECT_EQ(rt.outputShape(), (Shape{2, 50, 62}));
     Rng rng(59);
     const Tensor in = randomTensor(rt.inputShape(), rng);
-    LevelGuard g(simd::Level::Scalar);
-    ThreadPool pool(2);
-    BufferPool buffers;
-    const Tensor &got = rt.forward(in, ExecContext(pool, buffers));
-    EXPECT_EQ(fnv1a(got), 0xf9e3dcce0849a40full)
-        << std::hex << "got 0x" << fnv1a(got);
+    for (simd::Level level : simd::supportedLevels()) {
+        LevelGuard g(level);
+        for (int workers : {1, 2, 4}) {
+            ThreadPool pool(workers);
+            BufferPool buffers;
+            const Tensor &got =
+                rt.forward(in, ExecContext(pool, buffers));
+            EXPECT_EQ(fnv1a(got), 0xf9e3dcce0849a40full)
+                << simd::levelName(level) << ", " << workers
+                << " workers: got 0x" << std::hex << fnv1a(got);
+        }
+    }
 }
 
 } // namespace

@@ -38,20 +38,6 @@ namespace
 using namespace asv;
 using testref::referenceSgm;
 
-/** All levels this host/build can execute (always includes scalar). */
-std::vector<simd::Level>
-supportedLevels()
-{
-    std::vector<simd::Level> levels;
-    for (simd::Level level :
-         {simd::Level::Scalar, simd::Level::Sse42, simd::Level::Avx2,
-          simd::Level::Neon}) {
-        if (simd::levelSupported(level))
-            levels.push_back(level);
-    }
-    return levels;
-}
-
 /** Force a SIMD level for one scope; restores the previous level. */
 class LevelGuard
 {
@@ -125,12 +111,24 @@ TEST(SimdDispatch, ActiveTableIsSupported)
     EXPECT_EQ(&k, simd::kernelsFor(k.level));
 }
 
-TEST(SimdDispatch, BestSupportedIsOrdered)
+TEST(SimdDispatch, SupportedLevelsAreOrdered)
 {
-    // bestSupported() must name a level whose table exists, and no
-    // listed-supported level may outrank it in the detection order.
+    // supportedLevels() lists exactly the levels whose table exists,
+    // scalar first and ascending, and bestSupported() is its last.
+    const std::vector<simd::Level> &levels = simd::supportedLevels();
+    ASSERT_FALSE(levels.empty());
+    EXPECT_EQ(levels.front(), simd::Level::Scalar);
+    for (size_t i = 1; i < levels.size(); ++i)
+        EXPECT_LT(levels[i - 1], levels[i]);
+    for (simd::Level level :
+         {simd::Level::Scalar, simd::Level::Avx2, simd::Level::Neon}) {
+        EXPECT_EQ(simd::levelSupported(level),
+                  std::find(levels.begin(), levels.end(), level) !=
+                      levels.end())
+            << simd::levelName(level);
+    }
     const simd::Level best = simd::bestSupported();
-    EXPECT_TRUE(simd::levelSupported(best));
+    EXPECT_EQ(best, levels.back());
     if (simd::levelSupported(simd::Level::Avx2)) {
         EXPECT_EQ(best, simd::Level::Avx2);
     }
@@ -139,7 +137,7 @@ TEST(SimdDispatch, BestSupportedIsOrdered)
 TEST(SimdDispatch, SetLevelRoundTrips)
 {
     const simd::Level before = simd::activeLevel();
-    for (simd::Level level : supportedLevels()) {
+    for (simd::Level level : simd::supportedLevels()) {
         LevelGuard guard(level);
         EXPECT_EQ(simd::activeLevel(), level);
         EXPECT_STREQ(simd::activeName(), simd::levelName(level));
@@ -186,7 +184,7 @@ TEST(SimdKernels, CostRowMatchesScalarOnOddWindows)
                             << " j=" << j;
                     }
                 }
-                for (simd::Level level : supportedLevels()) {
+                for (simd::Level level : simd::supportedLevels()) {
                     const simd::Kernels *k = simd::kernelsFor(level);
                     ASSERT_NE(k, nullptr);
                     std::vector<uint16_t> got(cells, 0xBEEF);
@@ -243,7 +241,7 @@ TEST(SimdKernels, SadBlockMatchesScalarOnOddBlocks)
                 std::vector<double> ref(size_t(n) * nd);
                 scalar->sadBlock(l.ptrs.data(), r.ptrs.data(), radius,
                                  x0, n, d0, nd, ref.data());
-                for (simd::Level level : supportedLevels()) {
+                for (simd::Level level : simd::supportedLevels()) {
                     std::vector<double> got(
                         ref.size(),
                         std::numeric_limits<double>::quiet_NaN());
@@ -330,7 +328,7 @@ checkAggregateRow(const std::vector<uint16_t> &cost,
         cost.data(), prev, prev_min, nd, p1, p2,
         ref_cur.data() + 1, ref_total.data());
 
-    for (simd::Level level : supportedLevels()) {
+    for (simd::Level level : simd::supportedLevels()) {
         const simd::Kernels *k = simd::kernelsFor(level);
         ASSERT_NE(k, nullptr);
         std::vector<uint16_t> cur(nd + 2, 0xFFFF);
@@ -421,7 +419,7 @@ TEST(SimdProperty, CensusBitIdenticalAcrossLevelsAndRadii)
             LevelGuard scalar(simd::Level::Scalar);
             const auto ref = stereo::censusTransform(img, radius,
                                                      ExecContext::global());
-            for (simd::Level level : supportedLevels()) {
+            for (simd::Level level : simd::supportedLevels()) {
                 LevelGuard guard(level);
                 const auto got =
                     stereo::censusTransform(img, radius,
@@ -447,7 +445,7 @@ TEST(SimdProperty, SgmDisparityBitIdenticalAcrossLevels)
         LevelGuard scalar(simd::Level::Scalar);
         const auto ref = stereo::sgmCompute(left, right, params,
                                             ExecContext::global());
-        for (simd::Level level : supportedLevels()) {
+        for (simd::Level level : simd::supportedLevels()) {
             LevelGuard guard(level);
             const auto got = stereo::sgmCompute(left, right, params,
                                                 ExecContext::global());
@@ -469,7 +467,7 @@ TEST(SimdProperty, BlockMatchingBitIdenticalAcrossLevels)
         LevelGuard scalar(simd::Level::Scalar);
         const auto ref = stereo::blockMatching(left, right, params,
                                                ExecContext::global());
-        for (simd::Level level : supportedLevels()) {
+        for (simd::Level level : simd::supportedLevels()) {
             LevelGuard guard(level);
             const auto got =
                 stereo::blockMatching(left, right, params,
@@ -497,7 +495,7 @@ TEST(SimdProperty, GuidedRefinementBitIdenticalAcrossLevels)
     const auto ref =
         stereo::refineDisparity(left, right, init, 2, params,
                                 ExecContext::global());
-    for (simd::Level level : supportedLevels()) {
+    for (simd::Level level : simd::supportedLevels()) {
         LevelGuard guard(level);
         const auto got =
             stereo::refineDisparity(left, right, init, 2, params,
@@ -518,7 +516,7 @@ TEST(SimdProperty, MatcherRegistryBitIdenticalAcrossLevels)
         LevelGuard scalar(simd::Level::Scalar);
         const auto ref =
             matcher->compute(left, right, ExecContext::global());
-        for (simd::Level level : supportedLevels()) {
+        for (simd::Level level : simd::supportedLevels()) {
             LevelGuard guard(level);
             const auto got =
                 matcher->compute(left, right, ExecContext::global());
@@ -536,7 +534,7 @@ TEST(SimdProperty, LevelsBitIdenticalAcrossWorkerCounts)
     stereo::SgmParams params;
     params.maxDisparity = 23;
     ThreadPool serial(1), pool(4);
-    for (simd::Level level : supportedLevels()) {
+    for (simd::Level level : simd::supportedLevels()) {
         LevelGuard guard(level);
         const auto a = stereo::sgmCompute(left, right, params,
                                           ExecContext(serial));
@@ -563,7 +561,7 @@ TEST(WavefrontSgm, MatchesDirectionalReference)
         params.leftRightCheck = lr_check;
         params.subpixel = subpixel;
         const auto ref = referenceSgm(left, right, params);
-        for (simd::Level level : supportedLevels()) {
+        for (simd::Level level : simd::supportedLevels()) {
             LevelGuard guard(level);
             const auto got = stereo::sgmCompute(left, right, params,
                                                 ExecContext::global());
@@ -583,7 +581,7 @@ TEST(WavefrontSgm, SingleDisparityDegenerate)
     stereo::SgmParams params;
     params.maxDisparity = 0;
     const auto ref = referenceSgm(left, right, params);
-    for (simd::Level level : supportedLevels()) {
+    for (simd::Level level : simd::supportedLevels()) {
         LevelGuard guard(level);
         const auto got = stereo::sgmCompute(left, right, params,
                                             ExecContext::global());
@@ -605,7 +603,7 @@ TEST(WavefrontSgm, PenaltiesAboveUint16CeilingMatchReference)
     params.p1 = 70000;
     params.p2 = 200000;
     const auto ref = referenceSgm(left, right, params);
-    for (simd::Level level : supportedLevels()) {
+    for (simd::Level level : simd::supportedLevels()) {
         LevelGuard guard(level);
         const auto got = stereo::sgmCompute(left, right, params,
                                             ExecContext::global());

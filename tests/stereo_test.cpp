@@ -300,10 +300,7 @@ void
 expectPinnedEverywhere(uint64_t pinned, Run run)
 {
     const simd::Level saved = simd::activeLevel();
-    for (simd::Level level : {simd::Level::Scalar, simd::Level::Sse42,
-                              simd::Level::Avx2, simd::Level::Neon}) {
-        if (!simd::levelSupported(level))
-            continue;
+    for (simd::Level level : simd::supportedLevels()) {
         simd::setLevel(level);
         for (int workers : {1, 3}) {
             ThreadPool pool(workers);

@@ -138,8 +138,9 @@ TEST(ThreadPool, NestedParallelForFallsBackToSerial)
 TEST(ThreadPool, CrossPoolNestingStillPartitions)
 {
     // The nested-call guard is per-pool: work dispatched on pool A
-    // may fan out on pool B (StreamPipeline stages do exactly this
-    // with the global pool). Every index must still be visited
+    // may still fan out on pool B (only a nested call on the same
+    // pool runs serially, as a StreamPipeline stage's kernels do on
+    // that pipeline's pool). Every index must still be visited
     // exactly once.
     ThreadPool outer(3), inner(3);
     std::vector<std::atomic<int>> seen(16);
