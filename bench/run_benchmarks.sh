@@ -30,8 +30,11 @@
 #                              advisory / continue-on-error)
 #   ASV_BENCH_CHECK_KERNELS    regex of benchmark names to gate
 #                              (default: the census,
-#                              aggregate-row, fused cost-row,
-#                              conv-GEMM and deconv SIMD sweeps, the
+#                              aggregate-row, fused cost-row and
+#                              conv-GEMM SIMD sweeps, every deconv
+#                              datapoint (the per-ISA BM_Deconv
+#                              sweep and the BM_DeconvTransformed /
+#                              BM_DeconvReference pair), the
 #                              per-ISA Fig. 11 / Fig. 13 wall-time
 #                              datapoints, the end-to-end
 #                              BM_Sgm/{256,512,1024} datapoints, plus
@@ -87,7 +90,7 @@ else
     OUT="${1:-BENCH_kernels.json}"
 fi
 THRESHOLD="${ASV_BENCH_CHECK_THRESHOLD:-1.5}"
-KERNELS="${ASV_BENCH_CHECK_KERNELS:-^BM_Census/|^BM_AggregateRow/|^BM_FusedCostRow/|^BM_ConvGemm/|^BM_Deconv/|^BM_Fig11|^BM_Fig13|^BM_Sgm/(256|512|1024)|^BM_BlockMatching|^BM_IsmPropagate}"
+KERNELS="${ASV_BENCH_CHECK_KERNELS:-^BM_Census/|^BM_AggregateRow/|^BM_FusedCostRow/|^BM_ConvGemm/|^BM_Deconv|^BM_Fig11|^BM_Fig13|^BM_Sgm/(256|512|1024)|^BM_BlockMatching|^BM_IsmPropagate}"
 
 if [[ $RUN -eq 1 ]]; then
 

@@ -6,7 +6,8 @@
  *
  * Prints the four sub-kernels (Appendix A), executes both the
  * standard path (zero-insertion upsample + dense convolution) and
- * the transformed path (four dense sub-convolutions + gather),
+ * the transformed path (four dense sub-convolutions, each storing
+ * straight into its strided phase of the ofmap),
  * verifies they agree exactly, and reports the arithmetic saved.
  */
 

@@ -110,14 +110,6 @@ StreamPipeline::inFlight() const
     return static_cast<int>(submitted_ - completed_);
 }
 
-StreamPipeline::Stats
-StreamPipeline::stats() const
-{
-    MutexLock lock(mutex_);
-    return {submitted_, completed_,
-            static_cast<int>(submitted_ - completed_)};
-}
-
 bool
 StreamPipeline::frontReady() const
 {

@@ -184,21 +184,10 @@ class StreamPipeline
     /** Frames submitted but not yet delivered. */
     bool pending() const { return !slots_.empty(); }
 
-    /** Frames submitted but whose disparity is not yet computed. */
+    /** Frames submitted but whose disparity is not yet computed.
+     *  Safe from any thread (the serving dispatcher's backpressure
+     *  check and heartbeat read it; see asv::serve). */
     int inFlight() const;
-
-    /**
-     * Point-in-time streaming counters, safe to read from any
-     * thread — the external face of the backpressure accounting
-     * (the serving heartbeat reads this; see asv::serve).
-     */
-    struct Stats
-    {
-        int64_t submitted = 0; //!< frames accepted by submit()
-        int64_t completed = 0; //!< frames whose final stage retired
-        int inFlight = 0;      //!< submitted - completed
-    };
-    Stats stats() const;
 
     /**
      * True when the oldest undelivered frame's result is already

@@ -209,112 +209,20 @@ extractSubKernel(const Tensor &weight, const SubConv &sub,
 namespace
 {
 
-using tensor::kMaxSpatialDims;
-using tensor::spatialStrides;
-
-/** Crop the leading/trailing borders of @p in into @p out (the crop
- *  extents are implied by the two shapes plus @p crop_lo). Channels
- *  write disjoint slices; innermost runs are contiguous copies. */
-void
-runCrop(const Tensor &in, const Shape &crop_lo, Tensor &out,
-        const ExecContext &ctx)
-{
-    const int nd = static_cast<int>(in.rank()) - 1;
-    int64_t sstr[kMaxSpatialDims];
-    int64_t dstr[kMaxSpatialDims];
-    const int64_t schan = spatialStrides(in, sstr);
-    const int64_t dchan = spatialStrides(out, dstr);
-    const int64_t inner = out.dim(nd);
-    ctx.parallelFor(0, in.dim(0), [&](int64_t c0, int64_t c1) {
-        int64_t o[kMaxSpatialDims];
-        for (int64_t c = c0; c < c1; ++c) {
-            const float *sbase = in.data() + c * schan;
-            float *dbase = out.data() + c * dchan;
-            for (int d = 0; d + 1 < nd; ++d)
-                o[d] = 0;
-            while (true) {
-                int64_t soff = crop_lo[nd - 1];
-                int64_t doff = 0;
-                for (int d = 0; d + 1 < nd; ++d) {
-                    soff += (o[d] + crop_lo[d]) * sstr[d];
-                    doff += o[d] * dstr[d];
-                }
-                std::copy_n(sbase + soff, inner, dbase + doff);
-                int d = nd - 2;
-                while (d >= 0) {
-                    if (++o[d] < out.dim(1 + d))
-                        break;
-                    o[d] = 0;
-                    --d;
-                }
-                if (d < 0)
-                    break;
-            }
-        }
-    });
-}
-
-/** Interleave @p sub_out into @p out at positions
- *  j * stride + phase per spatial dim. Filters write disjoint
- *  slices. */
-void
-runGather(const Tensor &sub_out, const Shape &stride,
-          const Shape &phase, Tensor &out, const ExecContext &ctx)
-{
-    const int nd = static_cast<int>(out.rank()) - 1;
-    int64_t sstr[kMaxSpatialDims];
-    int64_t ostr[kMaxSpatialDims];
-    const int64_t schan = spatialStrides(sub_out, sstr);
-    const int64_t ochan = spatialStrides(out, ostr);
-    const int64_t inner = sub_out.dim(nd);
-    const int64_t inner_step = stride[nd - 1];
-    ctx.parallelFor(0, sub_out.dim(0), [&](int64_t f0, int64_t f1) {
-        int64_t o[kMaxSpatialDims];
-        for (int64_t f = f0; f < f1; ++f) {
-            const float *sbase = sub_out.data() + f * schan;
-            float *obase = out.data() + f * ochan;
-            for (int d = 0; d + 1 < nd; ++d)
-                o[d] = 0;
-            while (true) {
-                int64_t soff = 0;
-                int64_t ooff = phase[nd - 1];
-                for (int d = 0; d + 1 < nd; ++d) {
-                    soff += o[d] * sstr[d];
-                    ooff += (o[d] * stride[d] + phase[d]) * ostr[d];
-                }
-                const float *s = sbase + soff;
-                float *dst = obase + ooff;
-                for (int64_t j = 0; j < inner; ++j)
-                    dst[j * inner_step] = s[j];
-                int d = nd - 2;
-                while (d >= 0) {
-                    if (++o[d] < sub_out.dim(1 + d))
-                        break;
-                    o[d] = 0;
-                    --d;
-                }
-                if (d < 0)
-                    break;
-            }
-        }
-    });
-}
-
 /** Fill one tap-free phase with the epilogue of zero, per filter:
  *  relu(0 + bias), the ReLU with the kernels' `v > 0 ? v : +0`
  *  semantics; +0 without an epilogue. */
 void
-gatherFill(const Shape &counts, const Shape &stride,
-           const Shape &phase, const tensor::ConvEpilogue *epilogue,
-           Tensor &out, const ExecContext &ctx)
+fillTapFree(const Shape &counts, const tensor::OutputPlacement &place,
+            const tensor::ConvEpilogue *epilogue, Tensor &out,
+            const ExecContext &ctx)
 {
-    const int nd = static_cast<int>(out.rank()) - 1;
-    int64_t ostr[kMaxSpatialDims];
-    const int64_t ochan = spatialStrides(out, ostr);
+    const int nd = static_cast<int>(counts.size());
+    int64_t ostr[tensor::kMaxSpatialDims];
+    const int64_t ochan = tensor::spatialStrides(out, ostr);
     const int64_t inner = counts[nd - 1];
-    const int64_t inner_step = stride[nd - 1];
+    const int64_t step = place.step[nd - 1];
     ctx.parallelFor(0, out.dim(0), [&](int64_t f0, int64_t f1) {
-        int64_t o[kMaxSpatialDims];
         for (int64_t f = f0; f < f1; ++f) {
             float v = 0.0f;
             if (epilogue != nullptr) {
@@ -323,26 +231,12 @@ gatherFill(const Shape &counts, const Shape &stride,
                 if (epilogue->relu)
                     v = v > 0.0f ? v : 0.0f;
             }
-            float *obase = out.data() + f * ochan;
-            for (int d = 0; d + 1 < nd; ++d)
-                o[d] = 0;
-            while (true) {
-                int64_t ooff = phase[nd - 1];
-                for (int d = 0; d + 1 < nd; ++d)
-                    ooff += (o[d] * stride[d] + phase[d]) * ostr[d];
-                float *dst = obase + ooff;
-                for (int64_t j = 0; j < inner; ++j)
-                    dst[j * inner_step] = v;
-                int d = nd - 2;
-                while (d >= 0) {
-                    if (++o[d] < counts[d])
-                        break;
-                    o[d] = 0;
-                    --d;
-                }
-                if (d < 0)
-                    break;
-            }
+            float *dst = out.data() + f * ochan;
+            tensor::forEachPlacedRow(
+                counts, place, ostr, [&](int64_t, int64_t base) {
+                    for (int64_t j = 0; j < inner; ++j)
+                        dst[base + j * step] = v;
+                });
         }
     });
 }
@@ -356,8 +250,9 @@ DeconvPlan::DeconvPlan(const Tensor &weight, const Shape &input_shape,
                                         spec))
 {
     const int nd = static_cast<int>(input_shape.size()) - 1;
-    panic_if(nd < 1 || nd > kMaxSpatialDims, "DeconvPlan: spatial rank ",
-             nd, " unsupported (1-", kMaxSpatialDims, ")");
+    panic_if(nd < 1 || nd > tensor::kMaxSpatialDims,
+             "DeconvPlan: spatial rank ", nd, " unsupported (1-",
+             tensor::kMaxSpatialDims, ")");
 
     dnn::LayerDesc layer;
     layer.name = "deconv";
@@ -376,9 +271,10 @@ DeconvPlan::DeconvPlan(const Tensor &weight, const Shape &input_shape,
         if (std::any_of(ph.counts.begin(), ph.counts.end(),
                         [](int64_t c) { return c == 0; }))
             continue; // phase has no output positions
-        ph.phase.resize(nd);
+        ph.place.step = spec.stride;
+        ph.place.offset.resize(nd);
         for (int d = 0; d < nd; ++d)
-            ph.phase[d] = sc.dims[d].phase;
+            ph.place.offset[d] = sc.dims[d].phase;
         if (sc.empty()) {
             // Positions exist but no kernel taps overlap: filled
             // with the epilogue of zero.
@@ -387,40 +283,18 @@ DeconvPlan::DeconvPlan(const Tensor &weight, const Shape &input_shape,
             continue;
         }
         ph.kernel = extractSubKernel(weight, sc, spec.stride);
-        // Map the ifmap shift m0 to a leading crop (m0 > 0) or
-        // leading padding (m0 < 0); trailing pad/crop sizes the
-        // output to exactly `count` positions.
-        ph.cropLo.resize(nd);
-        Shape crop_hi(nd);
+        // The ifmap shift m0 is a leading pad (m0 < 0) or crop
+        // (m0 > 0, a negative pad); the trailing pad or crop sizes
+        // the output to exactly `count` positions.
         ph.conv.stride.assign(nd, 1);
         ph.conv.padLo.resize(nd);
         ph.conv.padHi.resize(nd);
         for (int d = 0; d < nd; ++d) {
             const DimPlan &dp = sc.dims[d];
-            ph.cropLo[d] = std::max<int64_t>(0, dp.inOffset);
-            ph.conv.padLo[d] = std::max<int64_t>(0, -dp.inOffset);
-            const int64_t len = input_shape[1 + d] - ph.cropLo[d];
-            panic_if(len < 1, "sub-conv crop removed entire input");
-            const int64_t hi =
-                dp.count - 1 + dp.taps - ph.conv.padLo[d] - len;
-            ph.conv.padHi[d] = std::max<int64_t>(0, hi);
-            crop_hi[d] = std::max<int64_t>(0, -hi);
-            if (ph.cropLo[d] > 0 || crop_hi[d] > 0)
-                ph.needCrop = true;
+            ph.conv.padLo[d] = -dp.inOffset;
+            ph.conv.padHi[d] = dp.count - 1 + dp.taps -
+                               input_shape[1 + d] - ph.conv.padLo[d];
         }
-        if (ph.needCrop) {
-            Shape cs;
-            cs.push_back(input_shape[0]);
-            for (int d = 0; d < nd; ++d)
-                cs.push_back(input_shape[1 + d] - ph.cropLo[d] -
-                             crop_hi[d]);
-            ph.cropped = Tensor(cs);
-        }
-        Shape os;
-        os.push_back(weight.dim(0));
-        for (int64_t c : ph.counts)
-            os.push_back(c);
-        ph.out = Tensor(os);
         phases_.push_back(std::move(ph));
     }
 }
@@ -436,20 +310,12 @@ DeconvPlan::run(const Tensor &input,
     panic_if(out.shape() != out_shape_, "DeconvPlan: output shape ",
              tensor::toString(out.shape()), " != planned ",
              tensor::toString(out_shape_));
-    for (Phase &ph : phases_) {
-        if (ph.tapFree) {
-            gatherFill(ph.counts, spec_.stride, ph.phase, epilogue, out,
-                       ctx);
-            continue;
-        }
-        const Tensor *src = &input;
-        if (ph.needCrop) {
-            runCrop(input, ph.cropLo, ph.cropped, ctx);
-            src = &ph.cropped;
-        }
-        tensor::convNdInto(*src, ph.kernel, ph.conv, epilogue, ctx,
-                           ph.out);
-        runGather(ph.out, spec_.stride, ph.phase, out, ctx);
+    for (const Phase &ph : phases_) {
+        if (ph.tapFree)
+            fillTapFree(ph.counts, ph.place, epilogue, out, ctx);
+        else
+            tensor::convNdInto(input, ph.kernel, ph.conv, epilogue, ctx,
+                               out, ph.place);
     }
 }
 

@@ -113,14 +113,17 @@ Tensor extractSubKernel(const Tensor &weight, const SubConv &sub,
 /**
  * A compiled transformed deconvolution: the only executor of the
  * Sec. 4.1 transformation. Construction extracts each phase's
- * sub-kernel, derives its stride-1 ConvSpec and ifmap crop, and
- * preallocates the crop and sub-output tensors. run() executes the
- * phases in order: crop, dense convNdInto with the epilogue fused
- * (exact, since phases write disjoint ofmap positions), gather into
- * the interleaved ofmap. A tap-free phase (positions but no taps: a
- * kernel smaller than the stride) gets the epilogue of zero.
- * Bit-identical for any worker count; allocation-free once the
- * ExecContext's BufferPool is warm. 1-4 spatial dims.
+ * sub-kernel and derives its stride-1 ConvSpec, whose signed pads
+ * carry the phase's ifmap shift (a negative pad crops), and its
+ * OutputPlacement (step = stride, offset = phase); the sub-kernels
+ * are the only tensors a plan owns. run() executes the phases in
+ * order, each one convNdInto storing straight into its strided
+ * positions of the ofmap with the epilogue fused (exact, since
+ * phases write disjoint positions). A tap-free phase (positions but
+ * no taps: a kernel smaller than the stride) gets the epilogue of
+ * zero through the same placement walker. Bit-identical for any
+ * worker count; allocation-free once the ExecContext's BufferPool
+ * is warm. 1-4 spatial dims.
  */
 class DeconvPlan
 {
@@ -144,15 +147,11 @@ class DeconvPlan
     /** One output phase: its sub-convolution and where it lands. */
     struct Phase
     {
-        Tensor kernel;         //!< extracted sub-kernel [K, C, taps..]
-        tensor::ConvSpec conv; //!< stride-1 + one-sided pads
-        Shape cropLo;          //!< leading input crop per dim
-        bool needCrop = false;
-        Tensor cropped;        //!< preallocated crop buffer
-        Shape phase;           //!< ofmap phase per dim
-        Shape counts;          //!< ofmap positions per dim
-        Tensor out;            //!< preallocated sub-conv output
-        bool tapFree = false;  //!< no taps: epilogue of zero
+        Tensor kernel;                 //!< sub-kernel [K, C, taps..]
+        tensor::ConvSpec conv;         //!< stride 1, signed pads
+        tensor::OutputPlacement place; //!< ofmap step and phase
+        Shape counts;                  //!< ofmap positions per dim
+        bool tapFree = false;          //!< no taps: epilogue of zero
     };
 
     tensor::DeconvSpec spec_;

@@ -21,11 +21,12 @@
  *    rejected, as are IR chains whose shapes do not actually chain
  *    (NetworkBuilder::setChannels / concatChannels splices).
  *
- * Everything a frame needs — weights, biases, deconv plans (with
- * their sub-kernels and crop buffers), every intermediate
- * activation — is allocated at construction; forward() performs
- * zero heap allocations once the ExecContext's BufferPool has
- * warmed up (its im2col scratch is the only pooled acquisition).
+ * Everything a frame needs — weights, biases, deconv plans (which
+ * own only their sub-kernels), every intermediate activation — is
+ * allocated at construction; forward() performs zero heap
+ * allocations once the ExecContext's BufferPool has warmed up (its
+ * im2col scratch and the deconv phases' scratch rows are the only
+ * pooled acquisitions).
  * This is the "dnn" entry enforced exactly by alloc_baseline_test /
  * BASELINE_alloc.json.
  *

@@ -93,7 +93,7 @@ class BoundedRing
   public:
     explicit BoundedRing(int capacity) : slots_(capacity)
     {
-        fatal_if(capacity < 1, "BoundedRing capacity must be >= 1");
+        panic_if(capacity < 1, "BoundedRing capacity must be >= 1");
     }
 
     bool empty() const { return size_ == 0; }
@@ -113,7 +113,7 @@ class BoundedRing
     T &
     pushSlot()
     {
-        fatal_if(full(), "BoundedRing overflow");
+        panic_if(full(), "BoundedRing overflow");
         T &slot = at(size_);
         ++size_;
         return slot;
@@ -123,7 +123,7 @@ class BoundedRing
     void
     popFront()
     {
-        fatal_if(empty(), "BoundedRing underflow");
+        panic_if(empty(), "BoundedRing underflow");
         head_ = (head_ + 1) % static_cast<int>(slots_.size());
         --size_;
     }
@@ -133,7 +133,7 @@ class BoundedRing
     void
     removeAt(int i)
     {
-        fatal_if(i < 0 || i >= size_, "BoundedRing bad removeAt");
+        panic_if(i < 0 || i >= size_, "BoundedRing bad removeAt");
         for (int j = i; j + 1 < size_; ++j)
             std::swap(at(j), at(j + 1));
         --size_;
@@ -144,6 +144,23 @@ class BoundedRing
     int head_ = 0;
     int size_ = 0;
 };
+
+/** @p config, or std::invalid_argument naming its bad field: runs
+ *  before the server builds its pool or ring, so a bad config
+ *  starts no thread. */
+const ServerConfig &
+checkedConfig(const ServerConfig &config)
+{
+    auto require = [](bool ok, const char *what) {
+        if (!ok)
+            throw std::invalid_argument(std::string("ServerConfig ") +
+                                        what);
+    };
+    require(config.workers >= 0, "workers must be >= 0");
+    require(config.queueCapacity >= 1, "queueCapacity must be >= 1");
+    require(config.maxStreams >= 1, "maxStreams must be >= 1");
+    return config;
+}
 
 } // namespace
 
@@ -195,17 +212,13 @@ struct Server::StreamState
 };
 
 Server::Server(ServerConfig config)
-    : config_(config),
+    : config_(checkedConfig(config)),
       pool_(std::make_shared<ThreadPool>(
           (config.workers > 0 ? config.workers
                               : ThreadPool::defaultThreads()) +
           1)),
       ring_(config.queueCapacity)
 {
-    fatal_if(config_.workers < 0, "Server workers must be >= 0");
-    fatal_if(config_.queueCapacity < 1,
-             "Server queueCapacity must be >= 1");
-    fatal_if(config_.maxStreams < 1, "Server maxStreams must be >= 1");
     // Preallocated so openStream() never moves live StreamStates
     // under the dispatcher's feet (publication is the numStreams_
     // release store).
@@ -268,9 +281,10 @@ Server::openStream(StreamConfig config)
 void
 Server::setPaused(StreamId stream, bool paused)
 {
-    fatal_if(stream < 0 ||
-                 stream >= numStreams_.load(std::memory_order_acquire),
-             "setPaused on unknown stream ", stream);
+    if (stream < 0 ||
+        stream >= numStreams_.load(std::memory_order_acquire))
+        throw std::invalid_argument("setPaused on unknown stream " +
+                                    std::to_string(stream));
     streams_[static_cast<size_t>(stream)]->paused.store(
         paused, std::memory_order_relaxed);
     if (!paused)
@@ -522,7 +536,7 @@ Server::collectCompletions()
             // Shed notifications older than this result go first —
             // that is what makes delivery strictly ticket-ordered.
             deliverShedGaps(s, ticket);
-            fatal_if(s.nextDeliver != ticket,
+            panic_if(s.nextDeliver != ticket,
                      "stream ", s.id, ": delivery-order invariant "
                      "broken (nextDeliver ", s.nextDeliver,
                      ", completing ticket ", ticket, ")");
@@ -572,8 +586,7 @@ Server::dispatchPending()
                 s.paused.load(std::memory_order_relaxed) ||
                 s.pipelineTickets.full())
                 continue;
-            if (s.pipeline->stats().inFlight >=
-                s.config.maxInFlight)
+            if (s.pipeline->inFlight() >= s.config.maxInFlight)
                 continue;
             if (s.config.priority > best_priority) {
                 best_priority = s.config.priority;
@@ -731,7 +744,8 @@ Server::heartbeatMain()
 int
 Server::subscribe(HeartbeatFn fn)
 {
-    fatal_if(!fn, "subscribe() needs a callback");
+    if (!fn)
+        throw std::invalid_argument("subscribe() needs a callback");
     MutexLock lock(hbMutex_);
     const int token = nextToken_++;
     subscribers_.emplace_back(token, std::move(fn));
@@ -784,9 +798,8 @@ Server::buildStats() const
         st.failed = s.failed.load(std::memory_order_relaxed);
         st.keyFrames = s.keyFrames.load(std::memory_order_relaxed);
         st.queueDepth = s.queueDepth.load(std::memory_order_relaxed);
-        const core::StreamPipeline::Stats ps = s.pipeline->stats();
-        st.inFlight = ps.inFlight;
-        total_in_flight += ps.inFlight;
+        st.inFlight = s.pipeline->inFlight();
+        total_in_flight += st.inFlight;
         const BufferPool::Stats bp = s.pipeline->buffers().stats();
         out.poolHits += bp.hits;
         out.poolMisses += bp.misses;

@@ -215,6 +215,8 @@ struct ServerStats
 class Server
 {
   public:
+    /** Throws std::invalid_argument, before any thread starts, when
+     *  workers < 0 or queueCapacity or maxStreams is < 1. */
     explicit Server(ServerConfig config = {});
 
     /** Stops the server (stop()), delivering all accepted frames of
@@ -249,7 +251,8 @@ class Server
                            const image::Image &right);
 
     /** Pause/unpause dispatch for one stream (frames still queue
-     *  and shed while paused). */
+     *  and shed while paused). Throws std::invalid_argument for an
+     *  id openStream() never returned. */
     void setPaused(StreamId stream, bool paused);
 
     /**
@@ -273,7 +276,8 @@ class Server
     ServerStats stats() const;
 
     /** Register a heartbeat subscriber (needs heartbeatPeriod > 0
-     *  to ever fire); returns a token for unsubscribe(). */
+     *  to ever fire); returns a token for unsubscribe(). Throws
+     *  std::invalid_argument for an empty callback. */
     int subscribe(HeartbeatFn fn);
     void unsubscribe(int token);
 

@@ -127,7 +127,8 @@ convOutShape(const Shape &input, const Shape &weight, const ConvSpec &spec)
 void
 convNdInto(const Tensor &input, const Tensor &weight,
            const ConvSpec &spec, const ConvEpilogue *epilogue,
-           const ExecContext &ctx, Tensor &out)
+           const ExecContext &ctx, Tensor &out,
+           const OutputPlacement &place)
 {
     const int nd = static_cast<int>(input.rank()) - 1;
     panic_if(nd < 1 || nd > kMaxSpatialDims,
@@ -146,11 +147,15 @@ convNdInto(const Tensor &input, const Tensor &weight,
     panic_if(static_cast<int>(out.rank()) != nd + 1 ||
                  out.dim(0) != weight.dim(0),
              "convNdInto: bad output shape ", toString(out.shape()));
+    const bool contiguous = place.contiguous();
+    panic_if(!contiguous &&
+                 (static_cast<int>(place.step.size()) != nd ||
+                  static_cast<int>(place.offset.size()) != nd),
+             "convNdInto: placement rank mismatch");
 
     const std::span<const int64_t> kspatial(
         weight.shape().data() + 2, static_cast<size_t>(nd));
-    const std::span<const int64_t> ospatial(
-        out.shape().data() + 1, static_cast<size_t>(nd));
+    int64_t oext[kMaxSpatialDims];
     int64_t T = 1;
     int64_t P = 1;
     bool direct = true;
@@ -160,14 +165,25 @@ convNdInto(const Tensor &input, const Tensor &weight,
             input.dim(1 + d) + spec.padLo[d] + spec.padHi[d];
         panic_if(padded < kspatial[d], "kernel dim ", kspatial[d],
                  " larger than padded input ", padded);
-        panic_if(ospatial[d] !=
-                     (padded - kspatial[d]) / spec.stride[d] + 1,
-                 "convNdInto: output spatial mismatch in dim ", d);
+        oext[d] = (padded - kspatial[d]) / spec.stride[d] + 1;
+        if (contiguous) {
+            panic_if(out.dim(1 + d) != oext[d],
+                     "convNdInto: output spatial mismatch in dim ", d);
+        } else {
+            panic_if(place.step[d] < 1 || place.offset[d] < 0 ||
+                         place.offset[d] +
+                                 (oext[d] - 1) * place.step[d] >=
+                             out.dim(1 + d),
+                     "convNdInto: placement leaves the output in dim ",
+                     d);
+        }
         T *= kspatial[d];
-        P *= ospatial[d];
+        P *= oext[d];
         direct = direct && kspatial[d] == 1 && spec.stride[d] == 1 &&
                  spec.padLo[d] == 0 && spec.padHi[d] == 0;
     }
+    const std::span<const int64_t> ospatial(oext,
+                                            static_cast<size_t>(nd));
     const int64_t K = weight.dim(0);
     const int64_t R = input.dim(0) * T;
 
@@ -188,15 +204,27 @@ convNdInto(const Tensor &input, const Tensor &weight,
         col = cb;
     }
 
+    // A placed output computes each filter row into its chunk's
+    // scratch row (one acquire for every chunk, so a warm pool hits
+    // whatever the chunks' timing) and stores it from there.
+    int64_t ostr[kMaxSpatialDims];
+    const int64_t ochan = spatialStrides(out, ostr);
+    PoolHandle<float> rowbuf;
+    if (!contiguous)
+        rowbuf = ctx.buffers().acquire<float>(static_cast<size_t>(
+            std::min<int64_t>(K, ctx.numThreads()) * P));
+    const int64_t inner = oext[nd - 1];
+
     const float *wd = weight.data();
     float *od = out.data();
     // One output row (filter) per gemmRow call: every output element
     // is produced by exactly one thread replaying the serial
     // reduction order, so results are bit-identical for any worker
     // count (and across SIMD levels; see docs/KERNELS.md).
-    ctx.parallelFor(0, K, [&](int64_t f0, int64_t f1) {
+    ctx.parallelForChunks(0, K, [&](int64_t f0, int64_t f1, int chunk) {
         for (int64_t f = f0; f < f1; ++f) {
-            float *row = od + f * P;
+            float *row =
+                contiguous ? od + f * P : rowbuf.data() + chunk * P;
             kt.gemmRow(wd + f * R, static_cast<int>(R), col, P, row,
                        static_cast<int>(P));
             if (epilogue != nullptr)
@@ -204,6 +232,16 @@ convNdInto(const Tensor &input, const Tensor &weight,
                     row, static_cast<int>(P),
                     epilogue->bias ? epilogue->bias[f] : 0.0f,
                     epilogue->relu);
+            if (contiguous)
+                continue;
+            float *dst = od + f * ochan;
+            const int64_t step = place.step[nd - 1];
+            forEachPlacedRow(
+                ospatial, place, ostr, [&](int64_t r, int64_t base) {
+                    const float *src = row + r * inner;
+                    for (int64_t j = 0; j < inner; ++j)
+                        dst[base + j * step] = src[j];
+                });
         }
     });
 }

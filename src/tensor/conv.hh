@@ -11,9 +11,13 @@
  *  - weight: [K, C, k_0, k_1, ..., k_{N-1}]       (K filters)
  *  - output: [K, o_0, o_1, ..., o_{N-1}]
  *
- * Supports per-dimension stride and asymmetric (lo/hi) zero padding.
- * Asymmetric padding is required by the deconvolution transformation,
- * whose sub-convolutions can need one-sided pads (Sec. 4.1).
+ * Supports per-dimension stride and asymmetric (lo/hi) padding. A pad
+ * is signed: positive pads with zeros, negative crops the input. The
+ * deconvolution transformation needs both, one-sided (Sec. 4.1): each
+ * sub-convolution's window is the ifmap shifted by its phase's
+ * offset. convNdInto can also store through an OutputPlacement (a
+ * step and an offset per dim), so several convolutions interleave
+ * into one ofmap.
  *
  * The same loop nest also computes sum-of-absolute-differences (SAD)
  * instead of multiply-accumulate, which is how ASV maps block matching
@@ -36,6 +40,7 @@
 #define ASV_TENSOR_CONV_HH
 
 #include <cstdint>
+#include <span>
 
 #include "common/exec_context.hh"
 #include "tensor/tensor.hh"
@@ -54,8 +59,8 @@ enum class ConvOp
 struct ConvSpec
 {
     Shape stride; //!< one entry per spatial dim (>= 1)
-    Shape padLo;  //!< leading zero padding per spatial dim
-    Shape padHi;  //!< trailing zero padding per spatial dim
+    Shape padLo;  //!< leading padding per spatial dim (< 0: crop)
+    Shape padHi;  //!< trailing padding per spatial dim (< 0: crop)
 
     /** Uniform stride/pad across @p spatial_dims dimensions. */
     static ConvSpec uniform(int spatial_dims, int64_t stride,
@@ -91,6 +96,50 @@ struct ConvEpilogue
     bool relu = false;           //!< clamp negatives (and NaN) to +0
 };
 
+/**
+ * Where convNdInto stores its output positions: position o_d of
+ * spatial dim d lands at index o_d * step[d] + offset[d] of the
+ * output tensor's dim 1 + d. Empty (the default) is contiguous: the
+ * output tensor's spatial extents are exactly the convolution's.
+ */
+struct OutputPlacement
+{
+    Shape step;   //!< per spatial dim (>= 1), or empty
+    Shape offset; //!< per spatial dim (>= 0), or empty
+
+    bool contiguous() const { return step.empty(); }
+};
+
+/**
+ * Walk one channel of a placed store: @p extents are the stored
+ * block's spatial extents and @p ostride the output tensor's
+ * spatial strides. For each index of the leading nd-1 dims, in
+ * raster order, fn(row, base) gets the row's raster number and the
+ * channel-relative offset of its first position; element j of the
+ * row lies at base + j * place.step[nd-1], j < extents[nd-1].
+ */
+template <typename Fn>
+void
+forEachPlacedRow(std::span<const int64_t> extents,
+                 const OutputPlacement &place, const int64_t *ostride,
+                 Fn &&fn)
+{
+    const int nd = static_cast<int>(extents.size());
+    int64_t o[kMaxSpatialDims] = {};
+    for (int64_t row = 0;; ++row) {
+        int64_t base = place.offset[nd - 1];
+        for (int d = 0; d + 1 < nd; ++d)
+            base += (o[d] * place.step[d] + place.offset[d]) *
+                    ostride[d];
+        fn(row, base);
+        int d = nd - 2;
+        while (d >= 0 && ++o[d] == extents[d])
+            o[d--] = 0;
+        if (d < 0)
+            return;
+    }
+}
+
 /** Output shape of convNd for the given input/weight/spec. */
 Shape convOutShape(const Shape &input, const Shape &weight,
                    const ConvSpec &spec);
@@ -114,17 +163,23 @@ Tensor convNd(const Tensor &input, const Tensor &weight,
 
 /**
  * MAC convolution into a preallocated output — the zero-allocation
- * fast path behind dnn::NetworkRuntime. Always the f32 GEMM route:
- * im2col (or direct for pointwise stride-1 unpadded layers) into
- * BufferPool scratch from @p ctx, then one dispatched gemmRow per
- * filter, with the optional fused epilogue. @p out must already have
- * shape convOutShape(...); its prior contents are overwritten (no
- * pre-zeroing needed). Performs no heap allocations once @p ctx's
- * BufferPool has warmed up. Supports 1-4 spatial dims.
+ * fast path behind dnn::NetworkRuntime and deconv::DeconvPlan.
+ * Always the f32 GEMM route: im2col (or direct for pointwise
+ * stride-1 unpadded layers) into BufferPool scratch from @p ctx,
+ * then one dispatched gemmRow per filter, with the optional fused
+ * epilogue. With the contiguous @p place, @p out must have shape
+ * convOutShape(...) and each filter row is computed in place;
+ * otherwise @p out is [K, ...] with every placed position inside
+ * it, and each row is computed into pooled per-chunk scratch, gets
+ * its epilogue there and is stored to its positions. Every placed
+ * position is overwritten (no pre-zeroing needed); the rest of
+ * @p out is left as it was. Performs no heap allocations once
+ * @p ctx's BufferPool has warmed up. Supports 1-4 spatial dims.
  */
 void convNdInto(const Tensor &input, const Tensor &weight,
                 const ConvSpec &spec, const ConvEpilogue *epilogue,
-                const ExecContext &ctx, Tensor &out);
+                const ExecContext &ctx, Tensor &out,
+                const OutputPlacement &place = {});
 
 } // namespace asv::tensor
 

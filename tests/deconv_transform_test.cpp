@@ -167,14 +167,15 @@ TEST(Functional, MatchesReferenceOnPaperExample)
 
 TEST(Functional, ExecContextBitIdenticalToSerial)
 {
-    // The threaded transform (sub-convs on the pool, crop/gather
-    // fanned over channels) must be bit-identical to the serial
-    // path for any worker count.
+    // The threaded transform (each sub-conv's filters, and their
+    // stores into the strided ofmap, fanned over the pool) must be
+    // bit-identical to the serial path for any worker count.
     Rng rng(13);
     const Tensor in = randomTensor({3, 9, 7}, rng);
     asv::ThreadPool serial(1), pool(4);
     // On this non-square input, k5 s3 p2 mixes sub-kernel extents,
-    // k3 s2 p2 crops the ifmap on both sides and k2 s3 p0 has a
+    // k3 s2 p2 has a phase with negative pads on both sides and
+    // k2 s3 p0 has a
     // tap-free phase.
     struct Case
     {

@@ -16,7 +16,9 @@
  *    shed delivery — is allocation-free at steady state
  *    (AllocTracker-guarded, including the FrameQueue in isolation);
  *  - a malformed StreamConfig or a full stream table throws from
- *    openStream() and leaves the server unchanged and serving.
+ *    openStream() and leaves the server unchanged and serving; a bad
+ *    ServerConfig, an unknown id in setPaused() and an empty
+ *    heartbeat callback throw as well.
  */
 
 #include <gtest/gtest.h>
@@ -194,6 +196,49 @@ TEST(Serve, BadStreamConfigThrowsAndLeavesServerUsable)
         EXPECT_EQ(log.results[f].status, ResultStatus::Ok);
         EXPECT_EQ(log.results[f].disparity.width(),
                   frames[f].left.width());
+    }
+}
+
+TEST(Serve, BadServerInputThrowsAndLeavesServerUsable)
+{
+    // A bad ServerConfig throws before the server builds anything.
+    auto broken = [](auto &&mutate) {
+        ServerConfig sc;
+        sc.workers = 2;
+        mutate(sc);
+        return sc;
+    };
+    EXPECT_THROW(Server(broken([](ServerConfig &c) { c.workers = -1; })),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        Server(broken([](ServerConfig &c) { c.queueCapacity = 0; })),
+        std::invalid_argument);
+    EXPECT_THROW(
+        Server(broken([](ServerConfig &c) { c.maxStreams = 0; })),
+        std::invalid_argument);
+
+    // A bad call on a running server throws and changes nothing.
+    ServerConfig sc;
+    sc.workers = 2;
+    sc.heartbeatPeriod = std::chrono::milliseconds(1);
+    Server server(sc);
+    ResultLog log;
+    const StreamId id = server.openStream(streamConfig(log));
+    EXPECT_THROW(server.setPaused(id + 1, true), std::invalid_argument);
+    EXPECT_THROW(server.setPaused(-1, true), std::invalid_argument);
+    EXPECT_THROW(server.subscribe(HeartbeatFn{}), std::invalid_argument);
+
+    // The stream is still unpaused and the server serves it.
+    const auto frames = makeFrames(4, 13);
+    for (const FramePair &f : frames)
+        ASSERT_EQ(server.submit(id, f.left, f.right),
+                  SubmitStatus::Accepted);
+    server.drain();
+    server.stop();
+    ASSERT_EQ(log.results.size(), frames.size());
+    for (size_t f = 0; f < frames.size(); ++f) {
+        EXPECT_EQ(log.results[f].ticket, static_cast<int64_t>(f));
+        EXPECT_EQ(log.results[f].status, ResultStatus::Ok);
     }
 }
 

@@ -25,6 +25,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/exec_context.hh"
@@ -344,6 +346,95 @@ TEST(ConvGemmRoute, CrossLevelAndThreadIdentity)
     }
 }
 
+/** @p in cropped by @p lo leading and @p hi trailing elements per
+ *  spatial dim. */
+Tensor
+cropSpatial(const Tensor &in, const Shape &lo, const Shape &hi)
+{
+    Shape shape = in.shape();
+    for (size_t d = 0; d < lo.size(); ++d)
+        shape[1 + d] -= lo[d] + hi[d];
+    Tensor out(shape);
+    Shape src(shape.size());
+    tensor::forEachIndex(shape, [&](std::span<const int64_t> idx) {
+        src[0] = idx[0];
+        for (size_t d = 0; d < lo.size(); ++d)
+            src[1 + d] = idx[1 + d] + lo[d];
+        out.at(idx) = in.at(src);
+    });
+    return out;
+}
+
+TEST(ConvGemmRoute, NegativePadIsACrop)
+{
+    // A negative pad crops: it must give the same bits as convolving
+    // the explicitly cropped input, on the GEMM route at every level
+    // and on the reference loop. The 1x1 case runs the direct route
+    // on its cropped copy and im2col on the negative pads.
+    Rng rng(61);
+    struct Case
+    {
+        Shape in, w, padLo, padHi;
+        int64_t stride;
+    };
+    const std::vector<Case> cases = {
+        {{4, 9, 8}, {3, 4, 1, 1}, {-1, -2}, {-2, 0}, 1},
+        {{3, 10, 9}, {2, 3, 3, 3}, {-1, 1}, {1, -2}, 1},
+        {{3, 11, 10}, {2, 3, 3, 3}, {-2, -1}, {-1, -3}, 2},
+        {{2, 6, 7, 5}, {3, 2, 2, 3, 2}, {-1, 0, -1}, {-1, 1, 0}, 1},
+    };
+    for (const Case &c : cases) {
+        const int nd = static_cast<int>(c.in.size()) - 1;
+        const Tensor in = randomTensor(c.in, rng);
+        const Tensor w = randomTensor(c.w, rng);
+        tensor::ConvSpec neg;
+        neg.stride.assign(nd, c.stride);
+        neg.padLo = c.padLo;
+        neg.padHi = c.padHi;
+        tensor::ConvSpec pos = neg;
+        Shape lo(nd), hi(nd);
+        for (int d = 0; d < nd; ++d) {
+            lo[d] = std::max<int64_t>(0, -c.padLo[d]);
+            hi[d] = std::max<int64_t>(0, -c.padHi[d]);
+            pos.padLo[d] = std::max<int64_t>(0, c.padLo[d]);
+            pos.padHi[d] = std::max<int64_t>(0, c.padHi[d]);
+        }
+        const Tensor cropped = cropSpatial(in, lo, hi);
+        const std::string what = tensor::toString(c.in) + " * " +
+                                 tensor::toString(c.w);
+        for (simd::Level level : simd::supportedLevels()) {
+            LevelGuard g(level);
+            for (int threads : {1, 3}) {
+                ThreadPool pool(threads);
+                BufferPool buffers;
+                const ExecContext ctx(pool, buffers);
+                const Tensor want = tensor::convNd(
+                    cropped, w, pos, tensor::ConvOp::MAC, nullptr, ctx);
+                const Tensor got = tensor::convNd(
+                    in, w, neg, tensor::ConvOp::MAC, nullptr, ctx);
+                ASSERT_EQ(got.shape(), want.shape()) << what;
+                expectBitEqual(got.data(), want.data(),
+                               size_t(got.size()),
+                               what + " " + simd::levelName(level) +
+                                   " threads=" +
+                                   std::to_string(threads));
+            }
+        }
+        tensor::ConvStats st_neg, st_pos;
+        const Tensor ref_neg = tensor::convNd(
+            in, w, neg, tensor::ConvOp::MAC, &st_neg,
+            ExecContext::global());
+        const Tensor ref_pos = tensor::convNd(
+            cropped, w, pos, tensor::ConvOp::MAC, &st_pos,
+            ExecContext::global());
+        ASSERT_EQ(ref_neg.shape(), ref_pos.shape()) << what;
+        expectBitEqual(ref_neg.data(), ref_pos.data(),
+                       size_t(ref_neg.size()), what + " reference");
+        EXPECT_EQ(st_neg.totalOps, st_pos.totalOps) << what;
+        EXPECT_EQ(st_neg.zeroOps, st_pos.zeroOps) << what;
+    }
+}
+
 // ------------------------------------------------------- transformedDeconv
 
 TEST(TransformedDeconvF32, FusedEpilogueMatchesSeparatePass)
@@ -423,9 +514,9 @@ makeDeconvNet(int64_t k, int64_t s, int64_t p)
 
 /**
  * Conv followed by the three deconvolution shapes the transformed
- * executor distinguishes: k4 s2 p1 (every phase has taps, no crop),
- * k3 s2 p2 (a phase whose ifmap shift needs a leading and trailing
- * crop) and k2 s3 p0 (a tap-free phase).
+ * executor distinguishes: k4 s2 p1 (every phase has taps and
+ * non-negative pads), k3 s2 p2 (a phase whose ifmap shift is a
+ * negative pad on both sides) and k2 s3 p0 (a tap-free phase).
  */
 dnn::Network
 makePinNet()
@@ -441,11 +532,11 @@ makePinNet()
     return nb.build();
 }
 
-/** FNV-1a (64-bit) over the bit patterns of @p t. */
+/** FNV-1a (64-bit) over the bit patterns of @p t, folded into
+ *  @p h (default: the offset basis). */
 uint64_t
-fnv1a(const Tensor &t)
+fnv1a(const Tensor &t, uint64_t h = 0xcbf29ce484222325ull)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
     for (int64_t i = 0; i < t.size(); ++i) {
         const uint32_t bits = std::bit_cast<uint32_t>(t.data()[i]);
         for (int b = 0; b < 4; ++b) {
@@ -525,10 +616,11 @@ TEST(NetworkRuntime, BitIdenticalAcrossWorkerCountsAndLevels)
 
 TEST(NetworkRuntime, SteadyStateIsAllocationFree)
 {
-    // k4 s2 p1 needs no crop and has no tap-free phase; k5 s3 p2
-    // mixes sub-kernel extents, k3 s2 p2 crops the ifmap and k2 s3
-    // p0 has a tap-free phase, so every preallocated path of the
-    // transformed deconvolution is checked.
+    // k4 s2 p1 has non-negative pads and no tap-free phase; k5 s3
+    // p2 mixes sub-kernel extents, k3 s2 p2 has negative pads and
+    // k2 s3 p0 a tap-free phase, so every path of the transformed
+    // deconvolution (placed stores from pooled scratch rows, the
+    // tap-free fill) is checked.
     ThreadPool pool(2);
     BufferPool buffers;
     ExecContext ctx(pool, buffers);
@@ -570,6 +662,62 @@ TEST(NetworkRuntime, ForwardPinnedAtEveryLevel)
             EXPECT_EQ(fnv1a(got), 0xf9e3dcce0849a40full)
                 << simd::levelName(level) << ", " << workers
                 << " workers: got 0x" << std::hex << fnv1a(got);
+        }
+    }
+}
+
+TEST(TransformedDeconvF32, NdPinnedAtEveryLevel)
+{
+    // Cross-commit pin of the N-D executor, 1-D and 3-D (2-D is
+    // pinned through NetworkRuntime above): the TransformEquivalenceNd
+    // shapes (k 3/4, s 2/3, pad 1, so phases pad, crop and interleave)
+    // with a fused bias epilogue, ReLU on for k4. A misplaced store
+    // moves the hash even where a tolerance would not notice.
+    struct Pin
+    {
+        int nd;
+        uint64_t hash;
+    };
+    for (const Pin pin : {Pin{1, 0xd72b79589e6c2cedull},
+                           Pin{3, 0xd1ec883249e375e8ull}}) {
+        std::vector<Tensor> ins, ws;
+        std::vector<std::vector<float>> biases;
+        std::vector<tensor::DeconvSpec> specs;
+        for (int64_t k : {3, 4}) {
+            for (int64_t s : {2, 3}) {
+                Rng rng(uint64_t(31 * pin.nd + 7 * k + s));
+                Shape in_shape{2}, w_shape{3, 2};
+                for (int d = 0; d < pin.nd; ++d) {
+                    in_shape.push_back(4 + d);
+                    w_shape.push_back(k);
+                }
+                ins.push_back(randomTensor(in_shape, rng));
+                ws.push_back(randomTensor(w_shape, rng));
+                biases.push_back(randomVec(3, rng));
+                specs.push_back(
+                    tensor::DeconvSpec::uniform(pin.nd, s, 1));
+            }
+        }
+        for (simd::Level level : simd::supportedLevels()) {
+            LevelGuard g(level);
+            for (int workers : {1, 2, 4}) {
+                ThreadPool pool(workers);
+                BufferPool buffers;
+                const ExecContext ctx(pool, buffers);
+                uint64_t h = 0xcbf29ce484222325ull;
+                for (size_t i = 0; i < ins.size(); ++i) {
+                    tensor::ConvEpilogue epi;
+                    epi.bias = biases[i].data();
+                    epi.relu = ws[i].dim(2) == 4;
+                    h = fnv1a(deconv::transformedDeconv(
+                                  ins[i], ws[i], specs[i], ctx, &epi),
+                              h);
+                }
+                EXPECT_EQ(h, pin.hash)
+                    << pin.nd << "-D, " << simd::levelName(level)
+                    << ", " << workers << " workers: got 0x" << std::hex
+                    << h;
+            }
         }
     }
 }
