@@ -8,7 +8,8 @@
  * its peak resident arena bytes — plus a per-SIMD-level sweep of the
  * census, SGM aggregation-row, and fused cost-row kernels, of the
  * f32 DNN route (BM_ConvGemm /
- * BM_Deconv: im2col + gemmRow with the fused bias+ReLU epilogue), and
+ * BM_Deconv: packed im2col + gemmTile with the fused bias+ReLU
+ * epilogue), and
  * of the Farnebäck separable filter (BM_SepRow / BM_GaussianBlur) and
  * of one non-key ISM propagation (BM_IsmPropagate: scatter, hole fill
  * and the pixel-lane sadBlock search) — the vector-vs-scalar
@@ -354,8 +355,8 @@ BM_ConvGemm(benchmark::State &state, simd::Level level)
 {
     // The DNN-path f32 route: 3x3 convolution over a representative
     // DispNet refinement shape (C=64 -> K=32 on a 32² ifmap),
-    // lowered to im2col + the dispatched gemmRow kernel with the
-    // bias+ReLU epilogue fused. The ≥3x AVX2-vs-scalar acceptance
+    // lowered to a packed im2col + the dispatched gemmTile kernel
+    // with the bias+ReLU epilogue fused. The ≥3x AVX2-vs-scalar acceptance
     // datapoint tracked in BENCH_kernels.json.
     LevelGuard guard(level);
     const int64_t n = state.range(0);

@@ -6,7 +6,7 @@
  * The inner loops that dominate classical stereo — census
  * bit-packing, XOR+popcount Hamming cost rows, SAD accumulation for
  * block matching, and the semi-global aggregation recurrence — plus
- * the f32 GEMM row and bias+ReLU epilogue behind the deconv/DNN path
+ * the f32 GEMM tile and bias+ReLU epilogue behind the deconv/DNN path
  * and the separable filter row behind Farnebäck flow carry 8-32x
  * of data-level parallelism that scalar per-pixel loops leave on the
  * table. This layer exposes them as a table of function
@@ -37,7 +37,7 @@
  * scalar clamped-uint32 order (see AggregateRowFn); the fused
  * pixel-major cost row (CostRowFn, feeding the streaming SGM without
  * a resident volume) is again pure integer arithmetic. The f32 GEMM
- * row (GemmRowFn) is exact too: the reference accumulates with
+ * tile (GemmTileFn) is exact too: the reference accumulates with
  * std::fmaf, and every vector table has a fused multiply-add (AVX2
  * is only built and dispatched together with FMA; NEON's FMLA is
  * baseline), so each lane replays the chain bit for bit. The
@@ -162,21 +162,27 @@ using CostRowFn = void (*)(const uint64_t *cl, const uint64_t *cr,
                            int w, int dlo, int ndw, uint16_t *out);
 
 /**
- * One f32 GEMM output row — the DNN-path microkernel behind
+ * One register tile of an f32 GEMM — the DNN-path microkernel behind
  * convNd / deconv::DeconvPlan / dnn::NetworkRuntime. Computes
  *
- *   for j in [0, n):
+ *   for r in [0, m), j in [0, n):
  *     acc = +0.0f
  *     for i in [0, k):        // ascending
- *       acc = fma(a[i], b[i * ldb + j], acc)
- *     out[j] = acc
+ *       acc = fma(a[r * lda + i], b[i * ldb + j], acc)
+ *     out[r * ldo + j] = acc
  *
- * i.e. out[0..n) = a[0..k) * B where B is a row-major k x n matrix
- * with leading dimension @p ldb. The kernel *writes* (does not
- * accumulate into) @p out, so pooled output buffers need no
- * pre-zeroing. Vector lanes broadcast a[i] and vectorize across j —
- * no horizontal reductions — so each lane replays the scalar
- * per-output accumulation order.
+ * i.e. an m x n block of A * B, where A is row-major with leading
+ * dimension @p lda and B is a k x n block of a row-major matrix with
+ * leading dimension @p ldb. The table's tile shape bounds it:
+ * m <= Kernels::gemmMr and n <= Kernels::gemmNr (kMaxGemmMr x
+ * kMaxGemmNr at most). An edge tile (m < MR or n < NR) goes through
+ * the same entry. A column strip that im2col packed passes its width
+ * (NR, or less for the last strip) as ldb; a direct (pointwise)
+ * operand passes its row length. The
+ * kernel *writes* (does not accumulate into) @p out, so pooled
+ * buffers need no pre-zeroing. Vector lanes broadcast a[r * lda + i]
+ * and vectorize across j — no horizontal reductions — so each lane
+ * replays the scalar per-output accumulation order.
  *
  * Exactness contract: the reference uses std::fmaf (one rounding per
  * step), and every vector lane is a hardware fused multiply-add
@@ -185,8 +191,13 @@ using CostRowFn = void (*)(const uint64_t *cl, const uint64_t *cr,
  * may differ between a software fmaf and hardware FMA; NaN *positions*
  * always propagate identically. See docs/KERNELS.md.
  */
-using GemmRowFn = void (*)(const float *a, int k, const float *b,
-                           int64_t ldb, float *out, int n);
+using GemmTileFn = void (*)(const float *a, int64_t lda, const float *b,
+                            int64_t ldb, int k, int m, int n, float *out,
+                            int64_t ldo);
+
+/** Largest register tile any table's gemmTile computes (AVX2's). */
+constexpr int kMaxGemmMr = 4;
+constexpr int kMaxGemmNr = 24;
 
 /**
  * Fused bias + optional ReLU epilogue applied in place to one output
@@ -243,7 +254,10 @@ struct Kernels
     SadBlockFn sadBlock;
     AggregateRowFn aggregateRow;
     CostRowFn costRow;
-    GemmRowFn gemmRow;
+    GemmTileFn gemmTile;
+    int gemmMr;           //!< gemmTile's tile rows (filters), MR
+    int gemmNr;           //!< gemmTile's tile columns, NR: the packed
+                          //!< im2col strip width
     BiasReluRowFn biasReluRow;
     SepRowF32Fn sepRowF32;
     SepRowF64Fn sepRowF64;

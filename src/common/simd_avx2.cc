@@ -4,9 +4,9 @@
  * (PSHUFB lookup + SAD reduction) Hamming cost rows over 4x64-bit
  * lanes, 8-pixel (two 4-lane double accumulators per candidate, two
  * candidates interleaved) SAD blocks, 16-lane
- * saturating-uint16 SGM aggregation rows, the 8-lane FMA f32
- * GEMM row + bias/ReLU epilogue for the DNN path (bit-identical to
- * the scalar std::fmaf reference), and the 16-wide separable filter
+ * saturating-uint16 SGM aggregation rows, the 4x24 register-tiled
+ * FMA f32 GEMM + bias/ReLU epilogue for the DNN path (bit-identical
+ * to the scalar std::fmaf reference), and the 16-wide separable filter
  * rows of Farnebäck flow (four 4-lane double accumulators, explicit
  * mul then add).
  *
@@ -285,45 +285,68 @@ costRowAvx2(const uint64_t *cl, const uint64_t *cr, int w, int dlo,
     }
 }
 
+/**
+ * An M-row, NV*8-column tile: M * NV 8-lane accumulators, each
+ * folding i ascending from +0 with one rounding per step — the
+ * scalar std::fmaf chain, replayed per output. At 4 x 3 the twelve
+ * accumulators, three B vectors and one broadcast fill the sixteen
+ * ymm registers, and each i issues 12 FMAs for 7 loads. The r and v
+ * loops are unrolled up front so the accumulator array becomes
+ * registers; otherwise GCC stores all of it back on every i.
+ */
+template <int M, int NV>
 void
-gemmRowAvx2(const float *a, int k, const float *b, int64_t ldb,
-            float *out, int n)
+tileAvx2(const float *a, int64_t lda, const float *b, int64_t ldb,
+         int k, float *out, int64_t ldo)
 {
-    int j = 0;
-    // 32 outputs per iteration: four 8-lane accumulators hide the
-    // 4-cycle FMA latency behind independent chains while a[i] is
-    // broadcast once. Each lane j still folds i ascending from +0
-    // with one rounding per step — the scalar std::fmaf chain,
-    // replayed per output.
-    for (; j + 32 <= n; j += 32) {
-        __m256 acc0 = _mm256_setzero_ps();
-        __m256 acc1 = _mm256_setzero_ps();
-        __m256 acc2 = _mm256_setzero_ps();
-        __m256 acc3 = _mm256_setzero_ps();
-        const float *bj = b + j;
-        for (int i = 0; i < k; ++i) {
-            const __m256 av = _mm256_broadcast_ss(a + i);
-            const float *bi = bj + int64_t(i) * ldb;
-            acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bi), acc0);
-            acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bi + 8), acc1);
-            acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bi + 16), acc2);
-            acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bi + 24), acc3);
+    __m256 acc[M][NV];
+    #pragma GCC unroll 4
+    for (int r = 0; r < M; ++r)
+        #pragma GCC unroll 3
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = _mm256_setzero_ps();
+    for (int i = 0; i < k; ++i) {
+        const float *bi = b + int64_t(i) * ldb;
+        __m256 bv[NV];
+        #pragma GCC unroll 3
+        for (int v = 0; v < NV; ++v)
+            bv[v] = _mm256_loadu_ps(bi + 8 * v);
+        #pragma GCC unroll 4
+        for (int r = 0; r < M; ++r) {
+            const __m256 av = _mm256_broadcast_ss(a + r * lda + i);
+            #pragma GCC unroll 3
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
         }
-        _mm256_storeu_ps(out + j, acc0);
-        _mm256_storeu_ps(out + j + 8, acc1);
-        _mm256_storeu_ps(out + j + 16, acc2);
-        _mm256_storeu_ps(out + j + 24, acc3);
     }
-    for (; j + 8 <= n; j += 8) {
-        __m256 acc = _mm256_setzero_ps();
-        const float *bj = b + j;
-        for (int i = 0; i < k; ++i)
-            acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a + i),
-                                  _mm256_loadu_ps(bj + int64_t(i) * ldb),
-                                  acc);
-        _mm256_storeu_ps(out + j, acc);
-    }
-    gemmRowRef(a, k, b, ldb, j, n, out);
+    #pragma GCC unroll 4
+    for (int r = 0; r < M; ++r)
+        #pragma GCC unroll 3
+        for (int v = 0; v < NV; ++v)
+            _mm256_storeu_ps(out + r * ldo + 8 * v, acc[r][v]);
+}
+
+using TileBody = void (*)(const float *, int64_t, const float *,
+                          int64_t, int, float *, int64_t);
+
+/** tileAvx2<m, nv> at [m - 1][nv - 1]. */
+constexpr TileBody kTileBodies[4][3] = {
+    {tileAvx2<1, 1>, tileAvx2<1, 2>, tileAvx2<1, 3>},
+    {tileAvx2<2, 1>, tileAvx2<2, 2>, tileAvx2<2, 3>},
+    {tileAvx2<3, 1>, tileAvx2<3, 2>, tileAvx2<3, 3>},
+    {tileAvx2<4, 1>, tileAvx2<4, 2>, tileAvx2<4, 3>},
+};
+
+void
+gemmTileAvx2(const float *a, int64_t lda, const float *b, int64_t ldb,
+             int k, int m, int n, float *out, int64_t ldo)
+{
+    // Whole 8-column vectors in registers; the 1-7 column tail of an
+    // edge tile takes the reference chain.
+    const int nv = n / 8;
+    if (m > 0 && nv > 0)
+        kTileBodies[m - 1][nv - 1](a, lda, b, ldb, k, out, ldo);
+    gemmTileRef(a, lda, b, ldb, k, m, 8 * nv, n, out, ldo);
 }
 
 void
@@ -446,10 +469,10 @@ sepRowF64Avx2(const float *const *rows, const double *k, int ntaps,
 }
 
 constexpr Kernels kAvx2Kernels = {
-    "avx2",            Level::Avx2,       censusRowAvx2,
-    sadBlockAvx2,      aggregateRowAvx2,  costRowAvx2,
-    gemmRowAvx2,       biasReluRowAvx2,   sepRowF32Avx2,
-    sepRowF64Avx2,
+    "avx2",          Level::Avx2,      censusRowAvx2,
+    sadBlockAvx2,    aggregateRowAvx2, costRowAvx2,
+    gemmTileAvx2,    4,                24,
+    biasReluRowAvx2, sepRowF32Avx2,    sepRowF64Avx2,
 };
 
 } // namespace

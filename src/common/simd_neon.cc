@@ -5,9 +5,9 @@
  * pairwise-widening Hamming cost rows, 4-pixel (two float64x2_t
  * blocks) SAD blocks,
  * 8-lane saturating-uint16 SGM aggregation rows (vminvq_u16
- * horizontal min), the 4-lane FMLA f32 GEMM row + bias/ReLU
- * epilogue for the DNN path (FMLA is fused, so gemmRow is
- * bit-identical to the scalar std::fmaf reference), and 8-wide
+ * horizontal min), the 4x8 register-tiled FMLA f32 GEMM +
+ * bias/ReLU epilogue for the DNN path (FMLA is fused, so gemmTile
+ * is bit-identical to the scalar std::fmaf reference), and 8-wide
  * float64x2_t separable filter rows (FMUL + FADD, never FMLA).
  *
  * NEON is baseline on armv8-a, so no per-file target flags are
@@ -245,37 +245,68 @@ costRowNeon(const uint64_t *cl, const uint64_t *cr, int w, int dlo,
     }
 }
 
+/**
+ * An M-row, NV*4-column tile: M * NV 4-lane FMLA accumulators, each
+ * folding i ascending from +0. vfmaq_f32 is a fused multiply-add
+ * (one rounding per step), so each lane replays the scalar
+ * std::fmaf chain bit-exactly. At 4 x 2 the eight accumulators, two
+ * B vectors and four broadcasts stay well inside the 32 q registers.
+ * The r and v loops are unrolled up front so the accumulator array
+ * becomes registers instead of a stack array stored back on every i.
+ */
+template <int M, int NV>
 void
-gemmRowNeon(const float *a, int k, const float *b, int64_t ldb,
-            float *out, int n)
+tileNeon(const float *a, int64_t lda, const float *b, int64_t ldb,
+         int k, float *out, int64_t ldo)
 {
-    int j = 0;
-    // 8 outputs per iteration over two independent 4-lane FMLA
-    // chains. vfmaq_f32 is a fused multiply-add (one rounding per
-    // step), so each lane replays the scalar std::fmaf chain
-    // bit-exactly.
-    for (; j + 8 <= n; j += 8) {
-        float32x4_t acc0 = vdupq_n_f32(0.0f);
-        float32x4_t acc1 = vdupq_n_f32(0.0f);
-        const float *bj = b + j;
-        for (int i = 0; i < k; ++i) {
-            const float32x4_t av = vdupq_n_f32(a[i]);
-            const float *bi = bj + int64_t(i) * ldb;
-            acc0 = vfmaq_f32(acc0, av, vld1q_f32(bi));
-            acc1 = vfmaq_f32(acc1, av, vld1q_f32(bi + 4));
+    float32x4_t acc[M][NV];
+    #pragma GCC unroll 4
+    for (int r = 0; r < M; ++r)
+        #pragma GCC unroll 3
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = vdupq_n_f32(0.0f);
+    for (int i = 0; i < k; ++i) {
+        const float *bi = b + int64_t(i) * ldb;
+        float32x4_t bv[NV];
+        #pragma GCC unroll 3
+        for (int v = 0; v < NV; ++v)
+            bv[v] = vld1q_f32(bi + 4 * v);
+        #pragma GCC unroll 4
+        for (int r = 0; r < M; ++r) {
+            const float32x4_t av = vdupq_n_f32(a[r * lda + i]);
+            #pragma GCC unroll 3
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = vfmaq_f32(acc[r][v], av, bv[v]);
         }
-        vst1q_f32(out + j, acc0);
-        vst1q_f32(out + j + 4, acc1);
     }
-    for (; j + 4 <= n; j += 4) {
-        float32x4_t acc = vdupq_n_f32(0.0f);
-        const float *bj = b + j;
-        for (int i = 0; i < k; ++i)
-            acc = vfmaq_f32(acc, vdupq_n_f32(a[i]),
-                            vld1q_f32(bj + int64_t(i) * ldb));
-        vst1q_f32(out + j, acc);
-    }
-    gemmRowRef(a, k, b, ldb, j, n, out);
+    #pragma GCC unroll 4
+    for (int r = 0; r < M; ++r)
+        #pragma GCC unroll 3
+        for (int v = 0; v < NV; ++v)
+            vst1q_f32(out + r * ldo + 4 * v, acc[r][v]);
+}
+
+using TileBody = void (*)(const float *, int64_t, const float *,
+                          int64_t, int, float *, int64_t);
+
+/** tileNeon<m, nv> at [m - 1][nv - 1]. */
+constexpr TileBody kTileBodies[4][2] = {
+    {tileNeon<1, 1>, tileNeon<1, 2>},
+    {tileNeon<2, 1>, tileNeon<2, 2>},
+    {tileNeon<3, 1>, tileNeon<3, 2>},
+    {tileNeon<4, 1>, tileNeon<4, 2>},
+};
+
+void
+gemmTileNeon(const float *a, int64_t lda, const float *b, int64_t ldb,
+             int k, int m, int n, float *out, int64_t ldo)
+{
+    // Whole 4-column vectors in registers; the 1-3 column tail of an
+    // edge tile takes the reference chain.
+    const int nv = n / 4;
+    if (m > 0 && nv > 0)
+        kTileBodies[m - 1][nv - 1](a, lda, b, ldb, k, out, ldo);
+    gemmTileRef(a, lda, b, ldb, k, m, 4 * nv, n, out, ldo);
 }
 
 void
@@ -370,10 +401,10 @@ sepRowF64Neon(const float *const *rows, const double *k, int ntaps,
 }
 
 constexpr Kernels kNeonKernels = {
-    "neon",            Level::Neon,       censusRowNeon,
-    sadBlockNeon,      aggregateRowNeon,  costRowNeon,
-    gemmRowNeon,       biasReluRowNeon,   sepRowF32Neon,
-    sepRowF64Neon,
+    "neon",          Level::Neon,      censusRowNeon,
+    sadBlockNeon,    aggregateRowNeon, costRowNeon,
+    gemmTileNeon,    4,                8,
+    biasReluRowNeon, sepRowF32Neon,    sepRowF64Neon,
 };
 
 } // namespace

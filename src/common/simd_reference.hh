@@ -4,7 +4,7 @@
  *
  * One definition of the census bit-pack, the fused census->Hamming
  * pixel-major cost row, SAD block, semi-global aggregation,
- * f32 GEMM row, bias+ReLU epilogue, and separable filter row
+ * f32 GEMM tile, bias+ReLU epilogue, and separable filter row
  * semantics, included by
  * every per-ISA translation unit: the scalar table uses them as its
  * kernels, and the vector tables use them for sub-vector tails (the
@@ -18,7 +18,7 @@
  * Almost all operations are exact (integer, predicate, or IEEE
  * add/sub/abs with no fusable multiply-adds), so compiling these
  * inline functions under different target flags cannot change their
- * results. The one multiply-accumulate loop — the f32 GEMM row for
+ * results. The one multiply-accumulate loop — the f32 GEMM tile for
  * the DNN path — spells its fusion out with std::fmaf (correctly
  * rounded by definition, never silently contracted or split), so it
  * too is flag-independent; see docs/KERNELS.md for the f32 contract.
@@ -35,6 +35,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+
+#include "common/simd.hh"
 
 namespace asv::simd::detail
 {
@@ -143,25 +145,33 @@ costRowRef(const uint64_t *cl, const uint64_t *cr, int dlo, int ndw,
 }
 
 /**
- * f32 GEMM row for outputs [j0, j1); see GemmRowFn. The vector
- * tables call this with j0 > 0 for the sub-vector tail. Each output
- * is an independent fused-multiply-add chain over i ascending with
- * the accumulator starting at +0.0f — the accumulation order every
- * vector lane replays. std::fmaf is correctly rounded (a single
- * rounding per step), so every vector lane — a hardware fused
- * multiply-add (AVX2+FMA, NEON FMLA) — reproduces these bits exactly.
- * docs/KERNELS.md spells out the contract.
+ * f32 GEMM tile for rows [0, m) and columns [j0, j1); see GemmTileFn.
+ * The scalar table calls it for whole tiles, the vector tables with
+ * j0 > 0 for the sub-vector tail. Each output is an independent
+ * fused-multiply-add chain over i ascending with the accumulator
+ * starting at +0.0f — the accumulation order every vector lane
+ * replays. The i loop is outermost so the m x (j1 - j0) chains are
+ * independent steps, not one serial chain. std::fmaf is correctly
+ * rounded (a single rounding per step), so every vector lane — a
+ * hardware fused multiply-add (AVX2+FMA, NEON FMLA) — reproduces
+ * these bits exactly. docs/KERNELS.md spells out the contract.
  */
 inline void
-gemmRowRef(const float *a, int k, const float *b, int64_t ldb, int j0,
-           int j1, float *out)
+gemmTileRef(const float *a, int64_t lda, const float *b, int64_t ldb,
+            int k, int m, int j0, int j1, float *out, int64_t ldo)
 {
-    for (int j = j0; j < j1; ++j) {
-        float acc = 0.0f;
-        for (int i = 0; i < k; ++i)
-            acc = std::fmaf(a[i], b[int64_t(i) * ldb + j], acc);
-        out[j] = acc;
+    float acc[kMaxGemmMr][kMaxGemmNr] = {};
+    for (int i = 0; i < k; ++i) {
+        const float *bi = b + int64_t(i) * ldb;
+        for (int r = 0; r < m; ++r) {
+            const float ar = a[r * lda + i];
+            for (int j = j0; j < j1; ++j)
+                acc[r][j] = std::fmaf(ar, bi[j], acc[r][j]);
+        }
     }
+    for (int r = 0; r < m; ++r)
+        for (int j = j0; j < j1; ++j)
+            out[r * ldo + j] = acc[r][j];
 }
 
 /**

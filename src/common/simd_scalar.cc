@@ -48,10 +48,11 @@ costRowScalar(const uint64_t *cl, const uint64_t *cr, int w, int dlo,
 }
 
 void
-gemmRowScalar(const float *a, int k, const float *b, int64_t ldb,
-              float *out, int n)
+gemmTileScalar(const float *a, int64_t lda, const float *b,
+               int64_t ldb, int k, int m, int n, float *out,
+               int64_t ldo)
 {
-    gemmRowRef(a, k, b, ldb, 0, n, out);
+    gemmTileRef(a, lda, b, ldb, k, m, 0, n, out, ldo);
 }
 
 void
@@ -74,11 +75,13 @@ sepRowF64Scalar(const float *const *rows, const double *k, int ntaps,
     sepRowRef(rows, k, ntaps, 0, n, out);
 }
 
+// The scalar tile is 4 x 8: wide enough that the fmaf steps of one
+// i are independent, narrow enough for a short edge strip.
 constexpr Kernels kScalarKernels = {
-    "scalar",          Level::Scalar,     censusRowScalar,
+    "scalar",          Level::Scalar,      censusRowScalar,
     sadBlockScalar,    aggregateRowScalar, costRowScalar,
-    gemmRowScalar,     biasReluRowScalar, sepRowF32Scalar,
-    sepRowF64Scalar,
+    gemmTileScalar,    4,                  8,
+    biasReluRowScalar, sepRowF32Scalar,    sepRowF64Scalar,
 };
 
 } // namespace

@@ -31,9 +31,12 @@ runPool(const Tensor &in, const Shape &kernel, const Shape &stride,
     const int nd = static_cast<int>(in.rank()) - 1;
     int64_t istr[kMaxSpatialDims];
     const int64_t ichan = tensor::spatialStrides(in, istr);
+    int64_t oext[kMaxSpatialDims];
     int64_t ochan = 1;
-    for (int d = 0; d < nd; ++d)
-        ochan *= out.dim(1 + d);
+    for (int d = 0; d < nd; ++d) {
+        oext[d] = out.dim(1 + d);
+        ochan *= oext[d];
+    }
     ctx.parallelFor(0, in.dim(0), [&](int64_t c0, int64_t c1) {
         int64_t o[kMaxSpatialDims];
         int64_t t[kMaxSpatialDims];
@@ -64,7 +67,7 @@ runPool(const Tensor &in, const Shape &kernel, const Shape &stride,
                 }
                 dst[p] = m;
                 for (int d = nd - 1; d >= 0; --d) {
-                    if (++o[d] < out.dim(1 + d))
+                    if (++o[d] < oext[d])
                         break;
                     o[d] = 0;
                 }

@@ -24,9 +24,8 @@
  * Everything a frame needs — weights, biases, deconv plans (which
  * own only their sub-kernels), every intermediate activation — is
  * allocated at construction; forward() performs zero heap
- * allocations once the ExecContext's BufferPool has warmed up (its
- * im2col scratch and the deconv phases' scratch rows are the only
- * pooled acquisitions).
+ * allocations once the ExecContext's BufferPool has warmed up (the
+ * packed im2col panel is its only pooled acquisition).
  * This is the "dnn" entry enforced exactly by alloc_baseline_test /
  * BASELINE_alloc.json.
  *

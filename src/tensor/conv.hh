@@ -25,9 +25,10 @@
  * the search window is the input.
  *
  * Execution routes (see docs/KERNELS.md for the exactness contract):
- *  - MAC with no stats requested rides the dispatched f32 GEMM
- *    kernels (asv::simd) behind an im2col-or-direct lowering with
- *    BufferPool-backed scratch — the fast path behind
+ *  - MAC with no stats requested rides the dispatched f32 GEMM tile
+ *    kernel (asv::simd) behind an im2col packed in column strips
+ *    (or a direct view) in BufferPool-backed scratch — the fast
+ *    path behind
  *    deconv::DeconvPlan and dnn::NetworkRuntime. f32 fused-multiply-
  *    add accumulation, bit-identical across worker counts and across
  *    every SIMD level (scalar/AVX2/NEON).
@@ -164,17 +165,18 @@ Tensor convNd(const Tensor &input, const Tensor &weight,
 /**
  * MAC convolution into a preallocated output — the zero-allocation
  * fast path behind dnn::NetworkRuntime and deconv::DeconvPlan.
- * Always the f32 GEMM route: im2col (or direct for pointwise
- * stride-1 unpadded layers) into BufferPool scratch from @p ctx,
- * then one dispatched gemmRow per filter, with the optional fused
- * epilogue. With the contiguous @p place, @p out must have shape
- * convOutShape(...) and each filter row is computed in place;
- * otherwise @p out is [K, ...] with every placed position inside
- * it, and each row is computed into pooled per-chunk scratch, gets
- * its epilogue there and is stored to its positions. Every placed
- * position is overwritten (no pre-zeroing needed); the rest of
- * @p out is left as it was. Performs no heap allocations once
- * @p ctx's BufferPool has warmed up. Supports 1-4 spatial dims.
+ * Always the f32 GEMM route: a row-span im2col written packed in
+ * column strips of the active table's gemmNr (none for pointwise
+ * stride-1 unpadded layers, whose input is read in place) into
+ * BufferPool scratch from @p ctx, then the strips are partitioned
+ * across the pool and every filter sweeps each strip in dispatched
+ * gemmTile register tiles. Each tile gets the optional fused
+ * epilogue and is stored straight to its positions in @p out. With
+ * the contiguous @p place, @p out must have shape convOutShape(...);
+ * otherwise @p out is [K, ...] with every placed position inside it.
+ * Every placed position is overwritten (no pre-zeroing needed); the
+ * rest of @p out is left as it was. Performs no heap allocations
+ * once @p ctx's BufferPool has warmed up. Supports 1-4 spatial dims.
  */
 void convNdInto(const Tensor &input, const Tensor &weight,
                 const ConvSpec &spec, const ConvEpilogue *epilogue,

@@ -114,14 +114,6 @@ Tensor::initStrides()
 }
 
 int64_t
-Tensor::dim(int i) const
-{
-    panic_if(i < 0 || i >= rank(), "dim index ", i, " out of rank ",
-             rank());
-    return shape_[i];
-}
-
-int64_t
 Tensor::offsetOf(std::span<const int64_t> idx) const
 {
     panic_if(idx.size() != shape_.size(), "index rank ", idx.size(),

@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
+
 namespace asv::tensor
 {
 
@@ -71,7 +73,15 @@ class Tensor
     const Shape &shape() const { return shape_; }
     int rank() const { return static_cast<int>(shape_.size()); }
     int64_t size() const { return static_cast<int64_t>(data_.size()); }
-    int64_t dim(int i) const;
+
+    /** Extent of dim @p i (bounds-checked; inline for hot loops). */
+    int64_t
+    dim(int i) const
+    {
+        panic_if(i < 0 || i >= rank(), "dim index ", i,
+                 " out of rank ", rank());
+        return shape_[i];
+    }
 
     float *data() { return data_.data(); }
     const float *data() const { return data_.data(); }

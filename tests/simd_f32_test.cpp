@@ -1,15 +1,19 @@
 /**
  * @file
- * Property tests for the f32 DNN-path SIMD kernels (gemmRow /
+ * Property tests for the f32 DNN-path SIMD kernels (gemmTile /
  * biasReluRow) and everything routed through them: the convNd GEMM
  * route, the fused transformedDeconv epilogue, and the
  * dnn::NetworkRuntime end-to-end path.
  *
  * The contract under test is docs/KERNELS.md's f32 contract:
- *  - every table (scalar, AVX2+FMA, NEON) replays the scalar
- *    std::fmaf accumulation chain bit-exactly for finite inputs,
- *    across odd widths, non-lane-multiple reductions, denormals, and
- *    worker counts — no level is compared with a tolerance;
+ *  - every table's gemmTile (scalar 4x8, AVX2+FMA 4x24, NEON 4x8)
+ *    replays the std::fmaf accumulation chain bit-exactly for finite
+ *    inputs, for every tile shape up to its MR x NR, packed and
+ *    in-place B operands, empty and long reductions, and denormals —
+ *    no level is compared with a tolerance;
+ *  - the conv route (packed im2col, edge tiles of filters and edge
+ *    strips of positions, contiguous and placed stores) gives the
+ *    same bits at every level and worker count;
  *  - NaN *positions* propagate identically everywhere (payload bits
  *    may differ between software fmaf and hardware FMA);
  *  - biasReluRow is bit-identical on every level, and its ReLU sends
@@ -21,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -94,93 +99,138 @@ expectBitEqual(const float *a, const float *b, size_t n,
     }
 }
 
-// ---------------------------------------------------------------- gemmRow
+// --------------------------------------------------------------- gemmTile
 
-TEST(GemmRow, MatchesScalarAcrossShapes)
+/**
+ * The f32 contract spelled out: out[r * ldo + j] is the std::fmaf
+ * chain over i ascending from +0 of a[r * lda + i] * b[i * ldb + j].
+ */
+void
+fmafTile(const float *a, int64_t lda, const float *b, int64_t ldb, int k,
+         int m, int n, float *out, int64_t ldo)
 {
-    Rng rng(7);
-    const simd::Kernels *scalar =
-        simd::kernelsFor(simd::Level::Scalar);
-    ASSERT_NE(scalar, nullptr);
+    for (int r = 0; r < m; ++r) {
+        for (int j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (int i = 0; i < k; ++i)
+                acc = std::fmaf(a[r * lda + i], b[int64_t(i) * ldb + j],
+                                acc);
+            out[r * ldo + j] = acc;
+        }
+    }
+}
 
-    for (int k : {1, 2, 3, 7, 16, 65}) {
-        for (int n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33,
-                      64}) {
-            const int64_t ldb = n + 3; // exercise ldb != n
-            const std::vector<float> a = randomVec(size_t(k), rng);
-            const std::vector<float> b =
-                randomVec(size_t(k) * size_t(ldb), rng);
-            std::vector<float> want(size_t(n), -777.0f);
-            scalar->gemmRow(a.data(), k, b.data(), ldb, want.data(),
-                            n);
-            for (simd::Level level : simd::supportedLevels()) {
-                const simd::Kernels *t = simd::kernelsFor(level);
-                // Pre-poison: gemmRow writes, it must not accumulate.
-                std::vector<float> got(size_t(n), 1e30f);
-                t->gemmRow(a.data(), k, b.data(), ldb, got.data(),
-                           n);
-                expectBitEqual(got.data(), want.data(), size_t(n),
-                               std::string(t->name) +
-                                   " k=" + std::to_string(k) +
-                                   " n=" + std::to_string(n));
+TEST(GemmTile, MatchesScalarAcrossShapes)
+{
+    // Every tile shape up to the table's MR x NR, reductions of 0, 1,
+    // odd and long lengths, B read as a packed strip (ldb = n, the
+    // last strip, or NR) and in place from a wider row (the direct
+    // route), into a pre-poisoned out: gemmTile writes the m x n
+    // block, never accumulates, and touches nothing else.
+    Rng rng(7);
+    const float poison = 1e30f;
+    for (simd::Level level : simd::supportedLevels()) {
+        const simd::Kernels *t = simd::kernelsFor(level);
+        ASSERT_LE(t->gemmMr, simd::kMaxGemmMr) << t->name;
+        ASSERT_LE(t->gemmNr, simd::kMaxGemmNr) << t->name;
+        const int64_t ldo = t->gemmNr + 5;
+        for (int k : {0, 1, 7, 256}) {
+            const int64_t lda = k + 3;
+            const std::vector<float> a =
+                randomVec(size_t(t->gemmMr * lda), rng);
+            for (int m = 1; m <= t->gemmMr; ++m) {
+                for (int n = 1; n <= t->gemmNr; ++n) {
+                    for (int64_t ldb : {int64_t(n), int64_t(t->gemmNr),
+                                        int64_t(n + 37)}) {
+                        const std::vector<float> b = randomVec(
+                            size_t(std::max(k, 1) * ldb), rng);
+                        std::vector<float> want(
+                            size_t(t->gemmMr * ldo), poison);
+                        fmafTile(a.data(), lda, b.data(), ldb, k, m, n,
+                                 want.data(), ldo);
+                        std::vector<float> got(want.size(), poison);
+                        t->gemmTile(a.data(), lda, b.data(), ldb, k, m,
+                                    n, got.data(), ldo);
+                        expectBitEqual(
+                            got.data(), want.data(), got.size(),
+                            std::string(t->name) +
+                                " k=" + std::to_string(k) +
+                                " m=" + std::to_string(m) +
+                                " n=" + std::to_string(n) +
+                                " ldb=" + std::to_string(ldb));
+                    }
+                }
             }
         }
     }
 }
 
-TEST(GemmRow, NaNPositionsPropagate)
+TEST(GemmTile, NaNPositionsPropagate)
 {
     Rng rng(11);
     const float nan = std::numeric_limits<float>::quiet_NaN();
     const int k = 9;
-    const int n = 13;
     for (simd::Level level : simd::supportedLevels()) {
         const simd::Kernels *t = simd::kernelsFor(level);
-        // NaN in one B column: only that output is NaN.
-        std::vector<float> a = randomVec(size_t(k), rng);
-        std::vector<float> b = randomVec(size_t(k) * size_t(n), rng);
-        b[size_t(3) * n + 5] = nan;
-        std::vector<float> out(static_cast<size_t>(n));
-        t->gemmRow(a.data(), k, b.data(), n, out.data(), n);
-        for (int j = 0; j < n; ++j)
-            EXPECT_EQ(j == 5, std::isnan(out[j]))
-                << t->name << " column " << j;
-        // NaN in A: every output is NaN.
-        a[2] = nan;
-        t->gemmRow(a.data(), k, b.data(), n, out.data(), n);
-        for (int j = 0; j < n; ++j)
-            EXPECT_TRUE(std::isnan(out[j])) << t->name << " " << j;
+        // The full tile and an edge tile one row and one column short.
+        for (int edge : {0, 1}) {
+            const int m = t->gemmMr - edge;
+            const int n = t->gemmNr - edge;
+            const int64_t ldb = t->gemmNr;
+            // NaN in one B column: only that column is NaN.
+            std::vector<float> a = randomVec(size_t(m * k), rng);
+            std::vector<float> b = randomVec(size_t(k * ldb), rng);
+            b[size_t(3 * ldb + n - 1)] = nan;
+            std::vector<float> out(size_t(m * n));
+            t->gemmTile(a.data(), k, b.data(), ldb, k, m, n, out.data(),
+                        n);
+            for (int r = 0; r < m; ++r)
+                for (int j = 0; j < n; ++j)
+                    EXPECT_EQ(j == n - 1, std::isnan(out[r * n + j]))
+                        << t->name << " edge=" << edge << " (" << r
+                        << ", " << j << ")";
+            // NaN in one A row: only that row is NaN.
+            b[size_t(3 * ldb + n - 1)] = 0.5f;
+            a[size_t((m - 1) * k + 2)] = nan;
+            t->gemmTile(a.data(), k, b.data(), ldb, k, m, n, out.data(),
+                        n);
+            for (int r = 0; r < m; ++r)
+                for (int j = 0; j < n; ++j)
+                    EXPECT_EQ(r == m - 1, std::isnan(out[r * n + j]))
+                        << t->name << " edge=" << edge << " (" << r
+                        << ", " << j << ")";
+        }
     }
 }
 
-TEST(GemmRow, DenormalsStayExactOnEveryLevel)
+TEST(GemmTile, DenormalsStayExactOnEveryLevel)
 {
     Rng rng(13);
     const int k = 8;
-    const int n = 19;
     // Products around 1e-39..1e-41: results live in the denormal
     // range. No FTZ/DAZ anywhere (no -ffast-math), so every level
-    // must still match the scalar chain bit-for-bit.
-    std::vector<float> a = randomVec(size_t(k), rng, 1e-20, 2e-20);
-    std::vector<float> b =
-        randomVec(size_t(k) * size_t(n), rng, -2e-20, 2e-20);
-    const simd::Kernels *scalar =
-        simd::kernelsFor(simd::Level::Scalar);
-    std::vector<float> want(static_cast<size_t>(n));
-    scalar->gemmRow(a.data(), k, b.data(), n, want.data(), n);
-    bool any_denormal = false;
-    for (float w : want)
-        any_denormal = any_denormal ||
-                       (w != 0.0f && std::abs(w) <
-                                         std::numeric_limits<
-                                             float>::min());
-    EXPECT_TRUE(any_denormal) << "test inputs failed to produce "
-                                 "denormal outputs";
+    // must still match the fmaf chain bit-for-bit.
     for (simd::Level level : simd::supportedLevels()) {
         const simd::Kernels *t = simd::kernelsFor(level);
-        std::vector<float> got(static_cast<size_t>(n));
-        t->gemmRow(a.data(), k, b.data(), n, got.data(), n);
-        expectBitEqual(got.data(), want.data(), size_t(n),
+        const int m = t->gemmMr;
+        const int n = t->gemmNr - 1;
+        std::vector<float> a =
+            randomVec(size_t(m * k), rng, 1e-20, 2e-20);
+        std::vector<float> b =
+            randomVec(size_t(k * n), rng, -2e-20, 2e-20);
+        std::vector<float> want(size_t(m * n));
+        fmafTile(a.data(), k, b.data(), n, k, m, n, want.data(), n);
+        bool any_denormal = false;
+        for (float w : want)
+            any_denormal = any_denormal ||
+                           (w != 0.0f && std::abs(w) <
+                                             std::numeric_limits<
+                                                 float>::min());
+        EXPECT_TRUE(any_denormal) << "test inputs failed to produce "
+                                     "denormal outputs";
+        std::vector<float> got(want.size());
+        t->gemmTile(a.data(), k, b.data(), n, k, m, n, got.data(), n);
+        expectBitEqual(got.data(), want.data(), got.size(),
                        std::string(t->name) + " denormal");
     }
 }
@@ -435,6 +485,135 @@ TEST(ConvGemmRoute, NegativePadIsACrop)
     }
 }
 
+/**
+ * The GEMM route's per-output contract, evaluated directly: for
+ * filter f at an output position, the std::fmaf chain from +0 over
+ * channels ascending, then kernel taps in raster order, with a +0
+ * operand where a tap lands in the padding (a padded tap is a real
+ * fma(w, 0, acc) step), then the epilogue's add and ReLU.
+ */
+Tensor
+fmafConv(const Tensor &in, const Tensor &w, const tensor::ConvSpec &spec,
+         const tensor::ConvEpilogue &epi)
+{
+    Tensor out(tensor::convOutShape(in.shape(), w.shape(), spec));
+    const int nd = in.rank() - 1;
+    const Shape kspatial(w.shape().begin() + 2, w.shape().end());
+    Shape in_idx(size_t(nd + 1));
+    Shape w_idx(size_t(nd + 2));
+    tensor::forEachIndex(out.shape(), [&](std::span<const int64_t> o) {
+        float acc = 0.0f;
+        w_idx[0] = o[0];
+        for (int64_t c = 0; c < in.dim(0); ++c) {
+            in_idx[0] = c;
+            w_idx[1] = c;
+            tensor::forEachIndex(
+                kspatial, [&](std::span<const int64_t> tap) {
+                    for (int d = 0; d < nd; ++d) {
+                        in_idx[1 + d] = o[1 + d] * spec.stride[d] -
+                                        spec.padLo[d] + tap[d];
+                        w_idx[2 + d] = tap[d];
+                    }
+                    acc = std::fmaf(w.at(w_idx), in.atOrZero(in_idx),
+                                    acc);
+                });
+        }
+        acc += epi.bias ? epi.bias[o[0]] : 0.0f;
+        out.at(o) = epi.relu ? (acc > 0.0f ? acc : 0.0f) : acc;
+    });
+    return out;
+}
+
+TEST(ConvGemmRoute, EdgeTilesMatchFmafChainContiguousAndPlaced)
+{
+    // K % 4 != 0 (an edge tile of filters) and P % 24 != 0, P % 8 != 0
+    // (an edge strip) on the im2col route with padded, cropped and
+    // strided windows, on the direct route, in 1-D, 2-D and 3-D;
+    // stored contiguously and through a placement into a
+    // pre-poisoned ofmap, at every level and worker count. Every
+    // stored position must carry the fmaf chain's bits, and every
+    // other position must keep its poison.
+    Rng rng(67);
+    struct Case
+    {
+        Shape in, w, padLo, padHi;
+        int64_t stride;
+    };
+    const std::vector<Case> cases = {
+        {{3, 13, 11}, {5, 3, 3, 3}, {1, 1}, {1, 1}, 1},
+        {{4, 9, 10}, {7, 4, 2, 2}, {0, -1}, {1, 0}, 2},
+        {{6, 7, 5}, {3, 6, 1, 1}, {0, 0}, {0, 0}, 1}, // direct
+        {{2, 29}, {6, 2, 3}, {1}, {2}, 1},
+        {{2, 5, 6, 7}, {9, 2, 2, 2, 3}, {1, 0, -1}, {0, 1, 1}, 1},
+    };
+    const float poison = -12345.5f;
+    for (size_t ci = 0; ci < cases.size(); ++ci) {
+        const Case &c = cases[ci];
+        const int nd = static_cast<int>(c.in.size()) - 1;
+        const Tensor in = randomTensor(c.in, rng);
+        const Tensor w = randomTensor(c.w, rng);
+        const std::vector<float> bias = randomVec(size_t(c.w[0]), rng);
+        tensor::ConvSpec spec;
+        spec.stride.assign(nd, c.stride);
+        spec.padLo = c.padLo;
+        spec.padHi = c.padHi;
+        tensor::ConvEpilogue epi;
+        epi.bias = bias.data();
+        epi.relu = ci % 2 == 1;
+        const Tensor want = fmafConv(in, w, spec, epi);
+
+        // Interleave at step 2 from offset 1, one spare slot per dim.
+        tensor::OutputPlacement place;
+        Shape placed_shape{want.dim(0)};
+        for (int d = 0; d < nd; ++d) {
+            place.step.push_back(2);
+            place.offset.push_back(1);
+            placed_shape.push_back(2 * want.dim(1 + d) + 1);
+        }
+        const std::string what = tensor::toString(c.in) + " * " +
+                                 tensor::toString(c.w);
+        for (simd::Level level : simd::supportedLevels()) {
+            LevelGuard g(level);
+            for (int workers : {1, 2, 4}) {
+                ThreadPool pool(workers);
+                BufferPool buffers;
+                const ExecContext ctx(pool, buffers);
+                const std::string where =
+                    what + " " + simd::levelName(level) + " workers=" +
+                    std::to_string(workers);
+
+                Tensor got = Tensor::full(want.shape(), poison);
+                tensor::convNdInto(in, w, spec, &epi, ctx, got);
+                expectBitEqual(got.data(), want.data(),
+                               size_t(got.size()), where);
+
+                Tensor placed = Tensor::full(placed_shape, poison);
+                tensor::convNdInto(in, w, spec, &epi, ctx, placed,
+                                   place);
+                Shape src(size_t(nd + 1));
+                tensor::forEachIndex(
+                    placed_shape, [&](std::span<const int64_t> idx) {
+                        bool stored = true;
+                        src[0] = idx[0];
+                        for (int d = 0; d < nd; ++d) {
+                            stored = stored && idx[1 + d] % 2 == 1 &&
+                                     idx[1 + d] < placed_shape[1 + d] - 1;
+                            src[1 + d] = idx[1 + d] / 2;
+                        }
+                        const float v = placed.at(idx);
+                        const float expect =
+                            stored ? want.at(src) : poison;
+                        EXPECT_EQ(std::bit_cast<uint32_t>(v),
+                                  std::bit_cast<uint32_t>(expect))
+                            << where << " placed at "
+                            << tensor::toString(Shape(idx.begin(),
+                                                      idx.end()));
+                    });
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------- transformedDeconv
 
 TEST(TransformedDeconvF32, FusedEpilogueMatchesSeparatePass)
@@ -619,8 +798,8 @@ TEST(NetworkRuntime, SteadyStateIsAllocationFree)
     // k4 s2 p1 has non-negative pads and no tap-free phase; k5 s3
     // p2 mixes sub-kernel extents, k3 s2 p2 has negative pads and
     // k2 s3 p0 a tap-free phase, so every path of the transformed
-    // deconvolution (placed stores from pooled scratch rows, the
-    // tap-free fill) is checked.
+    // deconvolution (placed tile stores, the tap-free fill) is
+    // checked.
     ThreadPool pool(2);
     BufferPool buffers;
     ExecContext ctx(pool, buffers);
@@ -631,7 +810,8 @@ TEST(NetworkRuntime, SteadyStateIsAllocationFree)
         Rng rng(53);
         const Tensor in = randomTensor(rt.inputShape(), rng);
 
-        // Warm the BufferPool (im2col scratch) and any lazy init.
+        // Warm the BufferPool (packed im2col panel) and any lazy
+        // init.
         rt.forward(in, ctx);
         rt.forward(in, ctx);
 
