@@ -7,9 +7,12 @@
  * for the four stereo DNNs.
  *
  * Two kinds of datapoint land in BENCH_kernels.json:
- *  - BM_Fig11DeconvReference: real wall time of the zero-insertion
- *    reference deconvolution on a representative DispNet refinement
- *    layer (k4 s2 p1, C=64 -> K=32) — the measured "baseline" bar;
+ *  - BM_Fig11DeconvReference/<isa>: real wall time of the naive
+ *    zero-insertion deconvolution (tensor::deconvNd) on a
+ *    representative DispNet refinement layer (k4 s2 p1, C=64 ->
+ *    K=32) — the measured "baseline" bar, one instance per
+ *    supported SIMD level, so each transformed row has a baseline
+ *    at its own level;
  *  - BM_Fig11DeconvTransformed/<isa>: the same layer through the
  *    Sec. 4.1 transformation on the dispatched f32 GEMM route, one
  *    instance per supported SIMD level. The analytic Fig. 11
@@ -174,14 +177,16 @@ class LevelGuard
 constexpr int64_t kIn = 24;
 
 void
-BM_Fig11DeconvReference(benchmark::State &state)
+BM_Fig11DeconvReference(benchmark::State &state, simd::Level level)
 {
+    LevelGuard guard(level);
     Tensor in = randomTensor({64, kIn, kIn}, 1);
     Tensor w = randomTensor({32, 64, 4, 4}, 2);
     const DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
+    BufferPool buffers;
+    const ExecContext ctx(ThreadPool::global(), buffers);
     for (auto _ : state)
-        benchmark::DoNotOptimize(tensor::deconvNd(in, w, spec, nullptr,
-                                                  ExecContext::global()));
+        benchmark::DoNotOptimize(tensor::deconvNd(in, w, spec, ctx));
     state.SetItemsProcessed(state.iterations() * 64 * 32 * 16 * kIn *
                             kIn);
 }
@@ -222,10 +227,12 @@ main(int argc, char **argv)
             return 0;
         }
     }
-    benchmark::RegisterBenchmark("BM_Fig11DeconvReference",
-                                 BM_Fig11DeconvReference);
     for (asv::simd::Level level : asv::simd::supportedLevels()) {
         const std::string suffix = asv::simd::levelName(level);
+        benchmark::RegisterBenchmark(
+            ("BM_Fig11DeconvReference/" + suffix).c_str(),
+            BM_Fig11DeconvReference, level)
+            ->UseRealTime();
         benchmark::RegisterBenchmark(
             ("BM_Fig11DeconvTransformed/" + suffix).c_str(),
             BM_Fig11DeconvTransformed, level)

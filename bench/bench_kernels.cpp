@@ -60,20 +60,6 @@ randomTensor(Shape shape, uint64_t seed)
 }
 
 void
-BM_DeconvReference(benchmark::State &state)
-{
-    const int64_t n = state.range(0);
-    Tensor in = randomTensor({8, n, n}, 1);
-    Tensor w = randomTensor({8, 8, 4, 4}, 2);
-    const DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(tensor::deconvNd(in, w, spec, nullptr,
-                                                  ExecContext::global()));
-    state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_DeconvReference)->Arg(16)->Arg(32);
-
-void
 BM_DeconvTransformed(benchmark::State &state)
 {
     const int64_t n = state.range(0);
@@ -378,13 +364,30 @@ BM_ConvGemm(benchmark::State &state, simd::Level level)
 }
 
 void
+BM_DeconvReference(benchmark::State &state, simd::Level level)
+{
+    // The naive zero-insertion deconvolution (tensor::deconvNd) at
+    // one level, the baseline of BM_DeconvTransformed's shapes.
+    LevelGuard guard(level);
+    const int64_t n = state.range(0);
+    Tensor in = randomTensor({8, n, n}, 1);
+    Tensor w = randomTensor({8, 8, 4, 4}, 2);
+    const DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
+    BufferPool buffers;
+    const ExecContext ctx(ThreadPool::global(), buffers);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(tensor::deconvNd(in, w, spec, ctx));
+    state.SetItemsProcessed(state.iterations() * n * n);
+}
+
+void
 BM_Deconv(benchmark::State &state, simd::Level level)
 {
     // The paper's deconvolution proper, per ISA: transformed k4 s2 p1
     // (DispNet/FlowNetS refinement layer, C=64 -> K=32), sub-convs on
     // the f32 GEMM route with the epilogue fused. Contrast with the
-    // level-independent BM_DeconvReference/BM_DeconvTransformed pair
-    // above, which measures the transformation itself.
+    // BM_DeconvReference/BM_DeconvTransformed pair, which measures
+    // the transformation itself.
     LevelGuard guard(level);
     const int64_t n = state.range(0);
     Tensor in = randomTensor({64, n, n}, 14);
@@ -525,6 +528,11 @@ main(int argc, char **argv)
             ("BM_ConvGemm/" + suffix).c_str(), BM_ConvGemm, level)
             ->Arg(32)
             ->UseRealTime();
+        benchmark::RegisterBenchmark(
+            ("BM_DeconvReference/" + suffix).c_str(),
+            BM_DeconvReference, level)
+            ->Arg(16)
+            ->Arg(32);
         benchmark::RegisterBenchmark(
             ("BM_Deconv/" + suffix).c_str(), BM_Deconv, level)
             ->Arg(16)

@@ -64,8 +64,7 @@ main()
     }
 
     // Execute both paths.
-    tensor::ConvStats dense_stats;
-    const Tensor ref = deconvNd(ifmap, kernel, spec, &dense_stats,
+    const Tensor ref = deconvNd(ifmap, kernel, spec,
                                 ExecContext::global());
     const Tensor got = deconv::transformedDeconv(ifmap, kernel, spec,
                                                  ExecContext::global());
@@ -81,10 +80,10 @@ main()
                 "(max diff %.2g)\n",
                 got.allClose(ref) ? "yes" : "NO",
                 got.maxAbsDiff(ref));
-    std::printf("\narithmetic: dense %lld taps (%.0f%% on zero "
+    std::printf("\narithmetic: dense %lld taps (%lld, %.0f%%, on zero "
                 "operands) vs transformed %lld taps\n",
-                (long long)dense_stats.totalOps,
-                100.0 * dense_stats.zeroFraction(),
+                (long long)layer.macs(), (long long)layer.zeroMacs(),
+                100.0 * double(layer.zeroMacs()) / double(layer.macs()),
                 (long long)t.totalMacs());
     std::printf("the transformation removes the zero work without "
                 "any hardware change (Sec. 4.1).\n");

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs gate: markdown links, header comments, pool and deconv rules.
+"""Docs gate: markdown links, header comments, pool and caller rules.
 
-Four checks, no third-party dependencies:
+Five checks, no third-party dependencies:
 
 1. Every relative link and image reference in the repo's markdown
    files (README.md, docs/, and the top-level record files) must
@@ -28,6 +28,13 @@ Four checks, no third-party dependencies:
    deconv::DeconvPlan. No non-comment line of a *.cc or *.hh file
    under src/ outside src/deconv/ may call extractSubKernel(), so a
    second hand-rolled copy of the phase loop cannot come back.
+
+5. The convolution has one executor, tensor::convNdInto, and one
+   named reference, tensor::referenceConv. No non-comment line of a
+   *.cc or *.hh file under src/ outside src/tensor/ and
+   src/dnn/runtime.cc (NetworkRuntime::referenceForward) may call
+   referenceConv(), so the reference cannot become a production
+   route.
 
 Exit 0 when clean; prints one line per violation and exits 1
 otherwise.
@@ -154,16 +161,27 @@ def check_global_pools(path: Path) -> list[str]:
             for lineno, m in code_matches(path, GLOBAL_POOL_RE)]
 
 
-SUBKERNEL_RE = re.compile(r"\bextractSubKernel\(")
+# Rules 4 and 5: (call pattern, the src/ paths allowed to make it,
+# what to do instead). A path is allowed when it starts with one of
+# the listed path-part prefixes.
+CALLER_RULES = [
+    (re.compile(r"\bextractSubKernel\("), [("src", "deconv")],
+     "run the transformation through deconv::DeconvPlan instead"),
+    (re.compile(r"\breferenceConv\("),
+     [("src", "tensor"), ("src", "dnn", "runtime.cc")],
+     "run the convolution through tensor::convNdInto instead"),
+]
 
 
-def check_subkernel_callers(path: Path) -> list[str]:
+def check_callers(path: Path) -> list[str]:
     rel = path.relative_to(ROOT)
-    if rel.parts[:2] == ("src", "deconv"):
-        return []
-    return [f"{rel}:{lineno}: calls extractSubKernel(); run the "
-            f"transformation through deconv::DeconvPlan instead"
-            for lineno, _ in code_matches(path, SUBKERNEL_RE)]
+    errors = []
+    for pattern, allowed, remedy in CALLER_RULES:
+        if any(rel.parts[:len(a)] == a for a in allowed):
+            continue
+        errors += [f"{rel}:{lineno}: calls {m.group(0)}); {remedy}"
+                   for lineno, m in code_matches(path, pattern)]
+    return errors
 
 
 def main() -> int:
@@ -181,7 +199,7 @@ def main() -> int:
         sorted((ROOT / "src").glob("**/*.hh"))
     for src in sources:
         errors += check_global_pools(src)
-        errors += check_subkernel_callers(src)
+        errors += check_callers(src)
 
     for e in errors:
         print(e)

@@ -95,8 +95,8 @@ struct LayerDesc
 
     /**
      * Of macs(), how many are guaranteed wasted on inserted zeros
-     * (deconvolution only; 0 for all other kinds). The analytic
-     * counterpart of tensor::ConvStats::zeroOps.
+     * (deconvolution only; 0 for all other kinds). The one count of
+     * the zero operands tensor::deconvNd pays for.
      */
     int64_t zeroMacs() const;
 

@@ -222,18 +222,21 @@ NetworkRuntime::referenceForward(const Tensor &input,
         switch (st.kind) {
           case LayerKind::Conv:
           case LayerKind::Deconv: {
-            // Non-null stats force the double-accumulation reference
-            // convolution route; Deconv uses the zero-insertion
-            // reference — an entirely independent path from the
-            // transformed GEMM one forward() takes.
-            tensor::ConvStats stats;
+            // The reference convolution, over the zero-inserted
+            // ifmap for a Deconv step: an entirely independent path
+            // from the transformed GEMM one forward() takes.
             Tensor o;
             if (st.kind == LayerKind::Conv) {
-                o = tensor::convNd(cur, st.weight, st.conv,
-                                   tensor::ConvOp::MAC, &stats, ctx);
+                o = tensor::referenceConv(cur, st.weight, st.conv, ctx);
             } else {
-                o = tensor::deconvNd(cur, st.weight, st.deconv->spec(),
-                                     &stats, ctx);
+                const Shape kernel(st.weight.shape().begin() + 2,
+                                   st.weight.shape().end());
+                o = tensor::referenceConv(
+                    tensor::upsampleZeroInsert(cur, st.deconv->spec(),
+                                               kernel),
+                    st.weight,
+                    tensor::ConvSpec::uniform(cur.rank() - 1, 1, 0),
+                    ctx);
             }
             const int64_t K = o.dim(0);
             const int64_t P = o.size() / std::max<int64_t>(K, 1);

@@ -72,11 +72,13 @@ class NetworkRuntime
     const Tensor &forward(const Tensor &input, const ExecContext &ctx);
 
     /**
-     * Independent slow path for equivalence tests: zero-insertion
-     * deconvolution (tensor::deconvNd) and the double-accumulation
-     * reference convolution, with the epilogue as a separate scalar
-     * pass. Allocates freely; compare against forward() with a
-     * tolerance (f32 FMA chain vs double accumulation).
+     * Independent slow path for equivalence checks: every Conv step
+     * runs tensor::referenceConv, every Deconv step runs it over
+     * tensor::upsampleZeroInsert's zero-inserted ifmap, and the
+     * epilogue is a separate scalar pass. Bit-identical for any
+     * worker count and SIMD level. Allocates freely; compare against
+     * forward() with a tolerance (f32 FMA chain vs double
+     * accumulation).
      */
     Tensor referenceForward(const Tensor &input,
                             const ExecContext &ctx) const;

@@ -419,9 +419,10 @@ Server::stop()
 bool
 Server::pump()
 {
-    fatal_if(!config_.manualDispatch,
-             "pump() is only valid with ServerConfig::manualDispatch "
-             "(otherwise the dispatcher thread owns the pipelines)");
+    if (!config_.manualDispatch)
+        throw std::logic_error(
+            "pump() is only valid with ServerConfig::manualDispatch "
+            "(otherwise the dispatcher thread owns the pipelines)");
     return pumpOnce();
 }
 

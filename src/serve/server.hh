@@ -285,7 +285,8 @@ class Server
      * manualDispatch mode: run one dispatcher pass (drain ring,
      * route/shed, dispatch to pipelines, deliver ready results) on
      * the calling thread. Returns true when it made progress.
-     * Fatal when a dispatcher thread owns the server.
+     * Throws std::logic_error, touching no state, when a dispatcher
+     * thread owns the server.
      */
     bool pump();
 

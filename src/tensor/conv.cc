@@ -1,14 +1,10 @@
 #include "tensor/conv.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <span>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/simd.hh"
-#include "common/thread_pool.hh"
 
 namespace asv::tensor
 {
@@ -17,20 +13,8 @@ namespace
 {
 
 /**
- * True when a MAC convolution rides the dispatched f32 GEMM kernels.
- * Stats collection stays on the double-accumulation reference loop:
- * exact per-tap counters (and the bitwise results the concurrency
- * tests pin) are part of its contract.
- */
-bool
-gemmEligible(ConvOp op, const ConvStats *stats)
-{
-    return op == ConvOp::MAC && stats == nullptr;
-}
-
-/**
- * Geometry of one GEMM-route convolution, every extent hoisted out
- * of the fill and store loops (Tensor::dim() is bounds-checked).
+ * Geometry of one convolution, every extent hoisted out of the fill
+ * and store loops (Tensor::dim() is bounds-checked).
  */
 struct ConvGeometry
 {
@@ -417,96 +401,75 @@ convNdInto(const Tensor &input, const Tensor &weight,
 
 Tensor
 convNd(const Tensor &input, const Tensor &weight, const ConvSpec &spec,
-       ConvOp op, ConvStats *stats, const ExecContext &ctx)
+       const ExecContext &ctx)
 {
-    const Shape out_shape = convOutShape(input.shape(), weight.shape(),
-                                         spec);
-    const int spatial = static_cast<int>(input.rank()) - 1;
-    const int64_t in_channels = input.dim(0);
+    Tensor out(convOutShape(input.shape(), weight.shape(), spec));
+    convNdInto(input, weight, spec, nullptr, ctx, out);
+    return out;
+}
 
-    Tensor out(out_shape);
-
-    if (gemmEligible(op, stats) && spatial <= kMaxSpatialDims) {
-        convNdInto(input, weight, spec, nullptr, ctx, out);
-        return out;
+Tensor
+referenceConv(const Tensor &input, const Tensor &weight,
+              const ConvSpec &spec, const ExecContext &ctx)
+{
+    Tensor out(convOutShape(input.shape(), weight.shape(), spec));
+    ConvGeometry g;
+    g.nd = input.rank() - 1;
+    panic_if(g.nd > kMaxSpatialDims, "referenceConv: spatial rank ",
+             g.nd, " unsupported (1-", kMaxSpatialDims, ")");
+    g.ichan = spatialStrides(input, g.istride);
+    for (int d = 0; d < g.nd; ++d) {
+        g.in[d] = input.dim(1 + d);
+        g.k[d] = weight.dim(2 + d);
+        g.out[d] = out.dim(1 + d);
+        g.stride[d] = spec.stride[d];
+        g.padLo[d] = spec.padLo[d];
+        g.T *= g.k[d];
+        g.P *= g.out[d];
     }
+    const int64_t C = input.dim(0);
 
-    // Iterate output positions [K, o...] in row-major order; for
-    // each, reduce over channels and kernel taps. Output elements are
-    // independent, so the flat output range is statically partitioned
-    // across the pool; every element is computed by exactly one
-    // thread with the serial reduction order, so results are
-    // bit-identical for any worker count. Op counters accumulate
-    // per chunk and are reduced in chunk order (exact integer sums).
-    Shape kspatial(weight.shape().begin() + 2, weight.shape().end());
-
-    ThreadPool &pool = ctx.pool();
-    const size_t nc =
-        ThreadPool::partition(0, out.size(), pool.numThreads()).size();
-    std::vector<ConvStats> local(std::max<size_t>(nc, 1));
-
-    pool.parallelForChunks(0, out.size(), [&](int64_t o_begin,
-                                              int64_t o_end,
-                                              int chunk) {
-        ConvStats *st = stats ? &local[chunk] : nullptr;
-        Shape out_idx(spatial + 1);
-        Shape in_idx(spatial + 1);
-        Shape w_idx(spatial + 2);
-
-        // Decompose the chunk's first flat offset into an index
-        // vector, then advance it odometer-style.
-        int64_t rem = o_begin;
-        for (int d = spatial; d >= 0; --d) {
-            out_idx[d] = rem % out_shape[d];
-            rem /= out_shape[d];
+    // Output elements are independent, so the flat output range is
+    // statically partitioned across the pool; every element is
+    // computed by exactly one thread in the serial reduction order.
+    ctx.parallelFor(0, out.size(), [&](int64_t o0, int64_t o1) {
+        int64_t o[kMaxSpatialDims];
+        int64_t rem = o0 % g.P;
+        for (int d = g.nd - 1; d >= 0; --d) {
+            o[d] = rem % g.out[d];
+            rem /= g.out[d];
         }
-
-        for (int64_t o = o_begin; o < o_end; ++o) {
-            const int64_t k_filter = out_idx[0];
+        int64_t f = o0 / g.P;
+        for (int64_t i = o0; i < o1; ++i) {
             double acc = 0.0;
-            w_idx[0] = k_filter;
-            for (int64_t c = 0; c < in_channels; ++c) {
-                in_idx[0] = c;
-                w_idx[1] = c;
-                forEachIndex(kspatial,
-                             [&](std::span<const int64_t> tap) {
-                    for (int d = 0; d < spatial; ++d) {
-                        in_idx[1 + d] =
-                            out_idx[1 + d] * spec.stride[d] -
-                            spec.padLo[d] + tap[d];
-                        w_idx[2 + d] = tap[d];
+            for (int64_t c = 0; c < C; ++c) {
+                const float *src = input.data() + c * g.ichan;
+                const float *w = weight.data() + (f * C + c) * g.T;
+                int64_t t[kMaxSpatialDims] = {};
+                for (int64_t tap = 0; tap < g.T; ++tap) {
+                    bool inside = true;
+                    int64_t off = 0;
+                    for (int d = 0; d < g.nd; ++d) {
+                        const int64_t v =
+                            o[d] * g.stride[d] - g.padLo[d] + t[d];
+                        inside = inside && v >= 0 && v < g.in[d];
+                        off += v * g.istride[d];
                     }
-                    const float a = input.atOrZero(in_idx);
-                    const float w =
-                        weight.at(std::span<const int64_t>(
-                            w_idx.data(), w_idx.size()));
-                    if (st) {
-                        ++st->totalOps;
-                        if (a == 0.f)
-                            ++st->zeroOps;
-                    }
-                    acc += (op == ConvOp::MAC)
-                               ? double(a) * w
-                               : std::abs(double(a) - w);
-                });
+                    const float a = inside ? src[off] : 0.0f;
+                    acc += double(a) * w[tap];
+                    for (int d = g.nd - 1; d >= 0 && ++t[d] == g.k[d];
+                         --d)
+                        t[d] = 0;
+                }
             }
-            out.data()[o] = static_cast<float>(acc);
-
-            for (int d = spatial; d >= 0; --d) {
-                if (++out_idx[d] < out_shape[d])
-                    break;
-                out_idx[d] = 0;
-            }
+            out.data()[i] = static_cast<float>(acc);
+            int d = g.nd - 1;
+            while (d >= 0 && ++o[d] == g.out[d])
+                o[d--] = 0;
+            if (d < 0)
+                ++f;
         }
     });
-
-    if (stats) {
-        for (const ConvStats &st : local) {
-            stats->totalOps += st.totalOps;
-            stats->zeroOps += st.zeroOps;
-        }
-    }
-
     return out;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Reference N-spatial-dimension convolution (cross-correlation).
+ * N-spatial-dimension convolution (cross-correlation).
  *
  * Follows the deep-learning convention: "convolution" computes the
  * cross-correlation of the input with the kernel (no kernel flip),
@@ -19,22 +19,19 @@
  * step and an offset per dim), so several convolutions interleave
  * into one ofmap.
  *
- * The same loop nest also computes sum-of-absolute-differences (SAD)
- * instead of multiply-accumulate, which is how ASV maps block matching
- * onto the systolic array (Sec. 3.3 / 5.1): the block is the kernel and
- * the search window is the input.
+ * One executor: convNd is the allocating form of convNdInto, the
+ * f32 GEMM route behind deconv::DeconvPlan and dnn::NetworkRuntime —
+ * the dispatched gemmTile register-tile kernel (asv::simd) behind an
+ * im2col packed in column strips (or a direct view) in
+ * BufferPool-backed scratch. f32 fused-multiply-add accumulation,
+ * bit-identical across worker counts and across every SIMD level
+ * (scalar/AVX2/NEON; see docs/KERNELS.md for the exactness
+ * contract).
  *
- * Execution routes (see docs/KERNELS.md for the exactness contract):
- *  - MAC with no stats requested rides the dispatched f32 GEMM tile
- *    kernel (asv::simd) behind an im2col packed in column strips
- *    (or a direct view) in BufferPool-backed scratch — the fast
- *    path behind
- *    deconv::DeconvPlan and dnn::NetworkRuntime. f32 fused-multiply-
- *    add accumulation, bit-identical across worker counts and across
- *    every SIMD level (scalar/AVX2/NEON).
- *  - SAD, and any call carrying a ConvStats sink, runs the reference
- *    loop nest: double-precision accumulation and exact per-tap op
- *    counters, bit-identical across worker counts.
+ * referenceConv is the named reference: a plain double-accumulation
+ * loop nest, independent of the GEMM route, that
+ * dnn::NetworkRuntime::referenceForward runs and the tests compare
+ * against. It is no production route.
  */
 
 #ifndef ASV_TENSOR_CONV_HH
@@ -49,13 +46,6 @@
 namespace asv::tensor
 {
 
-/** Inner reduction performed at every kernel tap. */
-enum class ConvOp
-{
-    MAC, //!< sum += a * w   (canonical convolution)
-    SAD, //!< sum += |a - w| (block-matching mapping, Sec. 3.3)
-};
-
 /** Per-spatial-dimension convolution parameters. */
 struct ConvSpec
 {
@@ -66,20 +56,6 @@ struct ConvSpec
     /** Uniform stride/pad across @p spatial_dims dimensions. */
     static ConvSpec uniform(int spatial_dims, int64_t stride,
                             int64_t pad);
-};
-
-/** Operation counts observed while executing a reference convolution. */
-struct ConvStats
-{
-    int64_t totalOps = 0; //!< every kernel tap visited
-    int64_t zeroOps = 0;  //!< taps whose input operand was exactly 0
-
-    /** Fraction of taps wasted on zero operands. */
-    double
-    zeroFraction() const
-    {
-        return totalOps ? double(zeroOps) / double(totalOps) : 0.0;
-    }
 };
 
 /**
@@ -146,21 +122,28 @@ Shape convOutShape(const Shape &input, const Shape &weight,
                    const ConvSpec &spec);
 
 /**
- * Reference convolution. The flat output range is statically
- * partitioned across @p ctx's pool; results are bit-identical for
- * any worker count.
+ * Convolution into a fresh output tensor: convNdInto with no
+ * epilogue, contiguous.
  *
  * @param input  [C, spatial...]
  * @param weight [K, C, kspatial...]
  * @param spec   stride/padding per spatial dim
- * @param op     MAC (default) or SAD reduction
- * @param stats  if non-null, accumulates op counts
- * @param ctx    pool the output range is partitioned across
+ * @param ctx    pool and scratch buffers convNdInto runs on
  * @return       [K, outspatial...]
  */
 Tensor convNd(const Tensor &input, const Tensor &weight,
-              const ConvSpec &spec, ConvOp op, ConvStats *stats,
-              const ExecContext &ctx);
+              const ConvSpec &spec, const ExecContext &ctx);
+
+/**
+ * The reference convolution, for referenceForward and the tests:
+ * per output, channels outer and kernel taps in raster order inner,
+ * each tap adding double(a) * w (a = 0 where it lands in the
+ * padding), cast to float once at the end. The flat output range is
+ * statically partitioned across @p ctx's pool; results are
+ * bit-identical for any worker count. Supports 1-4 spatial dims.
+ */
+Tensor referenceConv(const Tensor &input, const Tensor &weight,
+                     const ConvSpec &spec, const ExecContext &ctx);
 
 /**
  * MAC convolution into a preallocated output — the zero-allocation

@@ -46,6 +46,9 @@ upsampleZeroInsert(const Tensor &input, const DeconvSpec &spec,
     const int spatial = input.rank() - 1;
     panic_if(static_cast<int>(kernel.size()) != spatial,
              "kernel rank mismatch");
+    panic_if(spatial < 1 || spatial > kMaxSpatialDims,
+             "upsampleZeroInsert: spatial rank ", spatial,
+             " unsupported (1-", kMaxSpatialDims, ")");
 
     // Upsampled extent: deconv output + (k - 1) so that a stride-1
     // valid convolution lands exactly on the deconv output size.
@@ -61,31 +64,25 @@ upsampleZeroInsert(const Tensor &input, const DeconvSpec &spec,
                  "pad larger than kernel-1 is not supported");
     }
 
+    // A placed store of each channel: input position i lands at
+    // i * stride + pad_lo, every other position stays zero.
     Tensor up(up_shape);
-    Shape in_shape_only(input.shape().begin() + 1, input.shape().end());
-    Shape up_idx(spatial + 1);
+    if (input.size() == 0)
+        return up;
+    OutputPlacement place{spec.stride, pad_lo};
+    const Shape extents(input.shape().begin() + 1, input.shape().end());
+    int64_t ustr[kMaxSpatialDims];
+    const int64_t uchan = spatialStrides(up, ustr);
+    const int64_t width = extents[spatial - 1];
+    const int64_t step = spec.stride[spatial - 1];
+    const int64_t ichan = numElems(extents);
     for (int64_t c = 0; c < input.dim(0); ++c) {
-        up_idx[0] = c;
-        Shape in_idx(spatial + 1);
-        in_idx[0] = c;
-        forEachIndex(in_shape_only,
-                     [&](std::span<const int64_t> pos) {
-            bool in_range = true;
-            for (int d = 0; d < spatial; ++d) {
-                up_idx[1 + d] = pos[d] * spec.stride[d] + pad_lo[d];
-                if (up_idx[1 + d] < 0 ||
-                    up_idx[1 + d] >= up_shape[1 + d]) {
-                    in_range = false;
-                    break;
-                }
-                in_idx[1 + d] = pos[d];
-            }
-            if (in_range) {
-                up.at(std::span<const int64_t>(up_idx.data(),
-                                               up_idx.size())) =
-                    input.at(std::span<const int64_t>(in_idx.data(),
-                                                      in_idx.size()));
-            }
+        const float *src = input.data() + c * ichan;
+        float *dst = up.data() + c * uchan;
+        forEachPlacedRow(extents, place, ustr,
+                         [&](int64_t row, int64_t base) {
+            for (int64_t j = 0; j < width; ++j)
+                dst[base + j * step] = src[row * width + j];
         });
     }
     return up;
@@ -93,8 +90,7 @@ upsampleZeroInsert(const Tensor &input, const DeconvSpec &spec,
 
 Tensor
 deconvNd(const Tensor &input, const Tensor &weight,
-         const DeconvSpec &spec, ConvStats *stats,
-         const ExecContext &ctx)
+         const DeconvSpec &spec, const ExecContext &ctx)
 {
     const int spatial = input.rank() - 1;
     Shape kernel(weight.shape().begin() + 2, weight.shape().end());
@@ -102,8 +98,7 @@ deconvNd(const Tensor &input, const Tensor &weight,
     Tensor up = upsampleZeroInsert(input, spec, kernel);
 
     ConvSpec conv_spec = ConvSpec::uniform(spatial, 1, 0);
-    Tensor out =
-        convNd(up, weight, conv_spec, ConvOp::MAC, stats, ctx);
+    Tensor out = convNd(up, weight, conv_spec, ctx);
 
     // Sanity: the computed output must match the analytic shape.
     const Shape expect = deconvOutShape(input.shape(), weight.shape(),

@@ -55,20 +55,19 @@ Tensor upsampleZeroInsert(const Tensor &input, const DeconvSpec &spec,
                           const Shape &kernel);
 
 /**
- * Reference deconvolution by upsample-then-convolve.
+ * Naive deconvolution by upsample-then-convolve: upsampleZeroInsert,
+ * then a stride-1 tensor::convNd over the upsampled ifmap — the
+ * baseline that pays for every zero operand (>= 75% of the taps for
+ * stride-2 2-D deconvolution, Sec. 4.1; dnn::LayerDesc::zeroMacs()
+ * counts them).
  *
  * @param input  [C, spatial...]
  * @param weight [K, C, kspatial...]
- * @param stats  if non-null, accumulates op counts of the dense
- *               convolution over the upsampled ifmap, exposing the
- *               sparsity-induced waste (>= 75% zero operands for
- *               stride-2 2-D deconvolution, Sec. 4.1).
- * @param ctx    pool the dense convolution is partitioned across
+ * @param ctx    pool and scratch the dense convolution runs on
  * @return [K, outspatial...]
  */
 Tensor deconvNd(const Tensor &input, const Tensor &weight,
-                const DeconvSpec &spec, ConvStats *stats,
-                const ExecContext &ctx);
+                const DeconvSpec &spec, const ExecContext &ctx);
 
 } // namespace asv::tensor
 

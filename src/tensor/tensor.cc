@@ -1,7 +1,7 @@
 #include "tensor/tensor.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -152,39 +152,10 @@ Tensor::at(std::initializer_list<int64_t> idx) const
     return at(std::span<const int64_t>(idx.begin(), idx.size()));
 }
 
-float
-Tensor::atOrZero(std::span<const int64_t> idx) const
-{
-    panic_if(idx.size() != shape_.size(), "index rank mismatch");
-    int64_t off = 0;
-    for (size_t d = 0; d < idx.size(); ++d) {
-        if (idx[d] < 0 || idx[d] >= shape_[d])
-            return 0.f;
-        off += idx[d] * strides_[d];
-    }
-    return data_[off];
-}
-
 void
 Tensor::fill(float value)
 {
     std::fill(data_.begin(), data_.end(), value);
-}
-
-double
-Tensor::sum() const
-{
-    return std::accumulate(data_.begin(), data_.end(), 0.0);
-}
-
-int64_t
-Tensor::countZeros() const
-{
-    int64_t n = 0;
-    for (float v : data_)
-        if (v == 0.f)
-            ++n;
-    return n;
 }
 
 double
@@ -204,14 +175,6 @@ Tensor::allClose(const Tensor &other, double atol) const
     if (shape_ != other.shape_)
         return false;
     return maxAbsDiff(other) <= atol;
-}
-
-Tensor
-Tensor::reshaped(Shape new_shape) const
-{
-    panic_if(numElems(new_shape) != size(), "reshape ", toString(shape_),
-             " -> ", toString(new_shape), " changes element count");
-    return Tensor(std::move(new_shape), data_);
 }
 
 } // namespace asv::tensor

@@ -2,13 +2,13 @@
  * @file
  * Dense N-dimensional float tensor.
  *
- * This is the numeric substrate for the functional side of the
- * reproduction: reference convolution / deconvolution semantics, the
- * deconvolution transformation's equivalence proofs, and the OF/BM
- * layers the ISM algorithm maps onto the accelerator. It favours
- * clarity and exact reproducibility over raw speed; all functional
- * workloads in the tests and benches are small enough for a naive
- * implementation.
+ * The numeric substrate of the DNN path: the activations, weights
+ * and sub-kernels that tensor::convNdInto, deconv::DeconvPlan and
+ * dnn::NetworkRuntime run on, and the reference convolution and
+ * deconvolution they are checked against. A plain owning row-major
+ * float buffer; the executors read it through data() and hoisted
+ * strides (spatialStrides), and the bounds-checked element access
+ * is for setup code and tests.
  */
 
 #ifndef ASV_TENSOR_TENSOR_HH
@@ -99,29 +99,14 @@ class Tensor
     float &at(std::initializer_list<int64_t> idx);
     float at(std::initializer_list<int64_t> idx) const;
 
-    /**
-     * Element access with zero padding: indices outside the extent
-     * read as 0. Used by convolution inner loops.
-     */
-    float atOrZero(std::span<const int64_t> idx) const;
-
     /** Set every element to @p value. */
     void fill(float value);
-
-    /** Sum of all elements. */
-    double sum() const;
-
-    /** Count of exactly-zero elements. */
-    int64_t countZeros() const;
 
     /** Maximum absolute elementwise difference against @p other. */
     double maxAbsDiff(const Tensor &other) const;
 
     /** True if shapes match and all elements are within @p atol. */
     bool allClose(const Tensor &other, double atol = 1e-5) const;
-
-    /** Reshape without changing data (element count must match). */
-    Tensor reshaped(Shape new_shape) const;
 
   private:
     void initStrides();

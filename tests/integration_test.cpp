@@ -218,12 +218,9 @@ TEST(Linearity, ConvIsLinearInInput)
         sum.flat()[i] = a.flat()[i] + 2.f * b.flat()[i];
 
     const auto spec = tensor::ConvSpec::uniform(2, 1, 1);
-    const auto ca = convNd(a, w, spec, tensor::ConvOp::MAC, nullptr,
-                           ExecContext::global());
-    const auto cb = convNd(b, w, spec, tensor::ConvOp::MAC, nullptr,
-                           ExecContext::global());
-    const auto cs = convNd(sum, w, spec, tensor::ConvOp::MAC, nullptr,
-                           ExecContext::global());
+    const auto ca = convNd(a, w, spec, ExecContext::global());
+    const auto cb = convNd(b, w, spec, ExecContext::global());
+    const auto cs = convNd(sum, w, spec, ExecContext::global());
     tensor::Tensor expect(ca.shape());
     for (int64_t i = 0; i < expect.size(); ++i)
         expect.flat()[i] = ca.flat()[i] + 2.f * cb.flat()[i];

@@ -17,8 +17,9 @@
  *    (AllocTracker-guarded, including the FrameQueue in isolation);
  *  - a malformed StreamConfig or a full stream table throws from
  *    openStream() and leaves the server unchanged and serving; a bad
- *    ServerConfig, an unknown id in setPaused() and an empty
- *    heartbeat callback throw as well.
+ *    ServerConfig, an unknown id in setPaused(), an empty
+ *    heartbeat callback and pump() on a threaded server throw as
+ *    well.
  */
 
 #include <gtest/gtest.h>
@@ -233,6 +234,31 @@ TEST(Serve, BadServerInputThrowsAndLeavesServerUsable)
     for (const FramePair &f : frames)
         ASSERT_EQ(server.submit(id, f.left, f.right),
                   SubmitStatus::Accepted);
+    server.drain();
+    server.stop();
+    ASSERT_EQ(log.results.size(), frames.size());
+    for (size_t f = 0; f < frames.size(); ++f) {
+        EXPECT_EQ(log.results[f].ticket, static_cast<int64_t>(f));
+        EXPECT_EQ(log.results[f].status, ResultStatus::Ok);
+    }
+}
+
+TEST(Serve, PumpOnThreadedServerThrowsAndLeavesServerUsable)
+{
+    // The dispatcher thread owns this server's pipelines: pump()
+    // from a client thread is a misuse that throws, touching nothing.
+    ServerConfig sc;
+    sc.workers = 2;
+    Server server(sc);
+    ResultLog log;
+    const StreamId id = server.openStream(streamConfig(log));
+    EXPECT_THROW(server.pump(), std::logic_error);
+
+    const auto frames = makeFrames(4, 17);
+    for (const FramePair &f : frames)
+        ASSERT_EQ(server.submit(id, f.left, f.right),
+                  SubmitStatus::Accepted);
+    EXPECT_THROW(server.pump(), std::logic_error);
     server.drain();
     server.stop();
     ASSERT_EQ(log.results.size(), frames.size());
