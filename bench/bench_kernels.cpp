@@ -9,7 +9,9 @@
  * census, SGM aggregation-row, and fused cost-row kernels, of the
  * f32 DNN route (BM_ConvGemm /
  * BM_Deconv: packed im2col + gemmTile with the fused bias+ReLU
- * epilogue), and
+ * epilogue, the deconvolutions through a prebuilt DeconvPlan;
+ * BM_RefinementForward: asv_camera's two-layer key-frame network),
+ * and
  * of the Farnebäck separable filter (BM_SepRow / BM_GaussianBlur) and
  * of one non-key ISM propagation (BM_IsmPropagate: scatter, hole fill
  * and the pixel-lane sadBlock search) — the vector-vs-scalar
@@ -34,6 +36,8 @@
 #include "data/scene.hh"
 #include "debug/alloc_tracker.hh"
 #include "deconv/transform.hh"
+#include "dnn/network.hh"
+#include "dnn/runtime.hh"
 #include "flow/farneback.hh"
 #include "image/ops.hh"
 #include "stereo/block_matching.hh"
@@ -66,10 +70,17 @@ BM_DeconvTransformed(benchmark::State &state)
     Tensor in = randomTensor({8, n, n}, 1);
     Tensor w = randomTensor({8, 8, 4, 4}, 2);
     const DeconvSpec spec = DeconvSpec::uniform(2, 2, 1);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            deconv::transformedDeconv(in, w, spec,
-                                      ExecContext::global()));
+    BufferPool buffers;
+    const ExecContext ctx(ThreadPool::global(), buffers);
+    // The plan and the ofmap are built once, as NetworkRuntime does;
+    // only run() is timed.
+    deconv::DeconvPlan plan(w, in.shape(), spec);
+    Tensor out(plan.outputShape());
+    for (auto _ : state) {
+        plan.run(in, nullptr, ctx, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
     state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_DeconvTransformed)->Arg(16)->Arg(32);
@@ -399,13 +410,42 @@ BM_Deconv(benchmark::State &state, simd::Level level)
     epi.relu = true;
     BufferPool buffers;
     const ExecContext ctx(ThreadPool::global(), buffers);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            deconv::transformedDeconv(in, w, spec, ctx, &epi));
+    deconv::DeconvPlan plan(w, in.shape(), spec);
+    Tensor out(plan.outputShape());
+    for (auto _ : state) {
+        plan.run(in, &epi, ctx, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
     // MACs of the transformed deconv = K*C*k² useful taps per ofmap
     // position (4 sub-kernels of 2x2 over a 2n² ofmap grid).
     state.SetItemsProcessed(state.iterations() * 64 * 32 * 16 * n *
                             n);
+}
+
+void
+BM_RefinementForward(benchmark::State &state, simd::Level level)
+{
+    // asv_camera's key-frame network: the DispNet refinement stack's
+    // last two k4 s2 p1 up-convolutions (64 -> 32 with a fused ReLU,
+    // then 32 -> 16) from a 64 x 60 x 80 input up to 240 x 320,
+    // through NetworkRuntime::forward on an explicit 2-worker pool.
+    LevelGuard guard(level);
+    dnn::NetworkBuilder nb("dispnet-refine", 64, {60, 80});
+    nb.deconv("upconv1", 32, 4, 2, 1, dnn::Stage::DisparityRefinement);
+    nb.activation("relu_u1");
+    nb.deconv("upconv0", 16, 4, 2, 1, dnn::Stage::DisparityRefinement);
+    const dnn::Network net = nb.build();
+    dnn::NetworkRuntime rt(net, 21);
+    Tensor in = randomTensor(rt.inputShape(), 22);
+    ThreadPool pool(2);
+    BufferPool buffers;
+    const ExecContext ctx(pool, buffers);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(rt.forward(in, ctx).data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * net.stats().totalMacs);
 }
 
 void
@@ -536,6 +576,10 @@ main(int argc, char **argv)
         benchmark::RegisterBenchmark(
             ("BM_Deconv/" + suffix).c_str(), BM_Deconv, level)
             ->Arg(16)
+            ->UseRealTime();
+        benchmark::RegisterBenchmark(
+            ("BM_RefinementForward/" + suffix).c_str(),
+            BM_RefinementForward, level)
             ->UseRealTime();
         benchmark::RegisterBenchmark(
             ("BM_SepRow/" + suffix).c_str(), BM_SepRow, level)

@@ -168,12 +168,16 @@ using CostRowFn = void (*)(const uint64_t *cl, const uint64_t *cr,
  *   for r in [0, m), j in [0, n):
  *     acc = +0.0f
  *     for i in [0, k):        // ascending
- *       acc = fma(a[r * lda + i], b[i * ldb + j], acc)
+ *       acc = fma(a[r * lda + i], b[rows[i] * ldb + j], acc)
  *     out[r * ldo + j] = acc
  *
- * i.e. an m x n block of A * B, where A is row-major with leading
- * dimension @p lda and B is a k x n block of a row-major matrix with
- * leading dimension @p ldb. The table's tile shape bounds it:
+ * i.e. an m x n block of A * B', where A is row-major with leading
+ * dimension @p lda and row i of B' is row rows[i] of a row-major
+ * matrix B with leading dimension @p ldb. The row table lets several
+ * filter banks read their own rows of one shared operand (the
+ * deconvolution phases' sub-windows of the union im2col, Sec. 4.2's
+ * ILAR); a plain convolution passes the identity. Entries may repeat
+ * and need not ascend. The table's tile shape bounds the block:
  * m <= Kernels::gemmMr and n <= Kernels::gemmNr (kMaxGemmMr x
  * kMaxGemmNr at most). An edge tile (m < MR or n < NR) goes through
  * the same entry. A column strip that im2col packed passes its width
@@ -192,8 +196,8 @@ using CostRowFn = void (*)(const uint64_t *cl, const uint64_t *cr,
  * always propagate identically. See docs/KERNELS.md.
  */
 using GemmTileFn = void (*)(const float *a, int64_t lda, const float *b,
-                            int64_t ldb, int k, int m, int n, float *out,
-                            int64_t ldo);
+                            int64_t ldb, const uint32_t *rows, int k,
+                            int m, int n, float *out, int64_t ldo);
 
 /** Largest register tile any table's gemmTile computes (AVX2's). */
 constexpr int kMaxGemmMr = 4;

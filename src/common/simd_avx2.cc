@@ -290,14 +290,15 @@ costRowAvx2(const uint64_t *cl, const uint64_t *cr, int w, int dlo,
  * folding i ascending from +0 with one rounding per step — the
  * scalar std::fmaf chain, replayed per output. At 4 x 3 the twelve
  * accumulators, three B vectors and one broadcast fill the sixteen
- * ymm registers, and each i issues 12 FMAs for 7 loads. The r and v
- * loops are unrolled up front so the accumulator array becomes
- * registers; otherwise GCC stores all of it back on every i.
+ * ymm registers, and each i issues 12 FMAs for 8 loads (the row
+ * table's entry picks B's row). The r and v loops are unrolled up
+ * front so the accumulator array becomes registers; otherwise GCC
+ * stores all of it back on every i.
  */
 template <int M, int NV>
 void
 tileAvx2(const float *a, int64_t lda, const float *b, int64_t ldb,
-         int k, float *out, int64_t ldo)
+         const uint32_t *rows, int k, float *out, int64_t ldo)
 {
     __m256 acc[M][NV];
     #pragma GCC unroll 4
@@ -306,7 +307,7 @@ tileAvx2(const float *a, int64_t lda, const float *b, int64_t ldb,
         for (int v = 0; v < NV; ++v)
             acc[r][v] = _mm256_setzero_ps();
     for (int i = 0; i < k; ++i) {
-        const float *bi = b + int64_t(i) * ldb;
+        const float *bi = b + rows[i] * ldb;
         __m256 bv[NV];
         #pragma GCC unroll 3
         for (int v = 0; v < NV; ++v)
@@ -327,7 +328,8 @@ tileAvx2(const float *a, int64_t lda, const float *b, int64_t ldb,
 }
 
 using TileBody = void (*)(const float *, int64_t, const float *,
-                          int64_t, int, float *, int64_t);
+                          int64_t, const uint32_t *, int, float *,
+                          int64_t);
 
 /** tileAvx2<m, nv> at [m - 1][nv - 1]. */
 constexpr TileBody kTileBodies[4][3] = {
@@ -339,14 +341,15 @@ constexpr TileBody kTileBodies[4][3] = {
 
 void
 gemmTileAvx2(const float *a, int64_t lda, const float *b, int64_t ldb,
-             int k, int m, int n, float *out, int64_t ldo)
+             const uint32_t *rows, int k, int m, int n, float *out,
+             int64_t ldo)
 {
     // Whole 8-column vectors in registers; the 1-7 column tail of an
     // edge tile takes the reference chain.
     const int nv = n / 8;
     if (m > 0 && nv > 0)
-        kTileBodies[m - 1][nv - 1](a, lda, b, ldb, k, out, ldo);
-    gemmTileRef(a, lda, b, ldb, k, m, 8 * nv, n, out, ldo);
+        kTileBodies[m - 1][nv - 1](a, lda, b, ldb, rows, k, out, ldo);
+    gemmTileRef(a, lda, b, ldb, rows, k, m, 8 * nv, n, out, ldo);
 }
 
 void

@@ -257,7 +257,7 @@ costRowNeon(const uint64_t *cl, const uint64_t *cr, int w, int dlo,
 template <int M, int NV>
 void
 tileNeon(const float *a, int64_t lda, const float *b, int64_t ldb,
-         int k, float *out, int64_t ldo)
+         const uint32_t *rows, int k, float *out, int64_t ldo)
 {
     float32x4_t acc[M][NV];
     #pragma GCC unroll 4
@@ -266,7 +266,7 @@ tileNeon(const float *a, int64_t lda, const float *b, int64_t ldb,
         for (int v = 0; v < NV; ++v)
             acc[r][v] = vdupq_n_f32(0.0f);
     for (int i = 0; i < k; ++i) {
-        const float *bi = b + int64_t(i) * ldb;
+        const float *bi = b + rows[i] * ldb;
         float32x4_t bv[NV];
         #pragma GCC unroll 3
         for (int v = 0; v < NV; ++v)
@@ -287,7 +287,8 @@ tileNeon(const float *a, int64_t lda, const float *b, int64_t ldb,
 }
 
 using TileBody = void (*)(const float *, int64_t, const float *,
-                          int64_t, int, float *, int64_t);
+                          int64_t, const uint32_t *, int, float *,
+                          int64_t);
 
 /** tileNeon<m, nv> at [m - 1][nv - 1]. */
 constexpr TileBody kTileBodies[4][2] = {
@@ -299,14 +300,15 @@ constexpr TileBody kTileBodies[4][2] = {
 
 void
 gemmTileNeon(const float *a, int64_t lda, const float *b, int64_t ldb,
-             int k, int m, int n, float *out, int64_t ldo)
+             const uint32_t *rows, int k, int m, int n, float *out,
+             int64_t ldo)
 {
     // Whole 4-column vectors in registers; the 1-3 column tail of an
     // edge tile takes the reference chain.
     const int nv = n / 4;
     if (m > 0 && nv > 0)
-        kTileBodies[m - 1][nv - 1](a, lda, b, ldb, k, out, ldo);
-    gemmTileRef(a, lda, b, ldb, k, m, 4 * nv, n, out, ldo);
+        kTileBodies[m - 1][nv - 1](a, lda, b, ldb, rows, k, out, ldo);
+    gemmTileRef(a, lda, b, ldb, rows, k, m, 4 * nv, n, out, ldo);
 }
 
 void

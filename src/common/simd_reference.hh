@@ -158,11 +158,12 @@ costRowRef(const uint64_t *cl, const uint64_t *cr, int dlo, int ndw,
  */
 inline void
 gemmTileRef(const float *a, int64_t lda, const float *b, int64_t ldb,
-            int k, int m, int j0, int j1, float *out, int64_t ldo)
+            const uint32_t *rows, int k, int m, int j0, int j1,
+            float *out, int64_t ldo)
 {
     float acc[kMaxGemmMr][kMaxGemmNr] = {};
     for (int i = 0; i < k; ++i) {
-        const float *bi = b + int64_t(i) * ldb;
+        const float *bi = b + rows[i] * ldb;
         for (int r = 0; r < m; ++r) {
             const float ar = a[r * lda + i];
             for (int j = j0; j < j1; ++j)

@@ -49,10 +49,10 @@ costRowScalar(const uint64_t *cl, const uint64_t *cr, int w, int dlo,
 
 void
 gemmTileScalar(const float *a, int64_t lda, const float *b,
-               int64_t ldb, int k, int m, int n, float *out,
-               int64_t ldo)
+               int64_t ldb, const uint32_t *rows, int k, int m, int n,
+               float *out, int64_t ldo)
 {
-    gemmTileRef(a, lda, b, ldb, k, m, 0, n, out, ldo);
+    gemmTileRef(a, lda, b, ldb, rows, k, m, 0, n, out, ldo);
 }
 
 void

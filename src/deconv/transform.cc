@@ -1,6 +1,7 @@
 #include "deconv/transform.hh"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/logging.hh"
 #include "common/math_util.hh"
@@ -170,7 +171,7 @@ extractSubKernel(const Tensor &weight, const SubConv &sub,
                  const Shape &stride)
 {
     const int nd = static_cast<int>(sub.dims.size());
-    panic_if(weight.rank() != nd + 2,
+    panic_if(weight.rank() != nd + 2 || nd > tensor::kMaxSpatialDims,
              "weight rank does not match sub-conv dims");
 
     Shape sk_shape;
@@ -183,65 +184,32 @@ extractSubKernel(const Tensor &weight, const SubConv &sub,
     if (sub.empty())
         return sk;
 
-    Shape tap_shape(sk_shape.begin() + 2, sk_shape.end());
-    Shape w_idx(nd + 2), s_idx(nd + 2);
-    for (int64_t f = 0; f < weight.dim(0); ++f) {
-        for (int64_t c = 0; c < weight.dim(1); ++c) {
-            w_idx[0] = s_idx[0] = f;
-            w_idx[1] = s_idx[1] = c;
-            tensor::forEachIndex(
-                tap_shape, [&](std::span<const int64_t> j) {
-                    for (int d = 0; d < nd; ++d) {
-                        s_idx[2 + d] = j[d];
-                        w_idx[2 + d] =
-                            stride[d] * j[d] + sub.dims[d].delta;
-                    }
-                    sk.at(std::span<const int64_t>(s_idx.data(),
-                                                   s_idx.size())) =
-                        weight.at(std::span<const int64_t>(
-                            w_idx.data(), w_idx.size()));
-                });
-        }
+    // Offset in one [k...] weight plane of each sub-kernel tap j, in
+    // raster order: tap j reads kernel index stride * j + delta.
+    int64_t wstride[tensor::kMaxSpatialDims];
+    int64_t plane = 1;
+    for (int d = nd - 1; d >= 0; --d) {
+        wstride[d] = plane;
+        plane *= weight.dim(2 + d);
     }
+    const int64_t taps = sk.size() / (sk_shape[0] * sk_shape[1]);
+    std::vector<int64_t> src(static_cast<size_t>(taps));
+    int64_t j[tensor::kMaxSpatialDims] = {};
+    for (int64_t t = 0; t < taps; ++t) {
+        src[t] = 0;
+        for (int d = 0; d < nd; ++d)
+            src[t] += (stride[d] * j[d] + sub.dims[d].delta) * wstride[d];
+        for (int d = nd - 1; d >= 0 && ++j[d] == sub.dims[d].taps; --d)
+            j[d] = 0;
+    }
+    // One flat strided gather per (filter, channel) plane.
+    const float *w = weight.data();
+    float *out = sk.data();
+    for (int64_t fc = 0; fc < sk_shape[0] * sk_shape[1]; ++fc)
+        for (int64_t t = 0; t < taps; ++t)
+            *out++ = w[fc * plane + src[t]];
     return sk;
 }
-
-namespace
-{
-
-/** Fill one tap-free phase with the epilogue of zero, per filter:
- *  relu(0 + bias), the ReLU with the kernels' `v > 0 ? v : +0`
- *  semantics; +0 without an epilogue. */
-void
-fillTapFree(const Shape &counts, const tensor::OutputPlacement &place,
-            const tensor::ConvEpilogue *epilogue, Tensor &out,
-            const ExecContext &ctx)
-{
-    const int nd = static_cast<int>(counts.size());
-    int64_t ostr[tensor::kMaxSpatialDims];
-    const int64_t ochan = tensor::spatialStrides(out, ostr);
-    const int64_t inner = counts[nd - 1];
-    const int64_t step = place.step[nd - 1];
-    ctx.parallelFor(0, out.dim(0), [&](int64_t f0, int64_t f1) {
-        for (int64_t f = f0; f < f1; ++f) {
-            float v = 0.0f;
-            if (epilogue != nullptr) {
-                if (epilogue->bias != nullptr)
-                    v += epilogue->bias[f];
-                if (epilogue->relu)
-                    v = v > 0.0f ? v : 0.0f;
-            }
-            float *dst = out.data() + f * ochan;
-            tensor::forEachPlacedRow(
-                counts, place, ostr, [&](int64_t, int64_t base) {
-                    for (int64_t j = 0; j < inner; ++j)
-                        dst[base + j * step] = v;
-                });
-        }
-    });
-}
-
-} // namespace
 
 DeconvPlan::DeconvPlan(const Tensor &weight, const Shape &input_shape,
                        const tensor::DeconvSpec &spec)
@@ -265,38 +233,83 @@ DeconvPlan::DeconvPlan(const Tensor &weight, const Shape &input_shape,
     layer.stride = spec.stride;
     layer.pad = spec.pad;
 
-    for (const SubConv &sc : transformLayer(layer).subConvs) {
-        Phase ph;
-        ph.counts = sc.outExtents();
-        if (std::any_of(ph.counts.begin(), ph.counts.end(),
+    std::vector<const SubConv *> computed;
+    const TransformedLayer t = transformLayer(layer);
+    for (const SubConv &sc : t.subConvs) {
+        const Shape counts = sc.outExtents();
+        if (std::any_of(counts.begin(), counts.end(),
                         [](int64_t c) { return c == 0; }))
             continue; // phase has no output positions
-        ph.place.step = spec.stride;
-        ph.place.offset.resize(nd);
+        tensor::OutputPlacement place;
+        place.step = spec.stride;
         for (int d = 0; d < nd; ++d)
-            ph.place.offset[d] = sc.dims[d].phase;
+            place.offset.push_back(sc.dims[d].phase);
         if (sc.empty()) {
             // Positions exist but no kernel taps overlap: filled
             // with the epilogue of zero.
-            ph.tapFree = true;
-            phases_.push_back(std::move(ph));
+            tap_free_.push_back({counts, std::move(place)});
             continue;
         }
+        Phase ph;
         ph.kernel = extractSubKernel(weight, sc, spec.stride);
-        // The ifmap shift m0 is a leading pad (m0 < 0) or crop
-        // (m0 > 0, a negative pad); the trailing pad or crop sizes
-        // the output to exactly `count` positions.
-        ph.conv.stride.assign(nd, 1);
-        ph.conv.padLo.resize(nd);
-        ph.conv.padHi.resize(nd);
-        for (int d = 0; d < nd; ++d) {
-            const DimPlan &dp = sc.dims[d];
-            ph.conv.padLo[d] = -dp.inOffset;
-            ph.conv.padHi[d] = dp.count - 1 + dp.taps -
-                               input_shape[1 + d] - ph.conv.padLo[d];
-        }
+        ph.counts = counts;
+        ph.place = std::move(place);
         phases_.push_back(std::move(ph));
+        computed.push_back(&sc);
     }
+    if (phases_.empty())
+        return;
+
+    // The union of the phases' input windows: phase tap j of dim d
+    // reads ifmap index m + inOffset + j at its position m, so the
+    // union starts at the smallest inOffset and its window tap
+    // u = j + inOffset - that minimum. Its positions cover the
+    // largest phase's counts; each phase stores only its own.
+    Shape lo(nd), hi(nd), most(nd);
+    for (int d = 0; d < nd; ++d) {
+        lo[d] = hi[d] = computed[0]->dims[d].inOffset;
+        for (const SubConv *sc : computed) {
+            const DimPlan &dp = sc->dims[d];
+            lo[d] = std::min(lo[d], dp.inOffset);
+            hi[d] = std::max(hi[d], dp.inOffset + dp.taps);
+            most[d] = std::max(most[d], dp.count);
+        }
+        window_.push_back(hi[d] - lo[d]);
+        // The window's shift is a leading pad (lo < 0) or crop
+        // (lo > 0, a negative pad); the trailing pad or crop sizes
+        // the operand to exactly `most` positions.
+        operand_.stride.push_back(1);
+        operand_.padLo.push_back(-lo[d]);
+        operand_.padHi.push_back(most[d] - 1 + window_[d] -
+                                 input_shape[1 + d] + lo[d]);
+    }
+    const int64_t window_taps = tensor::numElems(window_);
+    panic_if(input_shape[0] * window_taps > UINT32_MAX,
+             "DeconvPlan: operand rows overflow the row table");
+    for (size_t i = 0; i < phases_.size(); ++i) {
+        const SubConv &sc = *computed[i];
+        // Column c * T + j of the sub-kernel reads operand row
+        // c * Tu + u(j): the phase's window is a sub-window of the
+        // union in the same raster order, so its fused chain is
+        // unchanged.
+        const int64_t taps = tensor::numElems(sc.kernelExtents());
+        std::vector<uint32_t> &rows = phases_[i].rows;
+        for (int64_t c = 0; c < input_shape[0]; ++c) {
+            int64_t j[tensor::kMaxSpatialDims] = {};
+            for (int64_t tap = 0; tap < taps; ++tap) {
+                int64_t u = 0;
+                for (int d = 0; d < nd; ++d)
+                    u = u * window_[d] + j[d] + sc.dims[d].inOffset -
+                        lo[d];
+                rows.push_back(
+                    static_cast<uint32_t>(c * window_taps + u));
+                for (int d = nd - 1;
+                     d >= 0 && ++j[d] == sc.dims[d].taps; --d)
+                    j[d] = 0;
+            }
+        }
+    }
+    views_.resize(phases_.size());
 }
 
 void
@@ -310,13 +323,46 @@ DeconvPlan::run(const Tensor &input,
     panic_if(out.shape() != out_shape_, "DeconvPlan: output shape ",
              tensor::toString(out.shape()), " != planned ",
              tensor::toString(out_shape_));
-    for (const Phase &ph : phases_) {
-        if (ph.tapFree)
-            fillTapFree(ph.counts, ph.place, epilogue, out, ctx);
-        else
-            tensor::convNdInto(input, ph.kernel, ph.conv, epilogue, ctx,
-                               out, ph.place);
+    if (!phases_.empty()) {
+        for (size_t i = 0; i < phases_.size(); ++i) {
+            const Phase &ph = phases_[i];
+            views_[i] = {&ph.kernel, ph.rows, ph.counts, &ph.place};
+        }
+        tensor::convNdInto(input, window_, operand_, views_, epilogue,
+                           ctx, out);
     }
+    if (!tap_free_.empty())
+        fillTapFree(epilogue, out, ctx);
+}
+
+void
+DeconvPlan::fillTapFree(const tensor::ConvEpilogue *epilogue, Tensor &out,
+                        const ExecContext &ctx) const
+{
+    int64_t ostr[tensor::kMaxSpatialDims];
+    const int64_t ochan = tensor::spatialStrides(out, ostr);
+    ctx.parallelFor(0, out.dim(0), [&](int64_t f0, int64_t f1) {
+        for (int64_t f = f0; f < f1; ++f) {
+            float v = 0.0f;
+            if (epilogue != nullptr) {
+                if (epilogue->bias != nullptr)
+                    v += epilogue->bias[f];
+                if (epilogue->relu)
+                    v = v > 0.0f ? v : 0.0f;
+            }
+            float *dst = out.data() + f * ochan;
+            for (const TapFree &tf : tap_free_) {
+                const int64_t inner = tf.counts.back();
+                const int64_t step = tf.place.step.back();
+                tensor::forEachPlacedRow(
+                    tf.counts, tf.place, ostr,
+                    [&](int64_t, int64_t base) {
+                        for (int64_t j = 0; j < inner; ++j)
+                            dst[base + j * step] = v;
+                    });
+            }
+        }
+    });
 }
 
 Tensor

@@ -17,7 +17,10 @@
  * equality against the zero-insertion reference in tensor/deconv.
  *
  * Every sub-convolution reads the *same* ifmap — the inter-layer
- * activation reuse (ILAR) the scheduler exploits (Sec. 4.2).
+ * activation reuse (ILAR) the scheduler exploits (Sec. 4.2), and
+ * that DeconvPlan executes: one im2col operand over the union of
+ * the phases' input windows, packed strip by strip and swept by
+ * every phase through a row table, in one fan-out per layer.
  */
 
 #ifndef ASV_DECONV_TRANSFORM_HH
@@ -112,18 +115,25 @@ Tensor extractSubKernel(const Tensor &weight, const SubConv &sub,
 
 /**
  * A compiled transformed deconvolution: the only executor of the
- * Sec. 4.1 transformation. Construction extracts each phase's
- * sub-kernel and derives its stride-1 ConvSpec, whose signed pads
- * carry the phase's ifmap shift (a negative pad crops), and its
- * OutputPlacement (step = stride, offset = phase); the sub-kernels
- * are the only tensors a plan owns. run() executes the phases in
- * order, each one convNdInto storing straight into its strided
- * positions of the ofmap with the epilogue fused (exact, since
- * phases write disjoint positions). A tap-free phase (positions but
- * no taps: a kernel smaller than the stride) gets the epilogue of
- * zero through the same placement walker. Bit-identical for any
- * worker count; allocation-free once the ExecContext's BufferPool
- * is warm. 1-4 spatial dims.
+ * Sec. 4.1 transformation, with Sec. 4.2's inter-layer activation
+ * reuse (ILAR). Construction extracts each phase's sub-kernel and
+ * its OutputPlacement (step = stride, offset = phase), and derives
+ * one shared operand: the im2col of the ifmap over the union of the
+ * phases' input windows (for k = 4, s = 2, p = 1, 3 x 3 taps per
+ * channel, 9C rows instead of 4 x 4C), as a stride-1 window whose
+ * signed pads carry the smallest ifmap shift (a negative pad crops)
+ * and whose positions cover the largest phase. Each phase reads its
+ * sub-window through a row table in the same raster order, so every
+ * output's fused chain, and so every bit, is the phase's own
+ * convolution's. run() is one tensor::convNdInto over all phases:
+ * one fan-out, each strip packed once and swept by every phase,
+ * each storing straight into its strided ofmap positions with the
+ * epilogue fused (exact, since phases write disjoint positions). A
+ * tap-free phase (positions but no taps: a kernel smaller than the
+ * stride) gets the epilogue of zero through the placement walker,
+ * in one more fan-out for all of them. Bit-identical for any worker
+ * count; allocation-free once the ExecContext's BufferPool is warm.
+ * 1-4 spatial dims.
  */
 class DeconvPlan
 {
@@ -144,20 +154,40 @@ class DeconvPlan
     const tensor::DeconvSpec &spec() const { return spec_; }
 
   private:
-    /** One output phase: its sub-convolution and where it lands. */
+    /** One output phase with taps: its sub-kernel, the operand rows
+     *  it reads and where its positions land. */
     struct Phase
     {
         Tensor kernel;                 //!< sub-kernel [K, C, taps..]
-        tensor::ConvSpec conv;         //!< stride 1, signed pads
-        tensor::OutputPlacement place; //!< ofmap step and phase
+        std::vector<uint32_t> rows;    //!< operand row per column
         Shape counts;                  //!< ofmap positions per dim
-        bool tapFree = false;          //!< no taps: epilogue of zero
+        tensor::OutputPlacement place; //!< ofmap step and phase
     };
+
+    /** One tap-free output phase: positions but no taps. */
+    struct TapFree
+    {
+        Shape counts;
+        tensor::OutputPlacement place;
+    };
+
+    /** Fill every tap-free phase with the epilogue of zero, per
+     *  filter: relu(0 + bias), the ReLU with the kernels'
+     *  `v > 0 ? v : +0` semantics; +0 without an epilogue. One
+     *  fan-out for all of them. */
+    void fillTapFree(const tensor::ConvEpilogue *epilogue, Tensor &out,
+                     const ExecContext &ctx) const;
 
     tensor::DeconvSpec spec_;
     Shape in_shape_;
     Shape out_shape_;
+    Shape window_;              //!< union window extents
+    tensor::ConvSpec operand_;  //!< stride 1, signed pads
     std::vector<Phase> phases_;
+    std::vector<TapFree> tap_free_;
+    /** convNdInto's views of phases_, refreshed by run() so a
+     *  copied or moved plan never points into another. */
+    std::vector<tensor::ConvPhase> views_;
 };
 
 /**

@@ -15,15 +15,20 @@
  * is signed: positive pads with zeros, negative crops the input. The
  * deconvolution transformation needs both, one-sided (Sec. 4.1): each
  * sub-convolution's window is the ifmap shifted by its phase's
- * offset. convNdInto can also store through an OutputPlacement (a
- * step and an offset per dim), so several convolutions interleave
- * into one ofmap.
+ * offset.
  *
- * One executor: convNd is the allocating form of convNdInto, the
- * f32 GEMM route behind deconv::DeconvPlan and dnn::NetworkRuntime —
- * the dispatched gemmTile register-tile kernel (asv::simd) behind an
- * im2col packed in column strips (or a direct view) in
- * BufferPool-backed scratch. f32 fused-multiply-add accumulation,
+ * One executor: convNdInto runs a list of phases — filter banks that
+ * share one im2col operand of the input (Sec. 4.2's inter-layer
+ * activation reuse, ILAR). Each phase reads its rows of the operand
+ * through a row table and stores through its own OutputPlacement (a
+ * step and an offset per dim), so deconv::DeconvPlan runs all its
+ * sub-convolutions over one union-window operand in one fan-out,
+ * interleaving them into one ofmap. A plain convolution is one phase
+ * with the identity table and a contiguous store; convNd is its
+ * allocating form. The operand is packed strip by strip into a
+ * BufferPool-backed per-worker block just before the dispatched
+ * gemmTile register tiles (asv::simd) consume it, or read in place
+ * for a pointwise window. f32 fused-multiply-add accumulation,
  * bit-identical across worker counts and across every SIMD level
  * (scalar/AVX2/NEON; see docs/KERNELS.md for the exactness
  * contract).
@@ -117,6 +122,27 @@ forEachPlacedRow(std::span<const int64_t> extents,
     }
 }
 
+/**
+ * One filter bank of a phased convolution (see convNdInto): a view
+ * of its weights, the operand rows they read and where its outputs
+ * land. Nothing is owned; everything must outlive the call.
+ */
+struct ConvPhase
+{
+    const Tensor *weight = nullptr; //!< [K, C, kspatial...]
+    /** Operand row read by each weight column: C * taps entries,
+     *  weight column c * taps + t reads rows[c * taps + t]. Empty:
+     *  the identity (the phase's kernel is the whole window). */
+    std::span<const uint32_t> rows;
+    /** Positions stored per spatial dim, each <= the operand's; the
+     *  operand's other positions are computed and dropped. Empty:
+     *  all of the operand's. */
+    std::span<const int64_t> counts;
+    /** Where position o lands (a contiguous placement: at o
+     *  itself). */
+    const OutputPlacement *place = nullptr;
+};
+
 /** Output shape of convNd for the given input/weight/spec. */
 Shape convOutShape(const Shape &input, const Shape &weight,
                    const ConvSpec &spec);
@@ -146,20 +172,44 @@ Tensor referenceConv(const Tensor &input, const Tensor &weight,
                      const ConvSpec &spec, const ExecContext &ctx);
 
 /**
- * MAC convolution into a preallocated output — the zero-allocation
- * fast path behind dnn::NetworkRuntime and deconv::DeconvPlan.
- * Always the f32 GEMM route: a row-span im2col written packed in
- * column strips of the active table's gemmNr (none for pointwise
- * stride-1 unpadded layers, whose input is read in place) into
- * BufferPool scratch from @p ctx, then the strips are partitioned
- * across the pool and every filter sweeps each strip in dispatched
- * gemmTile register tiles. Each tile gets the optional fused
- * epilogue and is stored straight to its positions in @p out. With
- * the contiguous @p place, @p out must have shape convOutShape(...);
- * otherwise @p out is [K, ...] with every placed position inside it.
- * Every placed position is overwritten (no pre-zeroing needed); the
- * rest of @p out is left as it was. Performs no heap allocations
- * once @p ctx's BufferPool has warmed up. Supports 1-4 spatial dims.
+ * Phased MAC convolution into a preallocated output — the one
+ * executor behind dnn::NetworkRuntime and deconv::DeconvPlan, and
+ * the zero-allocation fast path.
+ *
+ * The operand is the im2col of @p input under @p window with
+ * @p spec: R = C * T rows (row r = c * T + u for channel c and window
+ * tap u in raster order) by P columns (the output positions
+ * convOutShape would give a kernel of extents @p window, in raster
+ * order). Its column strips, gemmNr wide for the active table, are
+ * partitioned across the pool once; each chunk packs one strip at a
+ * time into its BufferPool block from @p ctx (none for a pointwise
+ * stride-1 unpadded window, whose input is read in place), and every
+ * phase's filters sweep it in dispatched gemmTile register tiles,
+ * reading their rows through the phase's row table. Each tile gets
+ * the optional fused epilogue and is stored straight to the phase's
+ * positions in @p out; positions outside the phase's counts are
+ * dropped. A contiguous phase stores every position, so @p out then
+ * has the operand's spatial extents; otherwise every placed
+ * position must lie inside @p out. Every phase has @p out's K
+ * filters. Every stored position is overwritten (no pre-zeroing
+ * needed); the rest of @p out is left as it was. Output (k, o) of a
+ * phase is the fused chain over its weight columns in order, so a
+ * phase whose row table picks its kernel's sub-window of the
+ * operand gives the bits of convolving its kernel alone. Performs
+ * no heap allocations once @p ctx's BufferPool has warmed up.
+ * Supports 1-4 spatial dims.
+ */
+void convNdInto(const Tensor &input, std::span<const int64_t> window,
+                const ConvSpec &spec, std::span<const ConvPhase> phases,
+                const ConvEpilogue *epilogue, const ExecContext &ctx,
+                Tensor &out);
+
+/**
+ * A plain convolution through the phased executor: one phase over
+ * the kernel's own window with the identity row table, stored
+ * through @p place. With the contiguous @p place, @p out must have
+ * shape convOutShape(...); otherwise @p out is [K, ...] with every
+ * placed position inside it.
  */
 void convNdInto(const Tensor &input, const Tensor &weight,
                 const ConvSpec &spec, const ConvEpilogue *epilogue,

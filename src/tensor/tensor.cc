@@ -46,32 +46,6 @@ spatialStrides(const Tensor &t, int64_t *stride)
     return s;
 }
 
-void
-forEachIndex(const Shape &shape,
-             const std::function<void(std::span<const int64_t>)> &fn)
-{
-    if (numElems(shape) == 0)
-        return;
-    Shape idx(shape.size(), 0);
-    const int rank = static_cast<int>(shape.size());
-    if (rank == 0) {
-        fn(idx);
-        return;
-    }
-    while (true) {
-        fn(idx);
-        int d = rank - 1;
-        while (d >= 0) {
-            if (++idx[d] < shape[d])
-                break;
-            idx[d] = 0;
-            --d;
-        }
-        if (d < 0)
-            break;
-    }
-}
-
 Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)), data_(numElems(shape_), 0.f)
 {

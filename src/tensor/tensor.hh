@@ -15,7 +15,6 @@
 #define ASV_TENSOR_TENSOR_HH
 
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <span>
 #include <string>
@@ -38,13 +37,6 @@ std::string toString(const Shape &shape);
 /** Spatial-rank ceiling of the executors' stack-array odometers
  *  (no heap in the steady state); the paper's workloads are 2-D. */
 constexpr int kMaxSpatialDims = 4;
-
-/**
- * Invoke @p fn for every index vector in row-major order over @p shape.
- * The span passed to @p fn is reused between calls; copy it if needed.
- */
-void forEachIndex(const Shape &shape,
-                  const std::function<void(std::span<const int64_t>)> &fn);
 
 /**
  * A dense row-major N-D tensor of floats.

@@ -369,20 +369,30 @@ TEST(BufferPool, StreamResolutionFlipsStayBounded)
         seqs.push_back(data::generateSequence(cfg, 4, 11));
     }
 
-    // Warm cycle to establish the ceiling; drain between rounds so
-    // the measurement is quiescent.
-    uint64_t warm_peak = 0;
+    // The ceiling comes from the flip contract, not from one warm
+    // cycle whose depth depends on scheduling. A flip trims every
+    // shelf; after it, at most maxInFlight frames of the old
+    // resolution re-shelve, and the new resolution holds at most
+    // maxInFlight frames' buffers. So resident bytes never pass
+    // 2 * maxInFlight frames at the largest resolution. One frame's
+    // bytes are measured the same way at each resolution, through a
+    // pipeline that admits a single frame at a time.
+    uint64_t frame_bytes = 0;
     for (int r = 0; r < 3; ++r) {
+        core::StreamParams single = sp;
+        single.maxInFlight = 1;
+        core::StreamPipeline one(
+            params,
+            stereo::makeMatcher("bm", "maxDisparity=16,blockRadius=1"),
+            core::makeStaticSequencer(3), single);
         for (const auto &f : seqs[size_t(r)].frames)
-            stream.submit(f.left, f.right);
-        (void)stream.drain();
-        warm_peak = std::max(warm_peak,
-                             stream.buffers().stats().residentBytes);
+            one.submit(f.left, f.right);
+        (void)one.drain();
+        frame_bytes =
+            std::max(frame_bytes, one.buffers().stats().residentBytes);
     }
-    // In-flight old-resolution frames may re-shelve after the flip
-    // trim, so the streaming bound is looser than the serial one —
-    // but an accumulation bug still blows far past it.
-    const uint64_t ceiling = 2 * warm_peak + (64u << 10);
+    ASSERT_GT(frame_bytes, 0u);
+    const uint64_t ceiling = 2 * uint64_t(sp.maxInFlight) * frame_bytes;
 
     uint64_t max_resident = 0;
     for (int cycle = 0; cycle < 20; ++cycle) {
@@ -397,7 +407,9 @@ TEST(BufferPool, StreamResolutionFlipsStayBounded)
         }
     }
     EXPECT_LE(max_resident, ceiling)
-        << "resident bytes grew across streamed resolution flips";
+        << "resident bytes grew across streamed resolution flips (one "
+           "frame: "
+        << frame_bytes << " bytes)";
     stream.reset();
     EXPECT_EQ(0u, stream.buffers().stats().residentBytes)
         << "reset() must empty the arena";

@@ -46,6 +46,7 @@
 #include "tensor/conv.hh"
 #include "tensor/deconv.hh"
 #include "tensor/tensor.hh"
+#include "tensor_index.hh"
 
 namespace
 {
@@ -104,21 +105,33 @@ expectBitEqual(const float *a, const float *b, size_t n,
 
 /**
  * The f32 contract spelled out: out[r * ldo + j] is the std::fmaf
- * chain over i ascending from +0 of a[r * lda + i] * b[i * ldb + j].
+ * chain over i ascending from +0 of
+ * a[r * lda + i] * b[rows[i] * ldb + j].
  */
 void
-fmafTile(const float *a, int64_t lda, const float *b, int64_t ldb, int k,
-         int m, int n, float *out, int64_t ldo)
+fmafTile(const float *a, int64_t lda, const float *b, int64_t ldb,
+         const uint32_t *rows, int k, int m, int n, float *out,
+         int64_t ldo)
 {
     for (int r = 0; r < m; ++r) {
         for (int j = 0; j < n; ++j) {
             float acc = 0.0f;
             for (int i = 0; i < k; ++i)
-                acc = std::fmaf(a[r * lda + i], b[int64_t(i) * ldb + j],
-                                acc);
+                acc = std::fmaf(a[r * lda + i],
+                                b[int64_t(rows[i]) * ldb + j], acc);
             out[r * ldo + j] = acc;
         }
     }
+}
+
+/** The identity row table 0, 1, ..., k - 1. */
+std::vector<uint32_t>
+identityRows(int k)
+{
+    std::vector<uint32_t> rows(size_t(std::max(k, 0)));
+    for (size_t i = 0; i < rows.size(); ++i)
+        rows[i] = uint32_t(i);
+    return rows;
 }
 
 TEST(GemmTile, MatchesScalarAcrossShapes)
@@ -136,6 +149,7 @@ TEST(GemmTile, MatchesScalarAcrossShapes)
         ASSERT_LE(t->gemmNr, simd::kMaxGemmNr) << t->name;
         const int64_t ldo = t->gemmNr + 5;
         for (int k : {0, 1, 7, 256}) {
+            const std::vector<uint32_t> rows = identityRows(k);
             const int64_t lda = k + 3;
             const std::vector<float> a =
                 randomVec(size_t(t->gemmMr * lda), rng);
@@ -147,11 +161,12 @@ TEST(GemmTile, MatchesScalarAcrossShapes)
                             size_t(std::max(k, 1) * ldb), rng);
                         std::vector<float> want(
                             size_t(t->gemmMr * ldo), poison);
-                        fmafTile(a.data(), lda, b.data(), ldb, k, m, n,
-                                 want.data(), ldo);
+                        fmafTile(a.data(), lda, b.data(), ldb,
+                                 rows.data(), k, m, n, want.data(), ldo);
                         std::vector<float> got(want.size(), poison);
-                        t->gemmTile(a.data(), lda, b.data(), ldb, k, m,
-                                    n, got.data(), ldo);
+                        t->gemmTile(a.data(), lda, b.data(), ldb,
+                                    rows.data(), k, m, n, got.data(),
+                                    ldo);
                         expectBitEqual(
                             got.data(), want.data(), got.size(),
                             std::string(t->name) +
@@ -171,6 +186,7 @@ TEST(GemmTile, NaNPositionsPropagate)
     Rng rng(11);
     const float nan = std::numeric_limits<float>::quiet_NaN();
     const int k = 9;
+    const std::vector<uint32_t> rows = identityRows(k);
     for (simd::Level level : simd::supportedLevels()) {
         const simd::Kernels *t = simd::kernelsFor(level);
         // The full tile and an edge tile one row and one column short.
@@ -183,8 +199,8 @@ TEST(GemmTile, NaNPositionsPropagate)
             std::vector<float> b = randomVec(size_t(k * ldb), rng);
             b[size_t(3 * ldb + n - 1)] = nan;
             std::vector<float> out(size_t(m * n));
-            t->gemmTile(a.data(), k, b.data(), ldb, k, m, n, out.data(),
-                        n);
+            t->gemmTile(a.data(), k, b.data(), ldb, rows.data(), k, m, n,
+                        out.data(), n);
             for (int r = 0; r < m; ++r)
                 for (int j = 0; j < n; ++j)
                     EXPECT_EQ(j == n - 1, std::isnan(out[r * n + j]))
@@ -193,8 +209,8 @@ TEST(GemmTile, NaNPositionsPropagate)
             // NaN in one A row: only that row is NaN.
             b[size_t(3 * ldb + n - 1)] = 0.5f;
             a[size_t((m - 1) * k + 2)] = nan;
-            t->gemmTile(a.data(), k, b.data(), ldb, k, m, n, out.data(),
-                        n);
+            t->gemmTile(a.data(), k, b.data(), ldb, rows.data(), k, m, n,
+                        out.data(), n);
             for (int r = 0; r < m; ++r)
                 for (int j = 0; j < n; ++j)
                     EXPECT_EQ(r == m - 1, std::isnan(out[r * n + j]))
@@ -208,6 +224,7 @@ TEST(GemmTile, DenormalsStayExactOnEveryLevel)
 {
     Rng rng(13);
     const int k = 8;
+    const std::vector<uint32_t> rows = identityRows(k);
     // Products around 1e-39..1e-41: results live in the denormal
     // range. No FTZ/DAZ anywhere (no -ffast-math), so every level
     // must still match the fmaf chain bit-for-bit.
@@ -220,7 +237,8 @@ TEST(GemmTile, DenormalsStayExactOnEveryLevel)
         std::vector<float> b =
             randomVec(size_t(k * n), rng, -2e-20, 2e-20);
         std::vector<float> want(size_t(m * n));
-        fmafTile(a.data(), k, b.data(), n, k, m, n, want.data(), n);
+        fmafTile(a.data(), k, b.data(), n, rows.data(), k, m, n,
+                 want.data(), n);
         bool any_denormal = false;
         for (float w : want)
             any_denormal = any_denormal ||
@@ -230,9 +248,65 @@ TEST(GemmTile, DenormalsStayExactOnEveryLevel)
         EXPECT_TRUE(any_denormal) << "test inputs failed to produce "
                                      "denormal outputs";
         std::vector<float> got(want.size());
-        t->gemmTile(a.data(), k, b.data(), n, k, m, n, got.data(), n);
+        t->gemmTile(a.data(), k, b.data(), n, rows.data(), k, m, n,
+                    got.data(), n);
         expectBitEqual(got.data(), want.data(), got.size(),
                        std::string(t->name) + " denormal");
+    }
+}
+
+TEST(GemmTile, RowTableMatchesScalarChain)
+{
+    // The row table picks which operand row each reduction step
+    // reads: identity, reversed, repeated and arbitrary tables over a
+    // taller operand, every tile shape up to MR x NR (edge tiles
+    // m < MR, n < NR included), into a pre-poisoned out. Every level
+    // must give the std::fmaf chain's bits.
+    Rng rng(19);
+    const float poison = 1e30f;
+    for (simd::Level level : simd::supportedLevels()) {
+        const simd::Kernels *t = simd::kernelsFor(level);
+        const int64_t ldo = t->gemmNr + 3;
+        for (int k : {1, 6, 37, 144}) {
+            const int operand_rows = 3 * k + 2;
+            std::vector<std::vector<uint32_t>> tables;
+            tables.push_back(identityRows(k));
+            tables.emplace_back(tables[0].rbegin(), tables[0].rend());
+            tables.emplace_back(size_t(k), uint32_t(operand_rows - 1));
+            std::vector<uint32_t> arbitrary(static_cast<size_t>(k));
+            for (uint32_t &r : arbitrary)
+                r = uint32_t(rng.uniformInt(0, operand_rows - 1));
+            tables.push_back(arbitrary);
+            const std::vector<float> a =
+                randomVec(size_t(t->gemmMr * k), rng);
+            for (size_t ti = 0; ti < tables.size(); ++ti) {
+                const uint32_t *rows = tables[ti].data();
+                for (int m = 1; m <= t->gemmMr; ++m) {
+                    for (int n = 1; n <= t->gemmNr; ++n) {
+                        for (int64_t ldb :
+                             {int64_t(n), int64_t(t->gemmNr + 5)}) {
+                            const std::vector<float> b = randomVec(
+                                size_t(operand_rows * ldb), rng);
+                            std::vector<float> want(
+                                size_t(t->gemmMr * ldo), poison);
+                            fmafTile(a.data(), k, b.data(), ldb, rows, k,
+                                     m, n, want.data(), ldo);
+                            std::vector<float> got(want.size(), poison);
+                            t->gemmTile(a.data(), k, b.data(), ldb, rows,
+                                        k, m, n, got.data(), ldo);
+                            expectBitEqual(
+                                got.data(), want.data(), got.size(),
+                                std::string(t->name) + " table " +
+                                    std::to_string(ti) +
+                                    " k=" + std::to_string(k) +
+                                    " m=" + std::to_string(m) +
+                                    " n=" + std::to_string(n) +
+                                    " ldb=" + std::to_string(ldb));
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -399,7 +473,7 @@ cropSpatial(const Tensor &in, const Shape &lo, const Shape &hi)
         shape[1 + d] -= lo[d] + hi[d];
     Tensor out(shape);
     Shape src(shape.size());
-    tensor::forEachIndex(shape, [&](std::span<const int64_t> idx) {
+    testref::forEachIndex(shape, [&](std::span<const int64_t> idx) {
         src[0] = idx[0];
         for (size_t d = 0; d < lo.size(); ++d)
             src[1 + d] = idx[1 + d] + lo[d];
@@ -494,13 +568,13 @@ fmafConv(const Tensor &in, const Tensor &w, const tensor::ConvSpec &spec,
                 return 0.0f;
         return in.at(in_idx);
     };
-    tensor::forEachIndex(out.shape(), [&](std::span<const int64_t> o) {
+    testref::forEachIndex(out.shape(), [&](std::span<const int64_t> o) {
         float acc = 0.0f;
         w_idx[0] = o[0];
         for (int64_t c = 0; c < in.dim(0); ++c) {
             in_idx[0] = c;
             w_idx[1] = c;
-            tensor::forEachIndex(
+            testref::forEachIndex(
                 kspatial, [&](std::span<const int64_t> tap) {
                     for (int d = 0; d < nd; ++d) {
                         in_idx[1 + d] = o[1 + d] * spec.stride[d] -
@@ -583,7 +657,7 @@ TEST(ConvGemmRoute, EdgeTilesMatchFmafChainContiguousAndPlaced)
                 tensor::convNdInto(in, w, spec, &epi, ctx, placed,
                                    place);
                 Shape src(size_t(nd + 1));
-                tensor::forEachIndex(
+                testref::forEachIndex(
                     placed_shape, [&](std::span<const int64_t> idx) {
                         bool stored = true;
                         src[0] = idx[0];
@@ -919,6 +993,59 @@ TEST(TransformedDeconvF32, NdPinnedAtEveryLevel)
                     << pin.nd << "-D, " << simd::levelName(level)
                     << ", " << workers << " workers: got 0x" << std::hex
                     << h;
+            }
+        }
+    }
+}
+
+TEST(TransformedDeconvF32, Pinned2dAtEveryLevel)
+{
+    // Cross-commit pins of the 2-D executor on non-square inputs with
+    // a fused bias + ReLU epilogue, one per (k, s, p) for k 3/4/5,
+    // s 2/3 and pad 0/1: phases with ragged position counts, unequal
+    // tap counts, padded and cropped windows, and (K = 5) an edge
+    // tile of filters. Each hash was taken before the phases shared
+    // one operand, so it also pins that sharing changed no bit.
+    struct Pin
+    {
+        int64_t k, s, p;
+        uint64_t hash;
+    };
+    const std::vector<Pin> pins = {
+        {3, 2, 0, 0x9f8ab577f75277bdull},
+        {3, 2, 1, 0x192ff60d04d8ea61ull},
+        {3, 3, 0, 0x6e8e8ce99b5a28deull},
+        {3, 3, 1, 0xe81342e03ff6eebeull},
+        {4, 2, 0, 0xd3306f56d0dbe96bull},
+        {4, 2, 1, 0xd48dfee70813eff3ull},
+        {4, 3, 0, 0xd6d00862c3d1a024ull},
+        {4, 3, 1, 0xcf0bf28afe243c72ull},
+        {5, 2, 0, 0x5fcce975f2353d0cull},
+        {5, 2, 1, 0x07a44d3cbc02345eull},
+        {5, 3, 0, 0x3b08acec89660947ull},
+        {5, 3, 1, 0x808c230cef898c0eull},
+    };
+    for (const Pin &pin : pins) {
+        Rng rng(uint64_t(101 * pin.k + 11 * pin.s + pin.p));
+        const Tensor in = randomTensor({3, 9, 13}, rng);
+        const Tensor w = randomTensor({5, 3, pin.k, pin.k}, rng);
+        const std::vector<float> bias = randomVec(5, rng);
+        const auto spec = tensor::DeconvSpec::uniform(2, pin.s, pin.p);
+        tensor::ConvEpilogue epi;
+        epi.bias = bias.data();
+        epi.relu = true;
+        for (simd::Level level : simd::supportedLevels()) {
+            LevelGuard g(level);
+            for (int workers : {1, 2, 4}) {
+                ThreadPool pool(workers);
+                BufferPool buffers;
+                const ExecContext ctx(pool, buffers);
+                const uint64_t h = fnv1a(deconv::transformedDeconv(
+                    in, w, spec, ctx, &epi));
+                EXPECT_EQ(h, pin.hash)
+                    << "k" << pin.k << " s" << pin.s << " p" << pin.p
+                    << ", " << simd::levelName(level) << ", " << workers
+                    << " workers: got 0x" << std::hex << h;
             }
         }
     }

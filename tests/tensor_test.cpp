@@ -20,6 +20,7 @@
 #include "tensor/conv.hh"
 #include "tensor/deconv.hh"
 #include "tensor/tensor.hh"
+#include "tensor_index.hh"
 
 namespace
 {
@@ -27,6 +28,7 @@ namespace
 using asv::ExecContext;
 using asv::Rng;
 using namespace asv::tensor;
+using asv::testref::forEachIndex;
 
 Tensor
 randomTensor(Shape shape, Rng &rng, float lo = -1.f, float hi = 1.f)
