@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gate: markdown links, header comments, pool and caller rules.
 
-Five checks, no third-party dependencies:
+Six checks, no third-party dependencies:
 
 1. Every relative link and image reference in the repo's markdown
    files (README.md, docs/, and the top-level record files) must
@@ -35,6 +35,12 @@ Five checks, no third-party dependencies:
    src/dnn/runtime.cc (NetworkRuntime::referenceForward) may call
    referenceConv(), so the reference cannot become a production
    route.
+
+6. The ISM key-frame rule has one home, core::IsmSequence. No
+   non-comment line of a *.cc or *.hh file under src/ outside
+   src/core/ism.{hh,cc} may call ismDecideKeyFrame(), so a second
+   copy of the per-stream sequencing cannot come back in the
+   library (the header only declares it).
 
 Exit 0 when clean; prints one line per violation and exits 1
 otherwise.
@@ -161,7 +167,7 @@ def check_global_pools(path: Path) -> list[str]:
             for lineno, m in code_matches(path, GLOBAL_POOL_RE)]
 
 
-# Rules 4 and 5: (call pattern, the src/ paths allowed to make it,
+# Rules 4 to 6: (call pattern, the src/ paths allowed to make it,
 # what to do instead). A path is allowed when it starts with one of
 # the listed path-part prefixes.
 CALLER_RULES = [
@@ -170,6 +176,9 @@ CALLER_RULES = [
     (re.compile(r"\breferenceConv\("),
      [("src", "tensor"), ("src", "dnn", "runtime.cc")],
      "run the convolution through tensor::convNdInto instead"),
+    (re.compile(r"\bismDecideKeyFrame\("),
+     [("src", "core", "ism.cc"), ("src", "core", "ism.hh")],
+     "admit frames through core::IsmSequence instead"),
 ]
 
 

@@ -15,6 +15,76 @@
 namespace asv::core
 {
 
+IsmSequence::IsmSequence(
+    IsmParams params,
+    std::shared_ptr<const stereo::Matcher> key_frame_matcher,
+    std::unique_ptr<KeyFrameSequencer> sequencer)
+    : params_(std::move(params)),
+      matcher_(std::move(key_frame_matcher)),
+      sequencer_(std::move(sequencer))
+{
+    if (params_.propagationWindow < 1)
+        throw std::invalid_argument("propagation window must be >= 1");
+    if (!matcher_)
+        throw std::invalid_argument("key-frame matcher is required");
+    if (!sequencer_)
+        throw std::invalid_argument("key-frame sequencer is required");
+}
+
+IsmAdmission
+IsmSequence::admit(const image::Image &left, const image::Image &right,
+                   bool has_prev_disparity)
+{
+    if (left.width() != right.width() || left.height() != right.height())
+        throw std::invalid_argument("stereo pair size mismatch");
+
+    IsmAdmission a;
+    a.resized = width_ != 0 &&
+                (width_ != left.width() || height_ != left.height());
+    if (a.resized)
+        buffers_->trim(0);
+    width_ = left.width();
+    height_ = left.height();
+
+    a.keyFrame = ismDecideKeyFrame(*sequencer_, left, frameIndex_,
+                                   has_prev_disparity && !a.resized);
+    ++frameIndex_;
+    // Classical engines report their real op count; the oracle
+    // reports 0 (charged to the DNN accelerator models).
+    a.arithmeticOps =
+        a.keyFrame ? matcher_->ops(left.width(), left.height())
+                   : nonKeyFrameOps(left.width(), left.height(), params_);
+    return a;
+}
+
+stereo::DisparityMap
+IsmSequence::computeKeyFrame(const image::Image &left,
+                             const image::Image &right,
+                             const ExecContext &ctx,
+                             bool allow_empty) const
+{
+    stereo::DisparityMap d = matcher_->compute(left, right, ctx);
+    if (d.empty() ? !allow_empty
+                  : d.width() != left.width() ||
+                        d.height() != left.height())
+        throw std::runtime_error(
+            "key-frame matcher '" + matcher_->name() + "' returned a " +
+            std::to_string(d.width()) + "x" +
+            std::to_string(d.height()) + " disparity map for a " +
+            std::to_string(left.width()) + "x" +
+            std::to_string(left.height()) + " pair");
+    return d;
+}
+
+void
+IsmSequence::reset()
+{
+    frameIndex_ = 0;
+    width_ = 0;
+    height_ = 0;
+    sequencer_->reset();
+}
+
 // params is passed by copy, not moved: arguments are indeterminately
 // sequenced, so reading propagationWindow here must not race a move
 // of the same object.
@@ -31,26 +101,20 @@ IsmPipeline::IsmPipeline(
     std::shared_ptr<const stereo::Matcher> key_frame_matcher,
     std::unique_ptr<KeyFrameSequencer> sequencer,
     std::shared_ptr<ThreadPool> pool)
-    : params_(std::move(params)),
-      keyFrameSource_(std::move(key_frame_matcher)),
-      sequencer_(std::move(sequencer)),
+    : sequence_(std::move(params), std::move(key_frame_matcher),
+                std::move(sequencer)),
       pool_(pool ? std::move(pool)
                  : std::make_shared<ThreadPool>(0))
 {
-    fatal_if(params_.propagationWindow < 1,
-             "propagation window must be >= 1");
-    fatal_if(!keyFrameSource_, "key-frame matcher is required");
-    fatal_if(!sequencer_, "key-frame sequencer is required");
 }
 
 void
 IsmPipeline::reset()
 {
-    frameIndex_ = 0;
+    sequence_.reset();
     prevLeft_ = image::Image();
     prevRight_ = image::Image();
     prevDisparity_ = stereo::DisparityMap();
-    sequencer_->reset();
 }
 
 bool
@@ -225,69 +289,30 @@ IsmFrameResult
 IsmPipeline::processFrame(const image::Image &left,
                           const image::Image &right)
 {
-    panic_if(left.width() != right.width() ||
-                 left.height() != right.height(),
-             "stereo pair size mismatch");
-
-    // A mid-stream resolution change invalidates all temporal state:
-    // the stored frames can no longer feed the flow estimator (which
-    // panics on a size mismatch) and the previous disparity refers to
-    // a different grid. Drop it and restart from a key frame.
-    if (!prevLeft_.empty() && (prevLeft_.width() != left.width() ||
-                               prevLeft_.height() != left.height())) {
-        prevLeft_ = image::Image();
-        prevRight_ = image::Image();
+    const IsmAdmission admitted =
+        sequence_.admit(left, right, !prevDisparity_.empty());
+    // The old grid's disparity goes first, so a key frame that throws
+    // below still leaves the next frame a forced key frame.
+    if (admitted.resized)
         prevDisparity_ = stereo::DisparityMap();
-        // The shelved buffers are keyed to the old resolution and
-        // will never be reused; drop them so cycling resolutions
-        // keeps resident bytes bounded by one resolution's working
-        // set instead of accumulating every size ever seen.
-        buffers_->trim(0);
-    }
 
     IsmFrameResult result;
-    const bool is_key = ismDecideKeyFrame(
-        *sequencer_, left, frameIndex_, !prevDisparity_.empty());
-    ++frameIndex_;
-
-    const ExecContext ctx(*pool_, *buffers_);
-    if (is_key) {
-        // Step 1: "DNN inference" — the key-frame engine. Classical
-        // engines report their real op count; the oracle reports 0
-        // (charged to the DNN accelerator models).
-        result.disparity = keyFrameSource_->compute(left, right, ctx);
-        // Enforce the matcher output contract here (mirroring
-        // StreamPipeline) so a misbehaving engine fails loudly at
-        // the key frame instead of corrupting the propagation chain.
-        // An *empty* map stays tolerated: the next frame is forced
-        // to be a key frame (see ismDecideKeyFrame).
-        if (!result.disparity.empty() &&
-            (result.disparity.width() != left.width() ||
-             result.disparity.height() != left.height()))
-            throw std::runtime_error(
-                "key-frame matcher '" + keyFrameSource_->name() +
-                "' returned a " +
-                std::to_string(result.disparity.width()) + "x" +
-                std::to_string(result.disparity.height()) +
-                " disparity map for a " +
-                std::to_string(left.width()) + "x" +
-                std::to_string(left.height()) + " pair");
-        result.keyFrame = true;
-        result.arithmeticOps =
-            keyFrameSource_->ops(left.width(), left.height());
+    result.keyFrame = admitted.keyFrame;
+    result.arithmeticOps = admitted.arithmeticOps;
+    const ExecContext ctx(*pool_, sequence_.buffers());
+    if (result.keyFrame) {
+        // Step 1: "DNN inference" — the key-frame engine.
+        result.disparity = sequence_.computeKeyFrame(
+            left, right, ctx, /*allow_empty=*/true);
     } else {
         // Step 3: propagate both sides by dense optical flow, then
         // steps 2-4: move the correspondences and refine.
-        const flow::FlowField flow_l =
-            ismFlow(prevLeft_, left, params_, ctx);
+        const IsmParams &p = sequence_.params();
+        const flow::FlowField flow_l = ismFlow(prevLeft_, left, p, ctx);
         const flow::FlowField flow_r =
-            ismFlow(prevRight_, right, params_, ctx);
-        result.disparity =
-            ismPropagate(left, right, prevDisparity_, flow_l, flow_r,
-                         params_, ctx);
-        result.keyFrame = false;
-        result.arithmeticOps =
-            nonKeyFrameOps(left.width(), left.height(), params_);
+            ismFlow(prevRight_, right, p, ctx);
+        result.disparity = ismPropagate(left, right, prevDisparity_,
+                                        flow_l, flow_r, p, ctx);
     }
 
     prevLeft_ = left;

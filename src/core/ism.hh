@@ -77,12 +77,13 @@ struct IsmFrameResult
 };
 
 /**
- * The key/non-key decision, shared by IsmPipeline and StreamPipeline
- * so the two stay bit-identical by construction: consults the
- * sequencer, promotes the frame to a key frame when no previous
- * disparity exists, and reports forced promotions back through
+ * The key/non-key decision: consults the sequencer, promotes the
+ * frame to a key frame when no previous disparity exists, and
+ * reports forced promotions back through
  * KeyFrameSequencer::keyFrameForced(). Callers advance their frame
- * index afterwards.
+ * index afterwards. IsmSequence::admit() is its one caller in the
+ * library; it is public for drivers that replay the stages of a
+ * frame one by one.
  */
 bool ismDecideKeyFrame(KeyFrameSequencer &sequencer,
                        const image::Image &left, int64_t frame_index,
@@ -139,16 +140,80 @@ stereo::DisparityMap ismPropagate(const image::Image &left,
                                   const IsmParams &p,
                                   const ExecContext &ctx);
 
+/** What IsmSequence::admit() decided for one stereo pair. */
+struct IsmAdmission
+{
+    bool keyFrame = false;
+    bool resized = false; //!< the caller's previous frame is stale
+    int64_t arithmeticOps = 0; //!< cost charged for this frame
+};
+
+/**
+ * The per-stream ISM rule (Sec. 3, Fig. 5), held once for both
+ * pipelines: which frame is a key frame, what a resolution change
+ * resets, and what a key-frame engine must return. Both pipelines
+ * admit every pair here on their driver thread, so they decide the
+ * same key frames and stay bit-identical by construction; each keeps
+ * its previous pair and disparity in the form its stages consume.
+ */
+class IsmSequence
+{
+  public:
+    /** @throws std::invalid_argument on a propagation window < 1, a
+     *  null matcher or a null sequencer */
+    IsmSequence(IsmParams params,
+                std::shared_ptr<const stereo::Matcher> key_frame_matcher,
+                std::unique_ptr<KeyFrameSequencer> sequencer);
+
+    /**
+     * Decide key/non-key (ismDecideKeyFrame), step the frame index
+     * and price the frame. A resolution change forces a key frame and
+     * empties the arena, whose shelves are keyed to the old size.
+     * @throws std::invalid_argument, changing nothing, when the left
+     *         and right images differ in size
+     */
+    IsmAdmission admit(const image::Image &left,
+                       const image::Image &right,
+                       bool has_prev_disparity);
+
+    /**
+     * Run the engine on an admitted key frame; a map not of the
+     * pair's size throws std::runtime_error, so a misbehaving engine
+     * fails here instead of corrupting the frames propagated from it.
+     * @p allow_empty accepts an empty map: IsmPipeline then forces
+     * the next frame to be a key frame, while StreamPipeline rejects
+     * it because it decides the next frame's kind at submit(), before
+     * this map exists.
+     */
+    stereo::DisparityMap computeKeyFrame(const image::Image &left,
+                                         const image::Image &right,
+                                         const ExecContext &ctx,
+                                         bool allow_empty) const;
+
+    /** Restart at frame 0. The arena stays warm for drivers that
+     *  reset every window; only StreamPipeline::reset() trims it. */
+    void reset();
+
+    const IsmParams &params() const { return params_; }
+    const stereo::Matcher &matcher() const { return *matcher_; }
+    BufferPool &buffers() const { return *buffers_; }
+
+  private:
+    IsmParams params_;
+    std::shared_ptr<const stereo::Matcher> matcher_;
+    std::unique_ptr<KeyFrameSequencer> sequencer_;
+    std::shared_ptr<BufferPool> buffers_ =
+        std::make_shared<BufferPool>();
+    int64_t frameIndex_ = 0;
+    int width_ = 0; //!< last admitted pair's size; 0 after reset
+    int height_ = 0;
+};
+
 /**
  * Stateful ISM pipeline over a stereo video. Feed frames in order;
  * every propagationWindow-th frame (starting with the first) runs
- * the key-frame source, the rest are propagated and refined.
- *
- * A frame whose dimensions differ from the previous pair's resets
- * the temporal state and runs as a (forced) key frame; forced key
- * frames the sequencer did not request are reported back through
- * KeyFrameSequencer::keyFrameForced() so stateful policies stay in
- * sync with what actually executed.
+ * the key-frame source, the rest are propagated and refined, inline
+ * on the calling thread and its pool, under IsmSequence's rule.
  */
 class IsmPipeline
 {
@@ -156,7 +221,7 @@ class IsmPipeline
     /**
      * Key frames run @p key_frame_matcher (any registered engine —
      * see stereo::makeMatcher). Static cadence from
-     * params.propagationWindow.
+     * params.propagationWindow. Throws as IsmSequence does.
      */
     IsmPipeline(IsmParams params,
                 std::shared_ptr<const stereo::Matcher> key_frame_matcher);
@@ -167,23 +232,25 @@ class IsmPipeline
      * one sized by ASV_THREADS/hardware_concurrency; pass a shared
      * pool to cap total thread count across many pipelines (the
      * per-request serving pattern) or to control sizing explicitly.
+     * Throws as IsmSequence does, before the pool is built.
      */
     IsmPipeline(IsmParams params,
                 std::shared_ptr<const stereo::Matcher> key_frame_matcher,
                 std::unique_ptr<KeyFrameSequencer> sequencer,
                 std::shared_ptr<ThreadPool> pool = nullptr);
 
-    /** Process the next frame of the stereo video. */
+    /** Process the next frame of the stereo video. Throws as
+     *  IsmSequence::admit() and computeKeyFrame() do. */
     IsmFrameResult processFrame(const image::Image &left,
                                 const image::Image &right);
 
     /** Forget all temporal state (start of a new sequence). */
     void reset();
 
-    const IsmParams &params() const { return params_; }
+    const IsmParams &params() const { return sequence_.params(); }
 
     /** The key-frame engine. */
-    const stereo::Matcher &matcher() const { return *keyFrameSource_; }
+    const stereo::Matcher &matcher() const { return sequence_.matcher(); }
 
     /**
      * The pool this instance's kernels fan out on, and nowhere else
@@ -200,16 +267,11 @@ class IsmPipeline
      * contract: after the warm-up frame, hits dominate and misses
      * stay flat.
      */
-    BufferPool &buffers() const { return *buffers_; }
+    BufferPool &buffers() const { return sequence_.buffers(); }
 
   private:
-    IsmParams params_;
-    std::shared_ptr<const stereo::Matcher> keyFrameSource_;
-    std::unique_ptr<KeyFrameSequencer> sequencer_;
+    IsmSequence sequence_; //!< first: its checks run before pool_
     std::shared_ptr<ThreadPool> pool_;
-    std::shared_ptr<BufferPool> buffers_ =
-        std::make_shared<BufferPool>();
-    int64_t frameIndex_ = 0;
     image::Image prevLeft_;
     image::Image prevRight_;
     stereo::DisparityMap prevDisparity_;

@@ -1,6 +1,7 @@
 #include "core/sequencer.hh"
 
-#include "common/logging.hh"
+#include <stdexcept>
+
 #include "image/ops.hh"
 
 namespace asv::core
@@ -9,7 +10,8 @@ namespace asv::core
 StaticSequencer::StaticSequencer(int propagation_window)
     : window_(propagation_window)
 {
-    fatal_if(window_ < 1, "propagation window must be >= 1");
+    if (window_ < 1)
+        throw std::invalid_argument("propagation window must be >= 1");
 }
 
 bool
@@ -22,9 +24,10 @@ AdaptiveSequencer::AdaptiveSequencer(double change_threshold,
                                      int max_window)
     : threshold_(change_threshold), maxWindow_(max_window)
 {
-    fatal_if(max_window < 1, "max window must be >= 1");
-    fatal_if(change_threshold <= 0.0,
-             "change threshold must be positive");
+    if (max_window < 1)
+        throw std::invalid_argument("max window must be >= 1");
+    if (!(change_threshold > 0.0))
+        throw std::invalid_argument("change threshold must be positive");
 }
 
 void

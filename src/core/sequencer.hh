@@ -59,6 +59,7 @@ class KeyFrameSequencer
 class StaticSequencer : public KeyFrameSequencer
 {
   public:
+    /** @throws std::invalid_argument on a window < 1 */
     explicit StaticSequencer(int propagation_window);
 
     bool isKeyFrame(const image::Image &left,
@@ -78,6 +79,8 @@ class StaticSequencer : public KeyFrameSequencer
 class AdaptiveSequencer : public KeyFrameSequencer
 {
   public:
+    /** @throws std::invalid_argument on a threshold that is not
+     *  positive or a max window < 1 */
     AdaptiveSequencer(double change_threshold, int max_window);
 
     bool isKeyFrame(const image::Image &left,

@@ -2,10 +2,7 @@
 
 #include <chrono>
 #include <stdexcept>
-#include <string>
 #include <utility>
-
-#include "common/logging.hh"
 
 namespace asv::core
 {
@@ -38,26 +35,24 @@ StreamPipeline::StreamPipeline(
     std::shared_ptr<const stereo::Matcher> key_frame_matcher,
     std::unique_ptr<KeyFrameSequencer> sequencer,
     StreamParams stream)
-    : params_(std::move(params)),
-      keyFrameSource_(std::move(key_frame_matcher)),
-      sequencer_(std::move(sequencer))
+    : sequence_(std::move(params), std::move(key_frame_matcher),
+                std::move(sequencer))
 {
-    fatal_if(params_.propagationWindow < 1,
-             "propagation window must be >= 1");
-    fatal_if(!keyFrameSource_, "key-frame matcher is required");
-    fatal_if(!sequencer_, "key-frame sequencer is required");
-    fatal_if(stream.maxInFlight < 1, "maxInFlight must be >= 1");
-    fatal_if(stream.workers < 0, "workers must be >= 0");
+    if (stream.maxInFlight < 1)
+        throw std::invalid_argument("maxInFlight must be >= 1");
+    if (stream.workers < 0)
+        throw std::invalid_argument("workers must be >= 0");
+    // A shared pool needs at least one worker thread — a pool of 1
+    // runs submit() tasks inline, which would make a blocking
+    // propagate stage deadlock the dispatcher.
+    if (stream.sharedPool && stream.sharedPool->numThreads() < 2)
+        throw std::invalid_argument(
+            "a shared StreamPipeline pool needs >= 2 threads "
+            "(N - 1 stage executors)");
 
     maxInFlight_ = stream.maxInFlight;
     if (stream.sharedPool) {
         // Multiplexed serving: many pipelines on one injected pool.
-        // The pool needs at least one worker thread — a pool of 1
-        // runs submit() tasks inline, which would make a blocking
-        // propagate stage deadlock the dispatcher.
-        fatal_if(stream.sharedPool->numThreads() < 2,
-                 "a shared StreamPipeline pool needs >= 2 threads "
-                 "(N - 1 stage executors)");
         pool_ = stream.sharedPool;
         workers_ = pool_->numThreads() - 1;
     } else {
@@ -123,9 +118,10 @@ int64_t
 StreamPipeline::submit(const image::Image &left,
                        const image::Image &right)
 {
-    panic_if(left.width() != right.width() ||
-                 left.height() != right.height(),
-             "stereo pair size mismatch");
+    // A key frame replaces all of the previous frame below, so a
+    // resized pair needs nothing dropped here.
+    const IsmAdmission admitted =
+        sequence_.admit(left, right, prevDisparity_.valid());
 
     // Backpressure: wait until fewer than maxInFlight frames are
     // submitted but uncomputed. Workers make progress independently
@@ -138,29 +134,6 @@ StreamPipeline::submit(const image::Image &left,
         ticket = submitted_++;
     }
 
-    // Mirror IsmPipeline::processFrame: drop temporal state on a
-    // resolution change, then make the shared key/non-key decision
-    // (ismDecideKeyFrame — the same code the serial loop runs, which
-    // is what keeps the key-frame pattern and every downstream
-    // result bit-identical). A default-constructed prevDisparity_
-    // future is !valid(), standing in for the serial pipeline's
-    // prevDisparity_.empty().
-    if (prevLeft_ && (prevLeft_->width() != left.width() ||
-                      prevLeft_->height() != left.height())) {
-        prevLeft_.reset();
-        prevRight_.reset();
-        prevDisparity_ = {};
-        // Shelved buffers are keyed to the old resolution and will
-        // never be recycled again; drop them so cycling resolutions
-        // keeps resident bytes bounded. Frames still in flight at
-        // the old size simply re-shelve on retirement and are
-        // trimmed at the next flip (or by setHighWaterBytes).
-        buffers_->trim(0);
-    }
-    const bool is_key = ismDecideKeyFrame(
-        *sequencer_, left, frameIndex_, prevDisparity_.valid());
-    ++frameIndex_;
-
     // One snapshot per image (the caller may mutate its buffers
     // after submit returns); the stage lambdas share the snapshot
     // instead of deep-copying the frame per stage.
@@ -168,38 +141,16 @@ StreamPipeline::submit(const image::Image &left,
     auto right_ptr = std::make_shared<const image::Image>(right);
 
     Slot slot;
-    slot.keyFrame = is_key;
-    slot.arithmeticOps =
-        is_key ? keyFrameSource_->ops(left.width(), left.height())
-               : nonKeyFrameOps(left.width(), left.height(), params_);
+    slot.keyFrame = admitted.keyFrame;
+    slot.arithmeticOps = admitted.arithmeticOps;
 
-    if (is_key) {
+    if (admitted.keyFrame) {
         // Key-frame inference depends only on the submitted pair.
-        // The matcher contract (non-empty, pair-sized output) is
-        // enforced here, at stage completion, so a misbehaving
-        // engine fails this frame loudly instead of corrupting the
-        // frames propagating from it.
         slot.disparity =
             pool_->submit([this, l = left_ptr, r = right_ptr]() {
                      FrameCompletion done(this);
-                     stereo::DisparityMap d = keyFrameSource_->compute(
-                         *l, *r, ExecContext(*pool_, *buffers_));
-                     if (d.empty())
-                         throw std::runtime_error(
-                             "streaming key-frame matcher '" +
-                             keyFrameSource_->name() +
-                             "' returned an empty disparity map");
-                     if (d.width() != l->width() ||
-                         d.height() != l->height())
-                         throw std::runtime_error(
-                             "streaming key-frame matcher '" +
-                             keyFrameSource_->name() + "' returned a " +
-                             std::to_string(d.width()) + "x" +
-                             std::to_string(d.height()) +
-                             " disparity map for a " +
-                             std::to_string(l->width()) + "x" +
-                             std::to_string(l->height()) + " pair");
-                     return d;
+                     return sequence_.computeKeyFrame(
+                         *l, *r, context(), /*allow_empty=*/false);
                  })
                 .share();
     } else {
@@ -208,16 +159,13 @@ StreamPipeline::submit(const image::Image &left,
         // parallel with the predecessor still in flight.
         auto flow_l =
             pool_->submit([this, from = prevLeft_, to = left_ptr]() {
-                     return ismFlow(*from, *to, params_,
-                                    ExecContext(*pool_, *buffers_));
+                     return ismFlow(*from, *to, params(), context());
                  })
                 .share();
         auto flow_r =
-            pool_->submit(
-                     [this, from = prevRight_, to = right_ptr]() {
-                         return ismFlow(*from, *to, params_,
-                                        ExecContext(*pool_, *buffers_));
-                     })
+            pool_->submit([this, from = prevRight_, to = right_ptr]() {
+                     return ismFlow(*from, *to, params(), context());
+                 })
                 .share();
         // Propagation chains on the predecessor's disparity future.
         // Safe to block in a worker: FIFO execution means every
@@ -231,8 +179,7 @@ StreamPipeline::submit(const image::Image &left,
                      FrameCompletion done(this);
                      return ismPropagate(*l, *r, prev.get(),
                                          flow_l.get(), flow_r.get(),
-                                         params_,
-                                         ExecContext(*pool_, *buffers_));
+                                         params(), context());
                  })
                 .share();
     }
@@ -247,7 +194,8 @@ StreamPipeline::submit(const image::Image &left,
 IsmFrameResult
 StreamPipeline::next()
 {
-    fatal_if(slots_.empty(), "next() called with no frame pending");
+    if (slots_.empty())
+        throw std::logic_error("next() called with no frame pending");
     Slot slot = std::move(slots_.front());
     slots_.pop_front();
 
@@ -284,14 +232,13 @@ StreamPipeline::reset()
         submitted_ = 0;
         completed_ = 0;
     }
-    frameIndex_ = 0;
+    sequence_.reset();
     prevLeft_.reset();
     prevRight_.reset();
     prevDisparity_ = {};
-    sequencer_->reset();
     // All in-flight work has retired (every future above is ready),
     // so this empties the arena completely for the next sequence.
-    buffers_->trim(0);
+    buffers().trim(0);
 }
 
 } // namespace asv::core

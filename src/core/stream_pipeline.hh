@@ -3,17 +3,24 @@
  * Streaming execution layer for the ISM pipeline: multiple frames in
  * flight over a bounded, ordered queue.
  *
- * ASV's premise is a continuous stereo *stream* (Sec. 5.2): key
- * frames run the expensive DNN, non-key frames run the cheap ISM
- * propagation. The serial IsmPipeline retires one frame completely
- * before starting the next, leaving the worker pool idle between
- * frames. StreamPipeline overlaps stages across frames, the way
- * real-time stereo systems (SceneScan, Fan et al. 2018) earn their
- * throughput:
+ * ASV's premise is a continuous stereo *stream* (Sec. 5.2). The
+ * serial IsmPipeline retires one frame completely before starting
+ * the next, leaving the worker pool idle between frames.
+ * StreamPipeline overlaps stages across frames, the way real-time
+ * stereo systems (SceneScan, Fan et al. 2018) earn their throughput.
  *
- *  - The key/non-key decision is made up front on the submission
- *    thread: the sequencer is cheap and stateful, so running it at
- *    submit() keeps its state identical to the serial pipeline's.
+ * Shared state: both pipelines hold one core::IsmSequence, the
+ * per-stream rule of which frame is a key frame, what a resolution
+ * change resets and what a key-frame engine must return. submit()
+ * admits each pair through it on the driver thread, so the sequencer
+ * sees the frames in order and decides what the serial loop decides.
+ * Every stage then runs the serial pipeline's code (ismFlow,
+ * ismPropagate, IsmSequence::computeKeyFrame) on equal inputs, so
+ * the results are bit-identical to the serial processFrame() loop
+ * for any maxInFlight and worker count — provided the key-frame
+ * source is a pure function of its inputs. This layer only schedules
+ * the admitted frame's stages:
+ *
  *  - Key-frame inference depends only on the submitted pair and is
  *    dispatched immediately.
  *  - For non-key frames, the two optical flows — the dominant
@@ -28,22 +35,10 @@
  * applies backpressure once maxInFlight frames are undelivered by
  * the workers.
  *
- * Determinism contract (extends the PR-1 thread-pool contract):
- * every stage runs the same code the serial pipeline runs (ismFlow,
- * ismPropagate, the key-frame source), on inputs that are equal by
- * construction, so the stream of results is bit-identical to the
- * serial processFrame() loop for any maxInFlight and worker count —
- * provided the key-frame source is a pure function of its inputs.
- *
- * Requirements on the key-frame matcher: it may be invoked
- * concurrently from worker threads (two key frames can be in flight
- * at once — the Matcher thread-safety contract), and it must return
- * a non-empty disparity map matching the submitted pair's
- * dimensions; a violation is detected at stage completion and
- * surfaces from next()/drain() as a std::runtime_error rather than
- * corrupting downstream propagation. (The serial pipeline tolerates
- * an empty key map by forcing the *next* frame to be a key frame —
- * a decision that cannot be made eagerly at submission time.)
+ * The key-frame matcher may be invoked concurrently from worker
+ * threads (the Matcher thread-safety contract). A map that breaks
+ * IsmSequence::computeKeyFrame's contract, including an empty one,
+ * surfaces from next()/drain() as a std::runtime_error.
  *
  * Threading: submit()/next()/drain()/reset() must be called from a
  * single driver thread. The pipeline owns its executor threads and
@@ -130,7 +125,9 @@ class StreamPipeline
     /**
      * Key frames run @p key_frame_matcher (any registered engine —
      * see stereo::makeMatcher); static cadence from
-     * params.propagationWindow.
+     * params.propagationWindow. Throws std::invalid_argument, before
+     * any thread starts, as IsmSequence does or on a maxInFlight < 1,
+     * workers < 0 or a shared pool of fewer than 2 threads.
      */
     StreamPipeline(IsmParams params,
                    std::shared_ptr<const stereo::Matcher> key_frame_matcher,
@@ -154,6 +151,7 @@ class StreamPipeline
      * (updating the sequencer), dispatches the frame's stages, and
      * returns its ticket (0-based submission index, the order next()
      * delivers in). Blocks while maxInFlight frames are in flight.
+     * Throws as IsmSequence::admit() does.
      */
     int64_t submit(const image::Image &left,
                    const image::Image &right);
@@ -162,7 +160,8 @@ class StreamPipeline
      * Deliver the oldest undelivered frame's result, blocking until
      * it is computed. Results come back in exact submission order.
      * Rethrows any exception the frame's stages raised (a poisoned
-     * stream is cleared with reset()). Fatal if nothing is pending.
+     * stream is cleared with reset()). Throws std::logic_error, and
+     * changes nothing, if nothing is pending.
      */
     IsmFrameResult next();
 
@@ -177,7 +176,8 @@ class StreamPipeline
     /**
      * Wait for all in-flight work, discard undelivered results, and
      * forget all temporal state (start of a new sequence). Never
-     * throws away the executors; the pipeline is reusable.
+     * throws away the executors; the pipeline is reusable. Unlike
+     * IsmPipeline::reset(), it also empties the arena.
      */
     void reset();
 
@@ -201,17 +201,17 @@ class StreamPipeline
 
     int maxInFlight() const { return maxInFlight_; }
     int workers() const { return workers_; }
-    const IsmParams &params() const { return params_; }
+    const IsmParams &params() const { return sequence_.params(); }
 
     /** The key-frame engine. */
-    const stereo::Matcher &matcher() const { return *keyFrameSource_; }
+    const stereo::Matcher &matcher() const { return sequence_.matcher(); }
 
     /**
      * The buffer arena every stage of every in-flight frame recycles
      * through — private to this pipeline. BufferPool is internally
      * synchronized, so concurrent stages share it safely.
      */
-    BufferPool &buffers() const { return *buffers_; }
+    BufferPool &buffers() const { return sequence_.buffers(); }
 
   private:
     /** Reorder-buffer entry for one submitted frame. */
@@ -228,25 +228,18 @@ class StreamPipeline
 
     void markFrameComplete();
 
-    IsmParams params_;
-    std::shared_ptr<const stereo::Matcher> keyFrameSource_;
-    std::unique_ptr<KeyFrameSequencer> sequencer_;
+    ExecContext context() const { return ExecContext(*pool_, buffers()); }
+
+    // Driver-thread-only by the single-driver API contract (workers
+    // read only the parameters, the engine and the arena, fixed at
+    // construction), so none of it is mutex-protected — mutex_ below
+    // guards exactly the state the workers write. The previous
+    // frame is kept as the stages consume it: shared input snapshots
+    // and a disparity future (!valid() when there is none).
+    IsmSequence sequence_; //!< first: its checks run before pool_
     int maxInFlight_ = 1;
     int workers_ = 1;
     std::shared_ptr<ThreadPool> pool_; //!< private or injected shared
-    std::shared_ptr<BufferPool> buffers_ =
-        std::make_shared<BufferPool>();
-
-    // Submission-thread state, mirroring IsmPipeline exactly; an
-    // invalid prevDisparity_ future plays the serial pipeline's
-    // "prevDisparity_.empty()" role. Frames are snapshotted once
-    // per submit into shared immutable images so the stage lambdas
-    // capture pointers, not deep copies. Driver-thread-only by the
-    // single-driver API contract (workers only ever see the
-    // shared_ptr/shared_future copies the stage lambdas captured),
-    // so none of it is mutex-protected — mutex_ below guards exactly
-    // the state the workers write.
-    int64_t frameIndex_ = 0;
     std::shared_ptr<const image::Image> prevLeft_;
     std::shared_ptr<const image::Image> prevRight_;
     std::shared_future<stereo::DisparityMap> prevDisparity_;

@@ -24,8 +24,9 @@
  * Everything a frame needs — weights, biases, deconv plans (which
  * own only their sub-kernels), every intermediate activation — is
  * allocated at construction; forward() performs zero heap
- * allocations once the ExecContext's BufferPool has warmed up (the
- * packed im2col panel is its only pooled acquisition).
+ * allocations once the ExecContext's BufferPool has warmed up (its
+ * pooled acquisitions are convNdInto's per-chunk strip blocks and
+ * identity row table).
  * This is the "dnn" entry enforced exactly by alloc_baseline_test /
  * BASELINE_alloc.json.
  *

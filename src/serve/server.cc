@@ -51,7 +51,9 @@ namespace
  * bit-identical to a serial loop over the same frames). The
  * pipeline's own sequencer must then agree with the tag, so this
  * one just echoes it: the dispatcher calls setNext() immediately
- * before StreamPipeline::submit() on the same thread.
+ * before StreamPipeline::submit() on the same thread. A forced key
+ * frame only happens on a stream's first frame, which the cadence
+ * already tags as key, so keyFrameForced() keeps its no-op default.
  */
 class ServeSequencer : public core::KeyFrameSequencer
 {
@@ -64,15 +66,6 @@ class ServeSequencer : public core::KeyFrameSequencer
         (void)left;
         (void)frame_index;
         return next_;
-    }
-
-    void
-    keyFrameForced(const image::Image &left) override
-    {
-        // Only ever fires on the first frame (no previous
-        // disparity), which the ticket cadence already tags as a
-        // key frame — nothing to re-anchor.
-        (void)left;
     }
 
     void reset() override { next_ = true; }
@@ -101,13 +94,7 @@ class BoundedRing
     int size() const { return size_; }
 
     T &at(int i) { return slots_[(head_ + i) % slots_.size()]; }
-    const T &
-    at(int i) const
-    {
-        return slots_[(head_ + i) % slots_.size()];
-    }
     T &front() { return at(0); }
-    const T &front() const { return at(0); }
 
     /** Claim the next slot (caller fills it, typically by swap). */
     T &
@@ -145,20 +132,24 @@ class BoundedRing
     int size_ = 0;
 };
 
+/** A bad client configuration: std::invalid_argument naming it. */
+void
+require(bool ok, const char *what)
+{
+    if (!ok)
+        throw std::invalid_argument(what);
+}
+
 /** @p config, or std::invalid_argument naming its bad field: runs
  *  before the server builds its pool or ring, so a bad config
  *  starts no thread. */
 const ServerConfig &
 checkedConfig(const ServerConfig &config)
 {
-    auto require = [](bool ok, const char *what) {
-        if (!ok)
-            throw std::invalid_argument(std::string("ServerConfig ") +
-                                        what);
-    };
-    require(config.workers >= 0, "workers must be >= 0");
-    require(config.queueCapacity >= 1, "queueCapacity must be >= 1");
-    require(config.maxStreams >= 1, "maxStreams must be >= 1");
+    require(config.workers >= 0, "ServerConfig workers must be >= 0");
+    require(config.queueCapacity >= 1,
+            "ServerConfig queueCapacity must be >= 1");
+    require(config.maxStreams >= 1, "ServerConfig maxStreams must be >= 1");
     return config;
 }
 
@@ -243,17 +234,19 @@ Server::openStream(StreamConfig config)
 {
     // A bad client request is the client's error, not the server's:
     // reject it before touching any state.
-    auto require = [](bool ok, const char *what) {
-        if (!ok)
-            throw std::invalid_argument(std::string("StreamConfig ") +
-                                        what);
-    };
-    require(config.matcher != nullptr, "needs a key-frame matcher");
-    require(config.onResult != nullptr, "needs a result callback");
-    require(config.maxQueued >= 1, "maxQueued must be >= 1");
-    require(config.maxInFlight >= 1, "maxInFlight must be >= 1");
-    require(config.params.propagationWindow >= 1,
-            "propagation window must be >= 1");
+    require(config.onResult != nullptr,
+            "StreamConfig needs a result callback");
+    require(config.maxQueued >= 1, "StreamConfig maxQueued must be >= 1");
+    // The pipeline checks the rest (matcher, maxInFlight, propagation
+    // window) and throws std::invalid_argument. It is built before
+    // anything sized from the config, such as the ticket ring.
+    auto sequencer = std::make_unique<ServeSequencer>();
+    ServeSequencer *serve_sequencer = sequencer.get();
+    core::StreamParams sp;
+    sp.maxInFlight = config.maxInFlight;
+    sp.sharedPool = pool_;
+    auto pipeline = std::make_unique<core::StreamPipeline>(
+        config.params, config.matcher, std::move(sequencer), sp);
 
     MutexLock lock(streamsMutex_);
     const int id = numStreams_.load(std::memory_order_relaxed);
@@ -264,14 +257,8 @@ Server::openStream(StreamConfig config)
 
     auto state = std::make_unique<StreamState>(
         static_cast<StreamId>(id), std::move(config));
-    auto sequencer = std::make_unique<ServeSequencer>();
-    state->sequencer = sequencer.get();
-    core::StreamParams sp;
-    sp.maxInFlight = state->config.maxInFlight;
-    sp.sharedPool = pool_;
-    state->pipeline = std::make_unique<core::StreamPipeline>(
-        state->config.params, state->config.matcher,
-        std::move(sequencer), sp);
+    state->sequencer = serve_sequencer;
+    state->pipeline = std::move(pipeline);
 
     streams_.push_back(std::move(state));
     numStreams_.store(id + 1, std::memory_order_release);
@@ -398,17 +385,9 @@ Server::stop()
         hbCv_.notify_all();
     }
     if (config_.manualDispatch) {
-        if (first) {
-            // The caller is the dispatcher: finish its job inline.
-            for (;;) {
-                const bool progress = pumpOnce();
-                if (finalizeStop() && !progress)
-                    break;
-                if (!progress)
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(100));
-            }
-        }
+        // The caller is the dispatcher: finish its job inline.
+        if (first)
+            pumpUntilStopped();
     } else if (dispatcher_.joinable()) {
         dispatcher_.join();
     }
@@ -642,38 +621,17 @@ Server::finalizeStop()
     for (int i = 0; i < n; ++i) {
         StreamState &s = *streams_[static_cast<size_t>(i)];
         if (s.paused.load(std::memory_order_relaxed)) {
-            // A paused stream will never dispatch again: turn its
-            // backlog (queued frames and gap sheds, interleaved in
-            // ticket order) into Shed deliveries behind whatever is
-            // still in its pipeline.
-            const int64_t bound = s.pipelineTickets.empty()
-                                      ? s.nextTicket
-                                      : s.pipelineTickets.front();
-            while (s.nextDeliver < bound) {
-                if (!s.pending.empty() &&
-                    s.pending.front().ticket == s.nextDeliver) {
-                    StreamState::Pending &p = s.pending.front();
-                    ServeResult res;
-                    res.stream = s.id;
-                    res.ticket = p.ticket;
-                    res.status = ResultStatus::Shed;
-                    res.keyFrame = p.key;
-                    s.shed.fetch_add(1, std::memory_order_relaxed);
-                    s.pending.popFront();
-                    s.queueDepth.store(s.pending.size(),
-                                       std::memory_order_relaxed);
-                    ++s.nextDeliver;
-                    s.config.onResult(std::move(res));
-                    deliveredTotal_.fetch_add(
-                        1, std::memory_order_release);
-                } else {
-                    deliverShedGaps(
-                        s, s.pending.empty()
-                               ? bound
-                               : std::min(bound,
-                                          s.pending.front().ticket));
-                }
-            }
+            // A paused stream will never dispatch again: shed its
+            // queued frames. Their tickets become gaps, delivered in
+            // ticket order behind whatever is still in its pipeline
+            // (pending tickets are all newer).
+            s.shed.fetch_add(s.pending.size(), std::memory_order_relaxed);
+            while (!s.pending.empty())
+                s.pending.popFront();
+            s.queueDepth.store(0, std::memory_order_relaxed);
+            deliverShedGaps(s, s.pipelineTickets.empty()
+                                   ? s.nextTicket
+                                   : s.pipelineTickets.front());
         }
         if (!s.pending.empty() || !s.pipelineTickets.empty() ||
             s.nextDeliver != s.nextTicket)
@@ -683,20 +641,22 @@ Server::finalizeStop()
 }
 
 void
-Server::dispatcherMain()
+Server::pumpUntilStopped()
 {
     for (;;) {
         const bool progress = pumpOnce();
-        if (stopping_.load(std::memory_order_acquire)) {
-            const bool done = finalizeStop();
-            if (done && !progress)
-                break;
-            if (!progress)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(100));
-            continue;
-        }
-        if (!progress) {
+        if (finalizeStop() && !progress)
+            return;
+        if (!progress)
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+}
+
+void
+Server::dispatcherMain()
+{
+    while (!stopping_.load(std::memory_order_acquire)) {
+        if (!pumpOnce()) {
             // Park briefly. The timed wait (rather than an
             // indefinite one) covers both the completion-polling
             // role of this loop (pipelines have no completion
@@ -711,6 +671,7 @@ Server::dispatcherMain()
             dispatcherIdle_.store(false, std::memory_order_release);
         }
     }
+    pumpUntilStopped();
     MutexLock lock(waitMutex_);
     drainCv_.notify_all();
     spaceCv_.notify_all();

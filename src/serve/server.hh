@@ -312,6 +312,8 @@ class Server
     void flushIdleShed();
     void deliverShedGaps(StreamState &s, int64_t bound);
     bool finalizeStop();
+    /** Pump until every accepted frame is delivered. */
+    void pumpUntilStopped();
     ServerStats buildStats() const;
     void dispatcherMain();
     void heartbeatMain();

@@ -8,17 +8,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/exec_context.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
+#include "common/thread_pool.hh"
 #include "core/ism.hh"
 #include "data/oracle.hh"
 #include "data/scene.hh"
 #include "fn_matcher.hh"
 #include "hash_util.hh"
 #include "stereo/disparity.hh"
+#include "stereo/matcher.hh"
 
 namespace
 {
@@ -248,6 +252,77 @@ TEST(Ism, ForcedKeyFrameResyncsAdaptiveSequencer)
         const auto r = ism.processFrame(flat_l, flat_r);
         EXPECT_EQ(r.keyFrame, expect_key[t]) << "frame " << t;
     }
+}
+
+TEST(Ism, BadConstructionThrowsInvalidArgument)
+{
+    // A bad configuration is the caller's error: it throws before
+    // the pipeline builds its pool instead of exiting the process.
+    const auto m = stereo::makeMatcher("bm", "maxDisparity=16");
+    const IsmParams ok;
+    for (int window : {0, -3}) {
+        IsmParams bad;
+        bad.propagationWindow = window;
+        EXPECT_THROW({ IsmPipeline ism(bad, m); }, std::invalid_argument)
+            << "window " << window;
+        EXPECT_THROW(
+            {
+                IsmPipeline ism(bad, m, makeAdaptiveSequencer(6.0, 4),
+                                std::make_shared<ThreadPool>(2));
+            },
+            std::invalid_argument)
+            << "window " << window;
+    }
+    EXPECT_THROW({ IsmPipeline ism(ok, nullptr); }, std::invalid_argument);
+    EXPECT_THROW({ IsmPipeline ism(ok, m, nullptr); },
+                 std::invalid_argument);
+}
+
+TEST(Ism, MismatchedPairThrowsAndChangesNothing)
+{
+    IsmParams params;
+    params.propagationWindow = 2;
+    IsmPipeline ism(params, stereo::makeMatcher("bm", "maxDisparity=16"));
+    const image::Image left(64, 48, 100.f), narrow(48, 48, 100.f);
+    EXPECT_THROW((void)ism.processFrame(left, narrow),
+                 std::invalid_argument);
+    // The rejected pair took no frame index: the cadence starts at
+    // the next good pair.
+    EXPECT_TRUE(ism.processFrame(left, left).keyFrame);
+    EXPECT_FALSE(ism.processFrame(left, left).keyFrame);
+    EXPECT_TRUE(ism.processFrame(left, left).keyFrame);
+}
+
+TEST(Ism, ResetKeepsArenaWarm)
+{
+    // A driver that resets every window at one resolution (the
+    // system benchmark's camera loop) must keep recycling the same
+    // buffers: after the first window, no acquisition misses.
+    data::SceneConfig cfg;
+    cfg.width = 96;
+    cfg.height = 64;
+    const auto seq = data::generateSequence(cfg, 4, 23);
+    IsmParams params;
+    params.propagationWindow = 4;
+    params.maxDisparity = 24;
+    // One thread, so the acquisition pattern is the same every
+    // window.
+    IsmPipeline ism(params, stereo::makeMatcher("sgm", "maxDisparity=24"),
+                    makeStaticSequencer(4),
+                    std::make_shared<ThreadPool>(1));
+    const auto window = [&] {
+        ism.reset();
+        for (const auto &f : seq.frames)
+            (void)ism.processFrame(f.left, f.right);
+    };
+    window();
+    const uint64_t warm_misses = ism.buffers().stats().misses;
+    const uint64_t warm_hits = ism.buffers().stats().hits;
+    ASSERT_GT(warm_misses, 0u);
+    for (int w = 0; w < 3; ++w)
+        window();
+    EXPECT_EQ(ism.buffers().stats().misses, warm_misses);
+    EXPECT_GT(ism.buffers().stats().hits, warm_hits);
 }
 
 TEST(Ism, NonKeyOpsMatchSec33Budget)

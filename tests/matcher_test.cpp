@@ -17,6 +17,7 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/exec_context.hh"
@@ -441,19 +442,42 @@ TEST(MatcherPipelines, InjectedSharedPoolBitIdentical)
     }
 }
 
+/** what() of the error @p call throws (std::runtime_error). */
+template <typename Call>
+std::string
+runtimeErrorText(Call &&call)
+{
+    try {
+        call();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "no std::runtime_error";
+    return {};
+}
+
+std::shared_ptr<const stereo::Matcher>
+eightByEightMatcher()
+{
+    return testref::fnMatcher(
+        [](const image::Image &, const image::Image &) {
+            return stereo::DisparityMap(8, 8); // wrong dimensions
+        });
+}
+
 TEST(MatcherPipelines, StreamRejectsWrongSizeKeyFrameOutput)
 {
     const auto f = makeFrame(29);
     core::IsmParams p;
     p.propagationWindow = 2;
 
-    core::StreamPipeline stream(
-        p, testref::fnMatcher([](const image::Image &,
-                               const image::Image &) {
-            return stereo::DisparityMap(8, 8); // wrong dimensions
-        }));
+    core::StreamPipeline stream(p, eightByEightMatcher());
     stream.submit(f.left, f.right);
-    EXPECT_THROW((void)stream.next(), std::runtime_error);
+    EXPECT_EQ(runtimeErrorText([&] { (void)stream.next(); }),
+              "key-frame matcher 'fn' returned a 8x8 disparity map for "
+              "a " +
+                  std::to_string(f.left.width()) + "x" +
+                  std::to_string(f.left.height()) + " pair");
     stream.reset();
 
     core::StreamPipeline empty_stream(
@@ -468,19 +492,18 @@ TEST(MatcherPipelines, StreamRejectsWrongSizeKeyFrameOutput)
 TEST(MatcherPipelines, SerialRejectsWrongSizeKeyFrameOutput)
 {
     // The serial pipeline enforces the same matcher output contract
-    // as the stream: a wrong-size key map fails at the key frame
-    // with a clear error instead of corrupting the next frame's
-    // propagation.
+    // as the stream, with the same message: a wrong-size key map
+    // fails at the key frame with a clear error instead of
+    // corrupting the next frame's propagation.
     const auto f = makeFrame(37);
     core::IsmParams p;
     p.propagationWindow = 2;
-    core::IsmPipeline ism(
-        p, testref::fnMatcher([](const image::Image &,
-                               const image::Image &) {
-            return stereo::DisparityMap(8, 8); // wrong dimensions
-        }));
-    EXPECT_THROW((void)ism.processFrame(f.left, f.right),
-                 std::runtime_error);
+    core::IsmPipeline ism(p, eightByEightMatcher());
+    const std::string serial =
+        runtimeErrorText([&] { (void)ism.processFrame(f.left, f.right); });
+    core::StreamPipeline stream(p, eightByEightMatcher());
+    stream.submit(f.left, f.right);
+    EXPECT_EQ(serial, runtimeErrorText([&] { (void)stream.next(); }));
 }
 
 TEST(MatcherPipelines, SimulateSystemAcceptsMatcher)

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "common/rng.hh"
 #include "core/ism.hh"
 #include "core/sequencer.hh"
@@ -32,6 +35,19 @@ TEST(StaticSequencer, FiresEveryPwFrames)
     EXPECT_FALSE(seq.isKeyFrame(img, 2));
     EXPECT_TRUE(seq.isKeyFrame(img, 3));
     EXPECT_TRUE(seq.isKeyFrame(img, 6));
+}
+
+TEST(Sequencers, BadConstructionThrowsInvalidArgument)
+{
+    EXPECT_THROW(StaticSequencer(0), std::invalid_argument);
+    EXPECT_THROW(StaticSequencer(-2), std::invalid_argument);
+    EXPECT_THROW(makeStaticSequencer(0), std::invalid_argument);
+    EXPECT_THROW(AdaptiveSequencer(6.0, 0), std::invalid_argument);
+    EXPECT_THROW(AdaptiveSequencer(0.0, 4), std::invalid_argument);
+    EXPECT_THROW(AdaptiveSequencer(-1.0, 4), std::invalid_argument);
+    EXPECT_THROW(AdaptiveSequencer(std::nan(""), 4),
+                 std::invalid_argument);
+    EXPECT_THROW(makeAdaptiveSequencer(6.0, -1), std::invalid_argument);
 }
 
 TEST(AdaptiveSequencer, StaticSceneStretchesWindow)

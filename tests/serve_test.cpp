@@ -169,6 +169,9 @@ TEST(Serve, BadStreamConfigThrowsAndLeavesServerUsable)
     EXPECT_THROW(server.openStream(broken(
                      [](StreamConfig &c) { c.maxInFlight = 0; })),
                  std::invalid_argument);
+    EXPECT_THROW(server.openStream(broken(
+                     [](StreamConfig &c) { c.maxInFlight = -1; })),
+                 std::invalid_argument);
     EXPECT_THROW(server.openStream(broken([](StreamConfig &c) {
                      c.params.propagationWindow = 0;
                  })),

@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "core/ism.hh"
 #include "core/sequencer.hh"
 #include "core/stream_pipeline.hh"
@@ -306,6 +307,80 @@ TEST(StreamPipeline, StageErrorSurfacesInOrderAndResetRecovers)
     ASSERT_EQ(results.size(), 3u);
     EXPECT_TRUE(results[0].keyFrame);
     EXPECT_FALSE(results[1].keyFrame);
+}
+
+TEST(StreamPipeline, BadConstructionThrowsInvalidArgument)
+{
+    // Every bad field throws before the pipeline starts a thread,
+    // instead of exiting the process.
+    const auto build = [](const IsmParams &params,
+                          std::shared_ptr<const stereo::Matcher> m,
+                          std::unique_ptr<KeyFrameSequencer> sequencer,
+                          const StreamParams &sp) {
+        StreamPipeline stream(params, std::move(m), std::move(sequencer),
+                              sp);
+    };
+    IsmParams bad_window = testParams();
+    bad_window.propagationWindow = 0;
+    EXPECT_THROW({ StreamPipeline stream(bad_window, keyMatcher()); },
+                 std::invalid_argument);
+    EXPECT_THROW(build(bad_window, keyMatcher(),
+                       makeAdaptiveSequencer(6.0, 4), {}),
+                 std::invalid_argument);
+    EXPECT_THROW(build(testParams(), nullptr, makeStaticSequencer(3), {}),
+                 std::invalid_argument);
+    EXPECT_THROW(build(testParams(), keyMatcher(), nullptr, {}),
+                 std::invalid_argument);
+
+    const auto with_stream = [&](auto &&mutate) {
+        StreamParams sp;
+        sp.workers = 1;
+        mutate(sp);
+        build(testParams(), keyMatcher(), makeStaticSequencer(3), sp);
+    };
+    EXPECT_THROW(with_stream([](StreamParams &sp) { sp.maxInFlight = 0; }),
+                 std::invalid_argument);
+    EXPECT_THROW(with_stream([](StreamParams &sp) { sp.maxInFlight = -1; }),
+                 std::invalid_argument);
+    EXPECT_THROW(with_stream([](StreamParams &sp) { sp.workers = -1; }),
+                 std::invalid_argument);
+    EXPECT_THROW(with_stream([](StreamParams &sp) {
+                     sp.sharedPool = std::make_shared<ThreadPool>(1);
+                 }),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(with_stream([](StreamParams &sp) {
+        sp.sharedPool = std::make_shared<ThreadPool>(2);
+    }));
+}
+
+TEST(StreamPipeline, MisuseThrowsAndLeavesPipelineUsable)
+{
+    data::SceneConfig cfg;
+    cfg.width = 96;
+    cfg.height = 48;
+    const auto frames = toPairs(data::generateSequence(cfg, 5, 49));
+    const auto serial = runSerial(frames, testParams(),
+                                  makeStaticSequencer(3));
+
+    StreamParams sp;
+    sp.maxInFlight = 3;
+    sp.workers = 2;
+    StreamPipeline stream(testParams(), keyMatcher(),
+                          makeStaticSequencer(3), sp);
+    EXPECT_THROW((void)stream.next(), std::logic_error);
+    EXPECT_THROW((void)stream.next(), std::logic_error);
+    const image::Image narrow(48, 48, 100.f);
+    EXPECT_THROW(stream.submit(frames[0].left, narrow),
+                 std::invalid_argument);
+    EXPECT_FALSE(stream.pending());
+    EXPECT_EQ(stream.inFlight(), 0);
+
+    // Nothing was admitted: the clip starts at ticket 0 and matches
+    // the serial loop bit for bit.
+    for (size_t i = 0; i < frames.size(); ++i)
+        EXPECT_EQ(stream.submit(frames[i].left, frames[i].right),
+                  static_cast<int64_t>(i));
+    expectIdentical(serial, stream.drain());
 }
 
 } // namespace
