@@ -49,6 +49,12 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Both the results merge and the --check gate are python3.
+command -v python3 >/dev/null 2>&1 || {
+    echo "run_benchmarks.sh requires python3" >&2
+    exit 2
+}
+
 CHECK=0
 RUN=1
 if [[ "${1:-}" == "--check" ]]; then
@@ -147,10 +153,9 @@ trap 'rm -f "$KERNELS_JSON" "$STREAM_JSON" "$DISPATCH_JSON" \
 # "library_build_type" describes the benchmark library, not us).
 ASV_BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' \
     "$BUILD_DIR/CMakeCache.txt")"
-if command -v python3 >/dev/null 2>&1; then
-    ASV_BUILD_TYPE="$ASV_BUILD_TYPE" \
-    python3 - "$KERNELS_JSON" "$STREAM_JSON" "$DISPATCH_JSON" \
-        "$SERVE_JSON" "$FIG11_JSON" "$FIG13_JSON" "$OUT" <<'PY'
+ASV_BUILD_TYPE="$ASV_BUILD_TYPE" \
+python3 - "$KERNELS_JSON" "$STREAM_JSON" "$DISPATCH_JSON" \
+    "$SERVE_JSON" "$FIG11_JSON" "$FIG13_JSON" "$OUT" <<'PY'
 import json, os, sys
 kernels, extras, out = sys.argv[1], sys.argv[2:-1], sys.argv[-1]
 with open(kernels) as f:
@@ -164,29 +169,12 @@ with open(out, "w") as f:
     json.dump(merged, f, indent=2)
     f.write("\n")
 PY
-elif command -v jq >/dev/null 2>&1; then
-    ASV_BUILD_TYPE="$ASV_BUILD_TYPE" jq -s \
-        '.[0].benchmarks += (.[1].benchmarks + .[2].benchmarks
-                             + .[3].benchmarks + .[4].benchmarks
-                             + .[5].benchmarks)
-         | .[0].context.asv_build_type = env.ASV_BUILD_TYPE
-         | .[0]' \
-        "$KERNELS_JSON" "$STREAM_JSON" "$DISPATCH_JSON" \
-        "$SERVE_JSON" "$FIG11_JSON" "$FIG13_JSON" > "$OUT"
-else
-    echo "neither python3 nor jq available; writing kernels only" >&2
-    cp "$KERNELS_JSON" "$OUT"
-fi
 
 echo "wrote $OUT"
 
 fi # RUN
 
 if [[ $CHECK -eq 1 ]]; then
-    command -v python3 >/dev/null 2>&1 || {
-        echo "--check requires python3" >&2
-        exit 2
-    }
     ASV_BENCH_CHECK_THRESHOLD="$THRESHOLD" \
     ASV_BENCH_CHECK_KERNELS="$KERNELS" \
     python3 - "$BASELINE" "$OUT" <<'PY'

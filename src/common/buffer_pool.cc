@@ -67,17 +67,7 @@ BufferPool::stats() const
     s.trimmedBuffers = state_->trimmedBuffers_;
     s.residentBytes = state_->residentBytes_;
     s.residentBuffers = state_->residentBuffers_;
-    s.highWaterBytes = state_->highWaterBytes_;
     return s;
-}
-
-void
-BufferPool::setHighWaterBytes(uint64_t bytes)
-{
-    MutexLock lock(state_->mutex_);
-    state_->highWaterBytes_ = bytes;
-    if (bytes != 0 && state_->residentBytes_ > bytes)
-        state_->trimLocked(bytes);
 }
 
 void

@@ -32,11 +32,11 @@
  *    closes the state: outstanding handles keep working and simply
  *    free their storage on destruction instead of shelving it.
  *  - **Stats + bounded growth.** hits/misses/resident bytes are
- *    queryable (see stats()); setHighWaterBytes() arms an eviction
- *    policy that trims idle buffers, largest first, whenever a
- *    release would push the idle footprint past the mark. trim()
- *    evicts on demand — pipelines call trim(0) on a mid-stream
- *    resolution change so stale-shape buffers do not accumulate.
+ *    queryable (see stats()). A pool grows to its workload's
+ *    warm-up working set and stays there; trim() evicts idle
+ *    buffers, largest first, on demand — pipelines call trim(0) on
+ *    a mid-stream resolution change so stale-shape buffers do not
+ *    accumulate.
  *
  * Thread safety: all operations are safe from any thread; the warm
  * acquire/release path is one mutex acquisition plus a map lookup
@@ -134,9 +134,6 @@ class PoolState
             shelf[key].push_back(std::move(v));
             residentBytes_ += bytes;
             ++residentBuffers_;
-            if (highWaterBytes_ != 0 &&
-                residentBytes_ > highWaterBytes_)
-                trimLocked(highWaterBytes_);
         } catch (...) {
             // Out of memory growing the bookkeeping: drop the buffer.
         }
@@ -164,7 +161,6 @@ class PoolState
     uint64_t trimmedBuffers_ ASV_GUARDED_BY(mutex_) = 0;
     uint64_t residentBytes_ ASV_GUARDED_BY(mutex_) = 0;
     uint64_t residentBuffers_ ASV_GUARDED_BY(mutex_) = 0;
-    uint64_t highWaterBytes_ ASV_GUARDED_BY(mutex_) = 0;
 };
 
 } // namespace detail
@@ -287,18 +283,8 @@ class BufferPool
         uint64_t trimmedBuffers = 0;  //!< buffers evicted by trim
         uint64_t residentBytes = 0;   //!< idle (shelved) bytes
         uint64_t residentBuffers = 0; //!< idle (shelved) buffers
-        uint64_t highWaterBytes = 0;  //!< trim threshold (0 = off)
     };
     Stats stats() const;
-
-    /**
-     * Arm the bounded-growth policy: whenever a release pushes the
-     * idle footprint past @p bytes, idle buffers are evicted
-     * (largest first) until it fits. 0 disables the policy (the
-     * default — a pool sized by its workload's warm-up is already
-     * bounded; the mark exists for workloads whose shapes churn).
-     */
-    void setHighWaterBytes(uint64_t bytes);
 
     /** Evict idle buffers now until at most @p target_bytes remain
      *  shelved. trim(0) empties the pool (e.g. on a mid-stream

@@ -20,13 +20,6 @@ ceilDiv(int64_t num, int64_t den)
     return (num + den - 1) / den;
 }
 
-/** Round @p num up to the next multiple of @p mult. */
-constexpr int64_t
-roundUp(int64_t num, int64_t mult)
-{
-    return ceilDiv(num, mult) * mult;
-}
-
 /** Clamp @p v into [lo, hi]. */
 template <typename T>
 constexpr T
@@ -49,23 +42,6 @@ roundToInt(float v)
     const int i = static_cast<int>(v);
     const float frac = v - static_cast<float>(i);
     return i + (frac >= 0.5f) - (frac <= -0.5f);
-}
-
-/** True if |a - b| <= atol + rtol * |b|. */
-inline bool
-approxEqual(double a, double b, double atol = 1e-9, double rtol = 1e-6)
-{
-    return std::abs(a - b) <= atol + rtol * std::abs(b);
-}
-
-/** Integer power (small exponents). */
-constexpr int64_t
-ipow(int64_t base, int exp)
-{
-    int64_t r = 1;
-    for (int i = 0; i < exp; ++i)
-        r *= base;
-    return r;
 }
 
 /** Output size of a valid cross-correlation: in + 2*pad - k, stride s. */

@@ -10,7 +10,6 @@
 #include "common/logging.hh"
 #include "common/math_util.hh"
 #include "image/ops.hh"
-#include "stereo/postprocess.hh"
 
 namespace asv::core
 {
@@ -278,11 +277,8 @@ ismPropagate(const image::Image &left, const image::Image &right,
     stereo::BlockMatchingParams bm;
     bm.blockRadius = p.blockRadius;
     bm.maxDisparity = p.maxDisparity;
-    stereo::DisparityMap disparity = stereo::refineDisparity(
-        left, right, init, p.refineRadius, bm, ctx);
-    if (p.medianPostprocess)
-        disparity = stereo::medianFilter3x3(disparity);
-    return disparity;
+    return stereo::refineDisparity(left, right, init, p.refineRadius,
+                                   bm, ctx);
 }
 
 IsmFrameResult

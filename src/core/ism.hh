@@ -65,7 +65,6 @@ struct IsmParams
     int flowScale = 2;         //!< motion estimated at 1/flowScale
     flow::FarnebackParams flowParams{2, 2, 3, 1.2, 5};
     MotionEstimator motion = MotionEstimator::Farneback;
-    bool medianPostprocess = false; //!< 3x3 median on non-key output
 };
 
 /** Per-frame output of the ISM pipeline. */
@@ -125,9 +124,9 @@ stereo::DisparityMap ismSeed(const stereo::DisparityMap &prev_disparity,
 
 /**
  * Stages 2-4 of a non-key frame: ismSeed, then the guided 1-D SAD
- * search around the seeds (plus the optional median). This is the
- * only part of a non-key frame that depends on the predecessor's
- * output.
+ * search around the seeds, whose result is the frame's disparity.
+ * This is the only part of a non-key frame that depends on the
+ * predecessor's output.
  *
  * @param prev_disparity disparity of the previous frame; must be
  *                       non-empty and match the pair's dimensions

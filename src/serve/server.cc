@@ -218,8 +218,7 @@ Server::Server(ServerConfig config)
         MutexLock lock(fpsMutex_);
         fpsStamp_ = std::chrono::steady_clock::now();
     }
-    if (!config_.manualDispatch)
-        dispatcher_ = std::thread(&Server::dispatcherMain, this);
+    dispatcher_ = std::thread(&Server::dispatcherMain, this);
     if (config_.heartbeatPeriod.count() > 0)
         heartbeat_ = std::thread(&Server::heartbeatMain, this);
 }
@@ -352,14 +351,6 @@ Server::allWorkDelivered() const
 void
 Server::drain()
 {
-    if (config_.manualDispatch) {
-        while (!allWorkDelivered()) {
-            if (!pumpOnce())
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(100));
-        }
-        return;
-    }
     drainWaiters_.fetch_add(1, std::memory_order_relaxed);
     {
         MutexLock lock(waitMutex_);
@@ -373,7 +364,7 @@ Server::drain()
 void
 Server::stop()
 {
-    const bool first = !stopping_.exchange(true);
+    stopping_.store(true);
     {
         MutexLock lock(wakeMutex_);
         wakeCv_.notify_all();
@@ -384,25 +375,10 @@ Server::stop()
         drainCv_.notify_all();
         hbCv_.notify_all();
     }
-    if (config_.manualDispatch) {
-        // The caller is the dispatcher: finish its job inline.
-        if (first)
-            pumpUntilStopped();
-    } else if (dispatcher_.joinable()) {
+    if (dispatcher_.joinable())
         dispatcher_.join();
-    }
     if (heartbeat_.joinable())
         heartbeat_.join();
-}
-
-bool
-Server::pump()
-{
-    if (!config_.manualDispatch)
-        throw std::logic_error(
-            "pump() is only valid with ServerConfig::manualDispatch "
-            "(otherwise the dispatcher thread owns the pipelines)");
-    return pumpOnce();
 }
 
 bool
@@ -641,18 +617,6 @@ Server::finalizeStop()
 }
 
 void
-Server::pumpUntilStopped()
-{
-    for (;;) {
-        const bool progress = pumpOnce();
-        if (finalizeStop() && !progress)
-            return;
-        if (!progress)
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-}
-
-void
 Server::dispatcherMain()
 {
     while (!stopping_.load(std::memory_order_acquire)) {
@@ -671,7 +635,14 @@ Server::dispatcherMain()
             dispatcherIdle_.store(false, std::memory_order_release);
         }
     }
-    pumpUntilStopped();
+    // Stopping: deliver every accepted frame before exiting.
+    for (;;) {
+        const bool progress = pumpOnce();
+        if (finalizeStop() && !progress)
+            break;
+        if (!progress)
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
     MutexLock lock(waitMutex_);
     drainCv_.notify_all();
     spaceCv_.notify_all();

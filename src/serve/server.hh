@@ -46,12 +46,11 @@
  * pixel buffers already recycle through each pipeline's BufferPool.
  *
  * Threading: openStream()/submit()/trySubmit() are safe from any
- * thread. stop()/drain() are driver-thread operations. The
- * dispatcher thread is the single driver of every pipeline (their
- * single-driver contract) and the single consumer of the ring; with
- * ServerConfig::manualDispatch the caller takes the dispatcher's
- * role by calling pump() (single-threaded serving — what the
- * alloc-guard test uses).
+ * thread. stop()/drain() are driver-thread operations. Every server
+ * runs one dispatcher thread, started at construction: it is the
+ * single driver of every pipeline (their single-driver contract),
+ * the single consumer of the ring, and the thread every ResultFn
+ * runs on.
  */
 
 #ifndef ASV_SERVE_SERVER_HH
@@ -107,9 +106,9 @@ struct ServeResult
     std::string error;              //!< set when status == Failed
 };
 
-/** Per-stream result sink. Invoked on the dispatcher thread (or
- *  inside pump()): keep it cheap — heavy post-processing belongs on
- *  the client's side of a queue it owns. */
+/** Per-stream result sink. Invoked on the dispatcher thread: keep
+ *  it cheap — heavy post-processing belongs on the client's side of
+ *  a queue it owns. */
 using ResultFn = std::function<void(ServeResult &&)>;
 
 /** Heartbeat / stats snapshot callback. */
@@ -167,10 +166,6 @@ struct ServerConfig
     /** Heartbeat callback period; 0 disables the heartbeat thread
      *  (stats() polling still works). */
     std::chrono::milliseconds heartbeatPeriod{0};
-
-    /** No dispatcher thread: the caller drives routing, dispatch
-     *  and delivery by calling pump(). Single-threaded serving. */
-    bool manualDispatch = false;
 };
 
 /** Point-in-time per-stream counters. */
@@ -209,8 +204,8 @@ struct ServerStats
 
 /**
  * The multi-stream serving frontend. See the file comment for the
- * architecture; construction starts the dispatcher (and heartbeat)
- * thread unless ServerConfig says otherwise.
+ * architecture; construction starts the dispatcher thread, and the
+ * heartbeat thread when ServerConfig::heartbeatPeriod is set.
  */
 class Server
 {
@@ -259,8 +254,8 @@ class Server
      * Wait until every accepted frame has been delivered (Ok, Shed
      * or Failed). Call only while no other thread is submitting and
      * no stream is paused — otherwise the target keeps moving and
-     * drain() cannot terminate. In manualDispatch mode this pumps
-     * on the calling thread until idle.
+     * drain() cannot terminate. Blocks the calling thread while the
+     * dispatcher thread does the work.
      */
     void drain();
 
@@ -281,29 +276,17 @@ class Server
     int subscribe(HeartbeatFn fn);
     void unsubscribe(int token);
 
-    /**
-     * manualDispatch mode: run one dispatcher pass (drain ring,
-     * route/shed, dispatch to pipelines, deliver ready results) on
-     * the calling thread. Returns true when it made progress.
-     * Throws std::logic_error, touching no state, when a dispatcher
-     * thread owns the server.
-     */
-    bool pump();
-
     /** The shared stage-executor pool (for co-scheduling ad-hoc
      *  work; see ThreadPool's FIFO contract before blocking in it). */
     const std::shared_ptr<ThreadPool> &pool() const { return pool_; }
-
-    int numStreams() const
-    {
-        return numStreams_.load(std::memory_order_acquire);
-    }
 
   private:
     struct StreamState;
 
     SubmitStatus submitImpl(StreamId stream, const image::Image &left,
                             const image::Image &right, bool blocking);
+    /** One dispatcher pass: drain the ring, route and shed, dispatch
+     *  to pipelines, deliver ready results. True on progress. */
     bool pumpOnce();
     bool allWorkDelivered() const;
     void routeFrame(FrameQueue::Item &item);
@@ -312,8 +295,6 @@ class Server
     void flushIdleShed();
     void deliverShedGaps(StreamState &s, int64_t bound);
     bool finalizeStop();
-    /** Pump until every accepted frame is delivered. */
-    void pumpUntilStopped();
     ServerStats buildStats() const;
     void dispatcherMain();
     void heartbeatMain();

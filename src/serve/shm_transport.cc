@@ -93,7 +93,17 @@ fnvWord(uint64_t h, uint64_t word)
     return h;
 }
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+/** The FNV-1a 64 state after the slot header words, in the order
+ *  frameChecksum() folds them; the payload words follow. */
+inline uint64_t
+fnvHeader(uint64_t frame_id, uint64_t stream, int width, int height)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    h = fnvWord(h, frame_id);
+    h = fnvWord(h, stream);
+    h = fnvWord(h, static_cast<uint64_t>(width));
+    return fnvWord(h, static_cast<uint64_t>(height));
+}
 
 inline AtomicWord *
 wordsAt(void *map, size_t byte_offset)
@@ -201,11 +211,8 @@ frameChecksum(uint64_t frame_id, StreamId stream, int width,
               int height, const uint64_t *payload,
               size_t payload_words)
 {
-    uint64_t h = kFnvOffset;
-    h = fnvWord(h, frame_id);
-    h = fnvWord(h, static_cast<uint32_t>(stream));
-    h = fnvWord(h, static_cast<uint64_t>(width));
-    h = fnvWord(h, static_cast<uint64_t>(height));
+    uint64_t h = fnvHeader(frame_id, static_cast<uint32_t>(stream),
+                           width, height);
     for (size_t i = 0; i < payload_words; ++i)
         h = fnvWord(h, payload[i]);
     return h;
@@ -307,11 +314,8 @@ ShmFrameWriter::write(StreamId stream, const image::Image &left,
     const size_t words_per_image =
         shm_layout::payloadWords(width_, height_) / 2;
 
-    uint64_t checksum = kFnvOffset;
-    checksum = fnvWord(checksum, frame_id);
-    checksum = fnvWord(checksum, static_cast<uint32_t>(stream));
-    checksum = fnvWord(checksum, static_cast<uint64_t>(width_));
-    checksum = fnvWord(checksum, static_cast<uint64_t>(height_));
+    uint64_t checksum = fnvHeader(
+        frame_id, static_cast<uint32_t>(stream), width_, height_);
     for (size_t i = 0; i < words_per_image; ++i) {
         const uint64_t w = packFloats(left.data(), pixels, i);
         payload[i].store(w, std::memory_order_release);
@@ -438,12 +442,8 @@ ShmFrameReader::tryRead(uint64_t frame_id, ShmFrame &out) const
             slot_words[kChecksumWord].load(
                 std::memory_order_acquire);
 
-        uint64_t checksum = kFnvOffset;
-        checksum = fnvWord(checksum, tag == 0 ? 0 : tag - 1);
-        checksum = fnvWord(checksum, stream);
-        checksum = fnvWord(checksum, static_cast<uint64_t>(width_));
-        checksum =
-            fnvWord(checksum, static_cast<uint64_t>(height_));
+        uint64_t checksum =
+            fnvHeader(tag == 0 ? 0 : tag - 1, stream, width_, height_);
         for (size_t i = 0; i < words_per_image; ++i) {
             const uint64_t w =
                 payload[i].load(std::memory_order_acquire);

@@ -149,7 +149,6 @@ class ShmFrameWriter
     int width() const { return width_; }
     int height() const { return height_; }
     int slotCount() const { return slotCount_; }
-    uint64_t framesWritten() const { return nextFrameId_; }
 
   private:
     std::string name_;

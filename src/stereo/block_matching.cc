@@ -10,6 +10,7 @@
 #include "common/math_util.hh"
 #include "common/simd.hh"
 #include "common/thread_pool.hh"
+#include "stereo/subpixel.hh"
 
 namespace asv::stereo
 {
@@ -92,20 +93,6 @@ class PaddedRows
     PoolHandle<const double *> ptrs_;
     PoolHandle<uint32_t> held_; //!< source row in each slot
 };
-
-/**
- * Parabolic sub-pixel refinement from costs at d-1, d, d+1. Returns
- * the offset in (-0.5, 0.5) to add to the integer disparity.
- */
-float
-subpixelOffset(double cm, double c0, double cp)
-{
-    const double denom = cm - 2.0 * c0 + cp;
-    if (denom <= 1e-12)
-        return 0.f;
-    const double off = 0.5 * (cm - cp) / denom;
-    return static_cast<float>(clamp(off, -0.5, 0.5));
-}
 
 /**
  * Pick the disparity of each of @p n pixels from its costs over its

@@ -8,6 +8,7 @@
 #include "common/logging.hh"
 #include "common/math_util.hh"
 #include "common/simd.hh"
+#include "stereo/subpixel.hh"
 
 namespace asv::stereo
 {
@@ -64,17 +65,6 @@ class PathScratch
     int64_t stride_;
     PoolHandle<uint16_t> buf_;
 };
-
-float
-subpixelOffset(uint32_t cm, uint32_t c0, uint32_t cp)
-{
-    const double denom =
-        double(cm) - 2.0 * double(c0) + double(cp);
-    if (denom <= 1e-12)
-        return 0.f;
-    const double off = 0.5 * (double(cm) - double(cp)) / denom;
-    return static_cast<float>(clamp(off, -0.5, 0.5));
-}
 
 /**
  * Census transform of one image row into @p out (w entries). The

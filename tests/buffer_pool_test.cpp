@@ -5,8 +5,8 @@
  *
  * Covers the shelf mechanics (hit/miss accounting, exact-shape keys,
  * LIFO recycling), the RAII handle contract (move-only, release,
- * outliving the pool), the bounded-growth policy (setHighWaterBytes
- * + trim), allocation-freedom of the warm path under AllocScope, an
+ * outliving the pool), trim's largest-first eviction,
+ * allocation-freedom of the warm path under AllocScope, an
  * 8-thread acquire/release hammer for the TSan lane, and the
  * mid-stream resolution-change contract: pipelines cycling through
  * resolutions must keep resident bytes bounded by one resolution's
@@ -162,7 +162,7 @@ TEST(BufferPool, WarmAcquireReleaseIsAllocationFree)
         << "warm acquire/release must be allocation-free";
 }
 
-TEST(BufferPool, TrimEvictsLargestFirstToHighWaterMark)
+TEST(BufferPool, TrimEvictsLargestFirst)
 {
     BufferPool pool;
     {
@@ -175,21 +175,13 @@ TEST(BufferPool, TrimEvictsLargestFirstToHighWaterMark)
     const uint64_t full = s.residentBytes;
     ASSERT_GE(full, (1024u + 2048u + 4096u) * sizeof(float));
 
-    // Arming the mark below the current footprint trims immediately,
-    // largest buffers first: dropping the 4096 suffices.
-    pool.setHighWaterBytes(5000 * sizeof(float));
+    // A target below the footprint evicts largest buffers first:
+    // dropping the 4096 suffices.
+    pool.trim(5000 * sizeof(float));
     s = pool.stats();
     EXPECT_LE(s.residentBytes, 5000u * sizeof(float));
     EXPECT_EQ(2u, s.residentBuffers);
     EXPECT_EQ(1u, s.trimmedBuffers);
-    EXPECT_EQ(5000u * sizeof(float), s.highWaterBytes);
-
-    // A release that would overflow the mark evicts down to it.
-    {
-        auto c = pool.acquire<float>(4096); // miss (was evicted)
-    }
-    s = pool.stats();
-    EXPECT_LE(s.residentBytes, 5000u * sizeof(float));
 
     // trim(0) empties the arena completely.
     pool.trim(0);
@@ -247,7 +239,6 @@ TEST(BufferPool, ConcurrentAcquireReleaseFromEightThreads)
     // racing the shelf traffic. Asserts basic sanity; its real job
     // is giving ThreadSanitizer interleavings to chew on.
     BufferPool pool;
-    pool.setHighWaterBytes(1 << 20);
     constexpr int kThreads = 8;
     constexpr int kIters = 400;
     std::vector<std::thread> threads;

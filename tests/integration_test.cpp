@@ -20,7 +20,6 @@
 #include "fn_matcher.hh"
 #include "sched/optimizer.hh"
 #include "sim/accelerator.hh"
-#include "stereo/postprocess.hh"
 #include "stereo/sgm.hh"
 
 namespace
@@ -110,8 +109,7 @@ TEST(SelfContained, SgmKeyFramesNoOracle)
                                        const image::Image &r) {
             stereo::SgmParams sgm;
             sgm.maxDisparity = 32;
-            auto d = stereo::sgmCompute(l, r, sgm, ExecContext::global());
-            return stereo::fillInvalid(d);
+            return stereo::sgmCompute(l, r, sgm, ExecContext::global());
         }));
 
     for (size_t t = 0; t < seq.frames.size(); ++t) {

@@ -1,16 +1,20 @@
 /**
  * @file
- * Tests for disparity post-processing (median filter, speckle
- * removal, invalid filling) and the block-motion estimator.
+ * Tests for the row fill that closes ismSeed's scatter holes (the
+ * one hole-filling pass in the library) and the block-motion
+ * estimator.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/buffer_pool.hh"
+#include "common/exec_context.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
+#include "core/ism.hh"
 #include "data/scene.hh"
 #include "flow/block_motion.hh"
 #include "stereo/disparity.hh"
-#include "stereo/postprocess.hh"
 
 namespace
 {
@@ -18,89 +22,65 @@ namespace
 using namespace asv;
 using namespace asv::stereo;
 
-TEST(Median, RemovesSaltAndPepper)
+/**
+ * ismSeed of @p prev under still flow: every seed stays where it
+ * is, so the output differs from @p prev only by the row fill.
+ */
+DisparityMap
+stillSeed(const DisparityMap &prev)
 {
-    DisparityMap d(9, 9);
-    d.fill(10.f);
-    d.at(4, 4) = 60.f; // single outlier
-    DisparityMap f = medianFilter3x3(d);
-    EXPECT_FLOAT_EQ(f.at(4, 4), 10.f);
-    EXPECT_FLOAT_EQ(f.at(0, 0), 10.f);
+    flow::FlowField still;
+    still.u = image::Image(prev.width(), prev.height(), 0.f);
+    still.v = image::Image(prev.width(), prev.height(), 0.f);
+    ThreadPool pool(2);
+    BufferPool buffers;
+    return core::ismSeed(prev, still, still, core::IsmParams{},
+                         ExecContext(pool, buffers));
 }
 
-TEST(Median, PreservesEdges)
+TEST(SeedFill, HoleTakesItsLeftNeighbour)
 {
-    // A clean disparity step must survive median filtering.
-    DisparityMap d(10, 6);
-    for (int y = 0; y < 6; ++y)
-        for (int x = 0; x < 10; ++x)
-            d.at(x, y) = x < 5 ? 8.f : 24.f;
-    DisparityMap f = medianFilter3x3(d);
-    EXPECT_FLOAT_EQ(f.at(2, 3), 8.f);
-    EXPECT_FLOAT_EQ(f.at(7, 3), 24.f);
-}
-
-TEST(Median, PassesThroughInvalid)
-{
-    DisparityMap d(5, 5);
-    d.fill(10.f);
-    d.at(2, 2) = kInvalidDisparity;
-    DisparityMap f = medianFilter3x3(d);
-    EXPECT_FALSE(isValidDisparity(f.at(2, 2)));
-}
-
-TEST(Speckle, SmallRegionsAreInvalidated)
-{
-    DisparityMap d(20, 20);
-    d.fill(10.f);
-    // A 3-pixel speckle at a very different disparity.
-    d.at(5, 5) = d.at(6, 5) = d.at(5, 6) = 40.f;
-    DisparityMap f = removeSpeckles(d, /*min_region=*/8, 1.f);
-    EXPECT_FALSE(isValidDisparity(f.at(5, 5)));
-    EXPECT_FALSE(isValidDisparity(f.at(6, 5)));
-    // The large background region survives.
-    EXPECT_TRUE(isValidDisparity(f.at(0, 0)));
-    EXPECT_TRUE(isValidDisparity(f.at(19, 19)));
-}
-
-TEST(Speckle, LargeRegionsSurvive)
-{
-    DisparityMap d(20, 20);
-    d.fill(10.f);
-    for (int y = 4; y < 12; ++y)
-        for (int x = 4; x < 12; ++x)
-            d.at(x, y) = 30.f; // 64 pixels
-    DisparityMap f = removeSpeckles(d, 24, 1.f);
-    EXPECT_TRUE(isValidDisparity(f.at(8, 8)));
-}
-
-TEST(Fill, FillsFromLeftNeighbor)
-{
-    DisparityMap d(6, 1);
+    // Pixels x >= d keep their seed; the hole at x = 4, 5 sits
+    // between 3 and 4 and takes the 3, as does the trailing run.
+    DisparityMap d(8, 1);
     d.fill(kInvalidDisparity);
-    d.at(1, 0) = 12.f;
-    DisparityMap f = fillInvalid(d);
-    EXPECT_FLOAT_EQ(f.at(0, 0), 12.f); // right-to-left pass
-    EXPECT_FLOAT_EQ(f.at(5, 0), 12.f); // left-to-right pass
-    EXPECT_NEAR(validFraction(f), 1.0, 1e-9);
+    d.at(2, 0) = 2.f;
+    d.at(3, 0) = 3.f;
+    d.at(6, 0) = 4.f;
+    const DisparityMap f = stillSeed(d);
+    EXPECT_FLOAT_EQ(f.at(4, 0), 3.f);
+    EXPECT_FLOAT_EQ(f.at(5, 0), 3.f);
+    EXPECT_FLOAT_EQ(f.at(6, 0), 4.f);
+    EXPECT_FLOAT_EQ(f.at(7, 0), 4.f);
 }
 
-TEST(Fill, AllInvalidRowStaysInvalid)
+TEST(SeedFill, LeadingRunTakesTheFirstSeedToItsRight)
 {
-    DisparityMap d(4, 2);
+    // x = 0, 1 have nothing to their left; x = 2 (d = 5, so x - d < 0)
+    // has no right endpoint and is dropped by the scatter.
+    DisparityMap d(8, 1);
     d.fill(kInvalidDisparity);
-    d.at(0, 1) = 5.f;
-    DisparityMap f = fillInvalid(d);
-    EXPECT_FALSE(isValidDisparity(f.at(2, 0)));
-    EXPECT_FLOAT_EQ(f.at(3, 1), 5.f);
+    d.at(2, 0) = 5.f;
+    d.at(3, 0) = 2.f;
+    d.at(7, 0) = 1.f;
+    const DisparityMap f = stillSeed(d);
+    for (int x = 0; x < 3; ++x)
+        EXPECT_FLOAT_EQ(f.at(x, 0), 2.f) << "x " << x;
+    EXPECT_FLOAT_EQ(f.at(6, 0), 2.f);
+    EXPECT_FLOAT_EQ(f.at(7, 0), 1.f);
 }
 
-TEST(ValidFraction, CountsCorrectly)
+TEST(SeedFill, RowWithoutASeedStaysInvalid)
 {
-    DisparityMap d(4, 1);
+    // Rows fill independently: one seed fills its own row only.
+    DisparityMap d(8, 2);
     d.fill(kInvalidDisparity);
-    d.at(0, 0) = 1.f;
-    EXPECT_DOUBLE_EQ(validFraction(d), 0.25);
+    d.at(5, 1) = 2.f;
+    const DisparityMap f = stillSeed(d);
+    for (int x = 0; x < 8; ++x) {
+        EXPECT_FALSE(isValidDisparity(f.at(x, 0))) << "x " << x;
+        EXPECT_FLOAT_EQ(f.at(x, 1), 2.f) << "x " << x;
+    }
 }
 
 TEST(BlockMotion, RecoversGlobalTranslation)

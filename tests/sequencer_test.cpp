@@ -192,36 +192,6 @@ TEST(IsmMotionEstimator, BlockMatchingWorksButCoarser)
     EXPECT_LT(block, 40.0); // functional, just coarser
 }
 
-TEST(IsmPostprocess, MedianDoesNotHurt)
-{
-    data::SceneConfig cfg;
-    cfg.width = 128;
-    cfg.height = 64;
-    auto seq = data::generateSequence(cfg, 6, 23);
-    auto run = [&](bool median) {
-        size_t idx = 0;
-        IsmParams params;
-        params.propagationWindow = 3;
-        params.medianPostprocess = median;
-        IsmPipeline ism(
-            params,
-            testref::fnMatcher([&](const image::Image &,
-                                   const image::Image &) {
-                return seq.frames[idx].gtDisparity;
-            }));
-        double err = 0;
-        for (idx = 0; idx < seq.frames.size(); ++idx) {
-            const auto &f = seq.frames[idx];
-            err += stereo::badPixelRate(
-                       ism.processFrame(f.left, f.right).disparity,
-                       f.gtDisparity, 3.0, 6) /
-                   double(seq.frames.size());
-        }
-        return err;
-    };
-    EXPECT_LE(run(true), run(false) + 0.5);
-}
-
 TEST(Batch, ScalesActivationsNotWeights)
 {
     dnn::LayerDesc l;

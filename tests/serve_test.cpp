@@ -17,15 +17,15 @@
  *    (AllocTracker-guarded, including the FrameQueue in isolation);
  *  - a malformed StreamConfig or a full stream table throws from
  *    openStream() and leaves the server unchanged and serving; a bad
- *    ServerConfig, an unknown id in setPaused(), an empty
- *    heartbeat callback and pump() on a threaded server throw as
- *    well.
+ *    ServerConfig, an unknown id in setPaused() and an empty
+ *    heartbeat callback throw as well.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -94,6 +94,21 @@ struct ResultLog
     }
 };
 
+/** Poll stats() until @p done holds; false after ten seconds. */
+template <typename Pred>
+bool
+waitForStats(const Server &server, Pred done)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done(server.stats())) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
 StreamConfig
 streamConfig(ResultLog &log, int propagation_window = 3,
              int max_queued = 64, int max_in_flight = 2)
@@ -110,7 +125,6 @@ streamConfig(ResultLog &log, int propagation_window = 3,
 TEST(Serve, SubmitStatuses)
 {
     ServerConfig sc;
-    sc.manualDispatch = true;
     sc.workers = 2;
     sc.queueCapacity = 2;
     Server server(sc);
@@ -119,16 +133,34 @@ TEST(Serve, SubmitStatuses)
     const StreamId id = server.openStream(streamConfig(log));
     const auto frames = makeFrames(1, 7);
 
+    // A second stream whose one result parks the dispatcher thread in
+    // its callback until `release` opens, so nothing drains the ring.
+    std::latch parked(1);
+    std::latch release(1);
+    ResultLog unused;
+    StreamConfig blocker = streamConfig(unused);
+    blocker.onResult = [&parked, &release](ServeResult &&) {
+        parked.count_down();
+        release.wait();
+    };
+    const StreamId blocked = server.openStream(std::move(blocker));
+    ASSERT_EQ(server.submit(blocked, frames[0].left, frames[0].right),
+              SubmitStatus::Accepted);
+    parked.wait();
+
+    // No ASSERT until release opens: an early return would leave the
+    // dispatcher parked and ~Server waiting for it.
     EXPECT_EQ(server.submit(99, frames[0].left, frames[0].right),
               SubmitStatus::UnknownStream);
     EXPECT_EQ(server.trySubmit(id, frames[0].left, frames[0].right),
               SubmitStatus::Accepted);
     EXPECT_EQ(server.trySubmit(id, frames[0].left, frames[0].right),
               SubmitStatus::Accepted);
-    // Ring capacity 2, nobody pumping: the third attempt reports
+    // Ring capacity 2, dispatcher parked: the third attempt reports
     // QueueFull instead of blocking.
     EXPECT_EQ(server.trySubmit(id, frames[0].left, frames[0].right),
               SubmitStatus::QueueFull);
+    release.count_down();
 
     server.drain();
     server.stop();
@@ -136,7 +168,7 @@ TEST(Serve, SubmitStatuses)
               SubmitStatus::Closed);
 
     const ServerStats stats = server.stats();
-    ASSERT_EQ(stats.streams.size(), 1u);
+    ASSERT_EQ(stats.streams.size(), 2u);
     EXPECT_EQ(stats.streams[0].submitted, 4);
     EXPECT_EQ(stats.streams[0].rejected, 2); // QueueFull + Closed
     EXPECT_EQ(stats.streams[0].accepted, 2);
@@ -237,31 +269,6 @@ TEST(Serve, BadServerInputThrowsAndLeavesServerUsable)
     for (const FramePair &f : frames)
         ASSERT_EQ(server.submit(id, f.left, f.right),
                   SubmitStatus::Accepted);
-    server.drain();
-    server.stop();
-    ASSERT_EQ(log.results.size(), frames.size());
-    for (size_t f = 0; f < frames.size(); ++f) {
-        EXPECT_EQ(log.results[f].ticket, static_cast<int64_t>(f));
-        EXPECT_EQ(log.results[f].status, ResultStatus::Ok);
-    }
-}
-
-TEST(Serve, PumpOnThreadedServerThrowsAndLeavesServerUsable)
-{
-    // The dispatcher thread owns this server's pipelines: pump()
-    // from a client thread is a misuse that throws, touching nothing.
-    ServerConfig sc;
-    sc.workers = 2;
-    Server server(sc);
-    ResultLog log;
-    const StreamId id = server.openStream(streamConfig(log));
-    EXPECT_THROW(server.pump(), std::logic_error);
-
-    const auto frames = makeFrames(4, 17);
-    for (const FramePair &f : frames)
-        ASSERT_EQ(server.submit(id, f.left, f.right),
-                  SubmitStatus::Accepted);
-    EXPECT_THROW(server.pump(), std::logic_error);
     server.drain();
     server.stop();
     ASSERT_EQ(log.results.size(), frames.size());
@@ -457,14 +464,13 @@ TEST(Serve, BackpressureSaturationNeverLosesFrames)
 
 TEST(Serve, ShedDropsOldestNonKeyNeverAcceptedKeys)
 {
-    // Deterministic shedding scenario: manual dispatch, stream
-    // paused, propagationWindow 3, maxQueued 3, nine frames. Routing
-    // tickets 0..8 (keys 0, 3, 6) into a 3-deep queue must evict
-    // exactly the non-keys 1, 2, 4, 5 and shed the incoming 7, 8 —
-    // the three accepted keys survive untouched.
+    // Deterministic shedding scenario: stream paused,
+    // propagationWindow 3, maxQueued 3, nine frames. Routing tickets
+    // 0..8 (keys 0, 3, 6) into a 3-deep queue must evict exactly the
+    // non-keys 1, 2, 4, 5 and shed the incoming 7, 8 — the three
+    // accepted keys survive untouched.
     ResultLog log;
     ServerConfig sc;
-    sc.manualDispatch = true;
     sc.workers = 2;
     sc.queueCapacity = 16;
     Server server(sc);
@@ -480,8 +486,15 @@ TEST(Serve, ShedDropsOldestNonKeyNeverAcceptedKeys)
         ASSERT_EQ(server.submit(id, p.left, p.right),
                   SubmitStatus::Accepted);
     }
-    server.pump(); // route + shed; nothing dispatches while paused
-    EXPECT_TRUE(log.results.empty())
+    // The dispatcher routes and sheds; nothing dispatches while
+    // paused. The log belongs to the dispatcher thread until drain(),
+    // so the test reads the counters instead.
+    ASSERT_TRUE(waitForStats(server, [](const ServerStats &st) {
+        return st.streams[0].accepted == 9 && st.streams[0].shed == 6;
+    }));
+    const ServerStats routed = server.stats();
+    EXPECT_EQ(routed.streams[0].queueDepth, 3);
+    EXPECT_EQ(routed.delivered, 0)
         << "shed notifications must wait for their ordered position";
 
     server.setPaused(id, false);
@@ -566,18 +579,17 @@ TEST(Serve, HeartbeatAndStats)
 
 TEST(Serve, HotPathAllocationFreeAtSteadyState)
 {
-    // Single-threaded serving (manualDispatch) with a paused stream:
-    // the measured region exercises submission (ring enqueue),
-    // routing, ticketing, shedding, and — via the inline manual
-    // stop() — ordered shed delivery, with zero heap traffic.
-    // (AllocTracker counts every thread, so the pipeline-dispatch
-    // side, which allocates by documented exception, stays out of
-    // the picture by keeping the stream paused.)
+    // A paused stream: the measured region exercises submission
+    // (ring enqueue) on this thread and routing, ticketing, shedding
+    // and — at stop() — ordered shed delivery on the dispatcher
+    // thread, with zero heap traffic. (AllocTracker counts every
+    // thread, so the pipeline-dispatch side, which allocates by
+    // documented exception, stays out of the picture by keeping the
+    // stream paused.)
     int delivered = 0;
     int shed = 0;
 
     ServerConfig sc;
-    sc.manualDispatch = true;
     sc.workers = 2;
     sc.queueCapacity = 4;
     Server server(sc);
@@ -597,14 +609,17 @@ TEST(Serve, HotPathAllocationFreeAtSteadyState)
     const auto frames = makeFrames(2, 88);
 
     // Warm-up: one lap of the ring, every pending slot, and the
-    // dispatcher scratch see the frame shape once.
+    // dispatcher scratch see the frame shape once. stats() allocates,
+    // so it runs only outside the guard.
     for (int i = 0; i < 80; ++i) {
         const FramePair &p =
             frames[static_cast<size_t>(i) % frames.size()];
         ASSERT_EQ(server.submit(id, p.left, p.right),
                   SubmitStatus::Accepted);
-        server.pump();
     }
+    ASSERT_TRUE(waitForStats(server, [](const ServerStats &st) {
+        return st.streams[0].accepted == 80;
+    }));
 
     {
         ASV_ASSERT_NO_ALLOC;
@@ -612,9 +627,8 @@ TEST(Serve, HotPathAllocationFreeAtSteadyState)
             const FramePair &p =
                 frames[static_cast<size_t>(i) % frames.size()];
             server.submit(id, p.left, p.right);
-            server.pump();
         }
-        server.stop(); // inline: delivers the whole backlog as Shed
+        server.stop(); // delivers the whole backlog as Shed
     }
 
     // 180 accepted; 64 still pending at stop — every one reported.
