@@ -15,14 +15,18 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "deconv/transform.hh"
 #include "dnn/zoo.hh"
 #include "sim/accelerator.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace asv;
 
@@ -75,4 +79,19 @@ main(int argc, char **argv)
                 1e3 * cost.energy.scalarJ,
                 1e3 * cost.energy.leakageJ);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // An unknown network or an unschedulable hardware size is the
+    // user's error: the library throws, the tool reports it.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gate: markdown links, header comments, pool and caller rules.
 
-Six checks, no third-party dependencies:
+Seven checks, no third-party dependencies:
 
 1. Every relative link and image reference in the repo's markdown
    files (README.md, docs/, and the top-level record files) must
@@ -41,6 +41,13 @@ Six checks, no third-party dependencies:
    src/core/ism.{hh,cc} may call ismDecideKeyFrame(), so a second
    copy of the per-stream sequencing cannot come back in the
    library (the header only declares it).
+
+7. The library reports a caller's error by throwing, never by ending
+   the process. No non-comment line of a *.cc or *.hh file under
+   src/ outside src/common/simd.cc may call exit(); that file's
+   ASV_SIMD resolution is the one exit, because it runs on the first
+   kernel call, possibly on a pool worker where no caller could
+   catch an exception.
 
 Exit 0 when clean; prints one line per violation and exits 1
 otherwise.
@@ -167,7 +174,7 @@ def check_global_pools(path: Path) -> list[str]:
             for lineno, m in code_matches(path, GLOBAL_POOL_RE)]
 
 
-# Rules 4 to 6: (call pattern, the src/ paths allowed to make it,
+# Rules 4 to 7: (call pattern, the src/ paths allowed to make it,
 # what to do instead). A path is allowed when it starts with one of
 # the listed path-part prefixes.
 CALLER_RULES = [
@@ -179,6 +186,8 @@ CALLER_RULES = [
     (re.compile(r"\bismDecideKeyFrame\("),
      [("src", "core", "ism.cc"), ("src", "core", "ism.hh")],
      "admit frames through core::IsmSequence instead"),
+    (re.compile(r"\bexit\("), [("src", "common", "simd.cc")],
+     "throw std::invalid_argument through require() instead"),
 ]
 
 

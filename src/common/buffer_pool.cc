@@ -6,46 +6,15 @@ namespace asv
 namespace detail
 {
 
-namespace
-{
-
-/**
- * Evict idle buffers from one shelf, largest element count first,
- * until the pool-wide idle footprint fits @p target_bytes. The
- * vectors are destroyed in place under the pool mutex — eviction is
- * a cold path (resolution changes, explicit trims), and freeing
- * never re-enters the pool.
- */
-template <typename T>
 void
-trimShelf(std::map<size_t, std::vector<std::vector<T>>> &shelf,
-          uint64_t target_bytes, uint64_t &resident_bytes,
-          uint64_t &resident_buffers, uint64_t &trimmed)
+PoolState::clearLocked()
 {
-    for (auto it = shelf.rbegin();
-         it != shelf.rend() && resident_bytes > target_bytes; ++it) {
-        auto &stack = it->second;
-        while (!stack.empty() && resident_bytes > target_bytes) {
-            resident_bytes -= stack.back().capacity() * sizeof(T);
-            --resident_buffers;
-            ++trimmed;
-            stack.pop_back();
-        }
-    }
-}
-
-} // namespace
-
-void
-PoolState::trimLocked(uint64_t target_bytes)
-{
-    std::apply(
-        [&](auto &...shelf) {
-            (trimShelf(shelf, target_bytes, residentBytes_,
-                       residentBuffers_, trimmedBuffers_),
-             ...);
-        },
-        shelves_);
+    // The vectors are destroyed in place under the pool mutex:
+    // clearing is a cold path (resolution changes, explicit trims),
+    // and freeing never re-enters the pool.
+    std::apply([](auto &...shelf) { (shelf.clear(), ...); }, shelves_);
+    residentBytes_ = 0;
+    residentBuffers_ = 0;
 }
 
 } // namespace detail
@@ -54,7 +23,7 @@ BufferPool::~BufferPool()
 {
     MutexLock lock(state_->mutex_);
     state_->closed_ = true;
-    state_->trimLocked(0);
+    state_->clearLocked();
 }
 
 BufferPool::Stats
@@ -64,17 +33,16 @@ BufferPool::stats() const
     Stats s;
     s.hits = state_->hits_;
     s.misses = state_->misses_;
-    s.trimmedBuffers = state_->trimmedBuffers_;
     s.residentBytes = state_->residentBytes_;
     s.residentBuffers = state_->residentBuffers_;
     return s;
 }
 
 void
-BufferPool::trim(uint64_t target_bytes)
+BufferPool::trim()
 {
     MutexLock lock(state_->mutex_);
-    state_->trimLocked(target_bytes);
+    state_->clearLocked();
 }
 
 BufferPool &

@@ -33,10 +33,9 @@
  *    free their storage on destruction instead of shelving it.
  *  - **Stats + bounded growth.** hits/misses/resident bytes are
  *    queryable (see stats()). A pool grows to its workload's
- *    warm-up working set and stays there; trim() evicts idle
- *    buffers, largest first, on demand — pipelines call trim(0) on
- *    a mid-stream resolution change so stale-shape buffers do not
- *    accumulate.
+ *    warm-up working set and stays there; trim() frees every idle
+ *    buffer on demand — pipelines call it on a mid-stream
+ *    resolution change so stale-shape buffers do not accumulate.
  *
  * Thread safety: all operations are safe from any thread; the warm
  * acquire/release path is one mutex acquisition plus a map lookup
@@ -146,9 +145,8 @@ class PoolState
     template <typename T>
     using Shelf = std::map<size_t, std::vector<std::vector<T>>>;
 
-    /** Evict idle buffers, largest element-size first, until the
-     *  idle footprint is <= @p target_bytes. */
-    void trimLocked(uint64_t target_bytes) ASV_REQUIRES(mutex_);
+    /** Free every idle buffer. */
+    void clearLocked() ASV_REQUIRES(mutex_);
 
     Mutex mutex_;
     std::tuple<Shelf<float>, Shelf<double>, Shelf<uint8_t>,
@@ -158,7 +156,6 @@ class PoolState
     bool closed_ ASV_GUARDED_BY(mutex_) = false;
     uint64_t hits_ ASV_GUARDED_BY(mutex_) = 0;
     uint64_t misses_ ASV_GUARDED_BY(mutex_) = 0;
-    uint64_t trimmedBuffers_ ASV_GUARDED_BY(mutex_) = 0;
     uint64_t residentBytes_ ASV_GUARDED_BY(mutex_) = 0;
     uint64_t residentBuffers_ ASV_GUARDED_BY(mutex_) = 0;
 };
@@ -280,16 +277,14 @@ class BufferPool
     {
         uint64_t hits = 0;            //!< acquires served from shelf
         uint64_t misses = 0;          //!< acquires that allocated
-        uint64_t trimmedBuffers = 0;  //!< buffers evicted by trim
         uint64_t residentBytes = 0;   //!< idle (shelved) bytes
         uint64_t residentBuffers = 0; //!< idle (shelved) buffers
     };
     Stats stats() const;
 
-    /** Evict idle buffers now until at most @p target_bytes remain
-     *  shelved. trim(0) empties the pool (e.g. on a mid-stream
-     *  resolution change, where every shelved shape went stale). */
-    void trim(uint64_t target_bytes = 0);
+    /** Free every idle buffer now, e.g. on a mid-stream resolution
+     *  change, where every shelved shape went stale. */
+    void trim();
 
     /**
      * The shared core, for pool-backed containers (image::Image)

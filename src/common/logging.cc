@@ -1,6 +1,7 @@
 #include "common/logging.hh"
 
 #include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "common/thread_annotations.hh"
@@ -12,11 +13,11 @@ namespace
 {
 
 /**
- * Serializes every non-fatal log emission: concurrent warn() calls
+ * Serializes every warn()/inform() emission: concurrent warn() calls
  * from pool workers must not interleave their lines, and the
  * redirectable sink is shared mutable state the emitting threads
- * race on without it. panic()/fatal() bypass the lock — they must
- * make progress even if a thread died while logging.
+ * race on without it. panic() bypasses the lock — it must make
+ * progress even if a thread died while logging.
  */
 Mutex g_logMutex;
 LogSink g_logSink ASV_GUARDED_BY(g_logMutex);
@@ -53,13 +54,6 @@ panicImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "panic: %s\n @ %s:%d\n", msg.c_str(), file, line);
     std::abort();
-}
-
-[[noreturn]] void
-fatalImpl(const char *file, int line, const std::string &msg)
-{
-    std::fprintf(stderr, "fatal: %s\n @ %s:%d\n", msg.c_str(), file, line);
-    std::exit(1);
 }
 
 void

@@ -2,13 +2,14 @@
  * @file
  * Logging and error-reporting primitives in the gem5 idiom.
  *
- * Two classes of error are distinguished (following gem5's
- * base/logging.hh semantics):
+ * Two classes of error are distinguished:
  *
  *  - panic(): something happened that should never happen regardless of
  *    user input, i.e. a bug in this library. Aborts.
- *  - fatal(): the run cannot continue due to a user-side condition (bad
- *    configuration, invalid arguments). Exits with an error code.
+ *  - require(): a caller's error (bad configuration, invalid
+ *    arguments). Throws std::invalid_argument, so a long-lived
+ *    process can reject the request and keep running; the library
+ *    never ends the process on a caller's behalf.
  *
  * warn() and inform() report conditions without stopping the run.
  */
@@ -16,10 +17,9 @@
 #ifndef ASV_COMMON_LOGGING_HH
 #define ASV_COMMON_LOGGING_HH
 
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -31,8 +31,8 @@ namespace asv
  * tests). The sink is invoked with the severity ("warn"/"info") and
  * the formatted message, serialized under the logging mutex — it may
  * be called from any thread but never concurrently. Pass nullptr to
- * restore the default stderr/stdout sink. panic()/fatal() always
- * write to stderr (the process is dying) and are not redirected.
+ * restore the default stderr/stdout sink. panic() always writes to
+ * stderr (the process is dying) and is not redirected.
  */
 using LogSink = std::function<void(const char *severity,
                                    const std::string &msg)>;
@@ -53,23 +53,30 @@ concat(Args &&...args)
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
 void warnImpl(const char *file, int line, const std::string &msg);
 void informImpl(const std::string &msg);
 
 } // namespace detail
+
+/**
+ * Reject a caller's error: throw std::invalid_argument carrying the
+ * concatenated @p what unless @p ok holds. The message is only built
+ * on failure.
+ */
+template <typename... Args>
+void
+require(bool ok, Args &&...what)
+{
+    if (!ok)
+        throw std::invalid_argument(
+            detail::concat(std::forward<Args>(what)...));
+}
 
 } // namespace asv
 
 /** Report an internal invariant violation (a library bug) and abort. */
 #define panic(...) \
     ::asv::detail::panicImpl(__FILE__, __LINE__, \
-                             ::asv::detail::concat(__VA_ARGS__))
-
-/** Report an unrecoverable user-side error and exit(1). */
-#define fatal(...) \
-    ::asv::detail::fatalImpl(__FILE__, __LINE__, \
                              ::asv::detail::concat(__VA_ARGS__))
 
 /** Report a suspicious-but-survivable condition. */
@@ -86,15 +93,6 @@ void informImpl(const std::string &msg);
     do { \
         if (cond) { \
             panic("panic condition (" #cond ") occurred: ", \
-                  ::asv::detail::concat(__VA_ARGS__)); \
-        } \
-    } while (0)
-
-/** fatal() unless the condition holds. */
-#define fatal_if(cond, ...) \
-    do { \
-        if (cond) { \
-            fatal("fatal condition (" #cond ") occurred: ", \
                   ::asv::detail::concat(__VA_ARGS__)); \
         } \
     } while (0)

@@ -1,6 +1,7 @@
 #include "common/simd.hh"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -35,6 +36,18 @@ cpuSupports(Level level)
 
 std::atomic<const Kernels *> g_active{nullptr};
 
+/**
+ * A bad ASV_SIMD ends the process, the one place the library does:
+ * the table is resolved on the first kernel call, which may run on a
+ * pool worker where no caller could catch an exception.
+ */
+[[noreturn]] void
+badSimdEnvironment(const std::string &msg)
+{
+    std::fprintf(stderr, "error: %s\n", msg.c_str());
+    std::exit(1);
+}
+
 /** Resolve the ASV_SIMD override (or cpuid default) once. */
 const Kernels *
 initialTable()
@@ -52,13 +65,15 @@ initialTable()
     } else if (spec == "neon") {
         level = Level::Neon;
     } else {
-        fatal("unknown ASV_SIMD value '", spec,
-              "' (want scalar|avx2|neon|native)");
+        badSimdEnvironment("unknown ASV_SIMD value '" + spec +
+                           "' (want scalar|avx2|neon|native)");
     }
     const Kernels *k = kernelsFor(level);
-    fatal_if(!k, "ASV_SIMD=", spec,
-             " is not supported by this host/build (best supported: ",
-             levelName(bestSupported()), ")");
+    if (!k)
+        badSimdEnvironment(
+            "ASV_SIMD=" + spec +
+            " is not supported by this host/build (best supported: " +
+            levelName(bestSupported()) + ")");
     return k;
 }
 
@@ -149,8 +164,8 @@ void
 setLevel(Level level)
 {
     const Kernels *k = kernelsFor(level);
-    fatal_if(!k, "SIMD level ", levelName(level),
-             " is not supported by this host/build");
+    require(k != nullptr, "SIMD level ", levelName(level),
+            " is not supported by this host/build");
     g_active.store(k, std::memory_order_release);
 }
 

@@ -19,7 +19,9 @@
  *    (supportedLevels());
  *  - override with `ASV_SIMD=scalar|avx2|neon|native`
  *    ("native" = best supported, the default). Requesting a level the
- *    host or build cannot run is a fatal configuration error;
+ *    host or build cannot run ends the process with exit code 1 —
+ *    the one exit in the library, since the table is resolved on the
+ *    first kernel call, possibly on a pool worker;
  *  - tests force a level programmatically with setLevel().
  *
  * Each per-ISA implementation lives in its own translation unit
@@ -303,7 +305,8 @@ Level bestSupported();
 
 /**
  * Force the active table (tests and tools; not a hot-path API).
- * Fatal if @p level is unsupported on this host/build.
+ * Throws std::invalid_argument if @p level is unsupported on this
+ * host/build.
  */
 void setLevel(Level level);
 

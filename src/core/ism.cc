@@ -22,26 +22,23 @@ IsmSequence::IsmSequence(
       matcher_(std::move(key_frame_matcher)),
       sequencer_(std::move(sequencer))
 {
-    if (params_.propagationWindow < 1)
-        throw std::invalid_argument("propagation window must be >= 1");
-    if (!matcher_)
-        throw std::invalid_argument("key-frame matcher is required");
-    if (!sequencer_)
-        throw std::invalid_argument("key-frame sequencer is required");
+    require(params_.propagationWindow >= 1,
+            "propagation window must be >= 1");
+    require(matcher_ != nullptr, "key-frame matcher is required");
+    require(sequencer_ != nullptr, "key-frame sequencer is required");
 }
 
 IsmAdmission
 IsmSequence::admit(const image::Image &left, const image::Image &right,
                    bool has_prev_disparity)
 {
-    if (left.width() != right.width() || left.height() != right.height())
-        throw std::invalid_argument("stereo pair size mismatch");
+    require(image::sameSize(left, right), "stereo pair size mismatch");
 
     IsmAdmission a;
     a.resized = width_ != 0 &&
                 (width_ != left.width() || height_ != left.height());
     if (a.resized)
-        buffers_->trim(0);
+        buffers_->trim();
     width_ = left.width();
     height_ = left.height();
 

@@ -1,7 +1,6 @@
 #include "core/sequencer.hh"
 
-#include <stdexcept>
-
+#include "common/logging.hh"
 #include "image/ops.hh"
 
 namespace asv::core
@@ -10,8 +9,7 @@ namespace asv::core
 StaticSequencer::StaticSequencer(int propagation_window)
     : window_(propagation_window)
 {
-    if (window_ < 1)
-        throw std::invalid_argument("propagation window must be >= 1");
+    require(window_ >= 1, "propagation window must be >= 1");
 }
 
 bool
@@ -24,10 +22,8 @@ AdaptiveSequencer::AdaptiveSequencer(double change_threshold,
                                      int max_window)
     : threshold_(change_threshold), maxWindow_(max_window)
 {
-    if (max_window < 1)
-        throw std::invalid_argument("max window must be >= 1");
-    if (!(change_threshold > 0.0))
-        throw std::invalid_argument("change threshold must be positive");
+    require(max_window >= 1, "max window must be >= 1");
+    require(change_threshold > 0.0, "change threshold must be positive");
 }
 
 void

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/logging.hh"
+
 namespace asv::core
 {
 
@@ -38,15 +40,12 @@ StreamPipeline::StreamPipeline(
     : sequence_(std::move(params), std::move(key_frame_matcher),
                 std::move(sequencer))
 {
-    if (stream.maxInFlight < 1)
-        throw std::invalid_argument("maxInFlight must be >= 1");
-    if (stream.workers < 0)
-        throw std::invalid_argument("workers must be >= 0");
+    require(stream.maxInFlight >= 1, "maxInFlight must be >= 1");
+    require(stream.workers >= 0, "workers must be >= 0");
     // A shared pool needs at least one worker thread — a pool of 1
     // runs submit() tasks inline, which would make a blocking
     // propagate stage deadlock the dispatcher.
-    if (stream.sharedPool && stream.sharedPool->numThreads() < 2)
-        throw std::invalid_argument(
+    require(!stream.sharedPool || stream.sharedPool->numThreads() >= 2,
             "a shared StreamPipeline pool needs >= 2 threads "
             "(N - 1 stage executors)");
 
@@ -238,7 +237,7 @@ StreamPipeline::reset()
     prevDisparity_ = {};
     // All in-flight work has retired (every future above is ready),
     // so this empties the arena completely for the next sequence.
-    buffers().trim(0);
+    buffers().trim();
 }
 
 } // namespace asv::core

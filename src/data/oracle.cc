@@ -27,7 +27,8 @@ OracleModel::forNetwork(const std::string &name)
         m.outlierRate = 0.023;
         m.subpixelSigma = 0.35;
     } else {
-        fatal("no oracle calibration for network ", name);
+        throw std::invalid_argument("no oracle calibration for network " +
+                                    name);
     }
     return m;
 }

@@ -36,10 +36,10 @@ makeTexture(int width, int height, float scale, Rng &rng)
 
 Scene::Scene(const SceneConfig &cfg, Rng &rng) : cfg_(cfg)
 {
-    fatal_if(cfg.width < 32 || cfg.height < 32,
-             "scene too small to be meaningful");
-    fatal_if(cfg.maxDisparity <= cfg.minDisparity,
-             "disparity range is empty");
+    require(cfg.width >= 32 && cfg.height >= 32,
+            "scene too small to be meaningful");
+    require(cfg.maxDisparity > cfg.minDisparity,
+            "disparity range is empty");
 
     const int pad = int(cfg.maxDisparity) + 48;
 

@@ -1,5 +1,7 @@
 #include "dnn/zoo.hh"
 
+#include <stdexcept>
+
 #include "common/logging.hh"
 
 namespace asv::dnn::zoo
@@ -405,7 +407,7 @@ buildByName(const std::string &name)
         return build3dGan();
     if (name == "DiscoGAN")
         return buildDiscoGan();
-    fatal("unknown network name: ", name);
+    throw std::invalid_argument("unknown network name: " + name);
 }
 
 } // namespace asv::dnn::zoo

@@ -57,7 +57,8 @@ std::vector<Network> stereoNetworks(const StereoInput &in = {});
  */
 std::vector<Network> ganNetworks(int64_t batch = 16);
 
-/** Build any zoo network by name; fatal() on unknown names. */
+/** Build any zoo network by name; throws std::invalid_argument on
+ *  unknown names. */
 Network buildByName(const std::string &name);
 
 } // namespace asv::dnn::zoo

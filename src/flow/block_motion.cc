@@ -30,10 +30,8 @@ FlowField
 blockMotion(const image::Image &frame0, const image::Image &frame1,
             const BlockMotionParams &params)
 {
-    panic_if(frame0.width() != frame1.width() ||
-                 frame0.height() != frame1.height(),
-             "frame size mismatch");
-    fatal_if(params.blockSize < 2, "block size too small");
+    require(image::sameSize(frame0, frame1), "frame size mismatch");
+    require(params.blockSize >= 2, "block size too small");
 
     const int w = frame0.width(), h = frame0.height();
     const int bs = params.blockSize, r = params.searchRadius;

@@ -168,6 +168,13 @@ class Image
     std::shared_ptr<detail::PoolState> pool_; //!< null = plain value
 };
 
+/** True when @p a and @p b have the same width and height. */
+inline bool
+sameSize(const Image &a, const Image &b)
+{
+    return a.width() == b.width() && a.height() == b.height();
+}
+
 /**
  * One axis of a bilinear sample at real coordinate @p t on a grid of
  * @p n samples: the replicate-clamped neighbours floor(t) and

@@ -495,8 +495,8 @@ scheduleTransformedLayer(const deconv::TransformedLayer &layer,
     if (ilar) {
         GroupModel g = buildGroup(layer, all, hw.bytesPerElem);
         LayerSchedule s;
-        fatal_if(!optimizeGroup(g, hw, false, s),
-                 "no feasible ILAR schedule for layer ", layer.name);
+        require(optimizeGroup(g, hw, false, s),
+                "no feasible ILAR schedule for layer ", layer.name);
         s.layerName = layer.name;
         s.usedIlar = true;
         return s;
@@ -508,12 +508,11 @@ scheduleTransformedLayer(const deconv::TransformedLayer &layer,
         GroupModel g = buildGroup(layer, {i}, hw.bytesPerElem);
         LayerSchedule s;
         if (mode == OptMode::Naive) {
-            fatal_if(!naiveGroup(g, hw, s),
-                     "no feasible naive schedule for layer ",
-                     layer.name);
+            require(naiveGroup(g, hw, s),
+                    "no feasible naive schedule for layer ", layer.name);
         } else {
-            fatal_if(!optimizeGroup(g, hw, false, s),
-                     "no feasible schedule for layer ", layer.name);
+            require(optimizeGroup(g, hw, false, s),
+                    "no feasible schedule for layer ", layer.name);
         }
         total += s;
         total.tileRows = s.tileRows;
@@ -534,8 +533,8 @@ scheduleTransformedLayerExact(const deconv::TransformedLayer &layer,
              " has no non-empty sub-convolutions");
 
     GroupModel g = buildGroup(layer, all, hw.bytesPerElem);
-    fatal_if(g.ifElems > 4096,
-             "exact solver is restricted to small layers");
+    require(g.ifElems <= 4096,
+            "exact solver is restricted to small layers");
 
     LayerSchedule best;
     bool found = false;
@@ -552,8 +551,7 @@ scheduleTransformedLayerExact(const deconv::TransformedLayer &layer,
             }
         }
     }
-    fatal_if(!found, "no feasible exact schedule for layer ",
-             layer.name);
+    require(found, "no feasible exact schedule for layer ", layer.name);
     best.layerName = layer.name;
     best.usedIlar = layer.fromDeconv && all.size() > 1;
     return best;
@@ -611,9 +609,9 @@ scheduleDenseLayer(const dnn::LayerDesc &layer,
     LayerSchedule s;
     // The evaluate() capacity check subtracts the ifmap bytes, so
     // pass the combined budget of all three partitions.
-    fatal_if(!evaluate(g, span, ReuseOrder::WeightResident,
-                       g.ifBytes(span) + wo_budget, hw, false, s),
-             "no feasible baseline schedule for layer ", layer.name);
+    require(evaluate(g, span, ReuseOrder::WeightResident,
+                     g.ifBytes(span) + wo_budget, hw, false, s),
+            "no feasible baseline schedule for layer ", layer.name);
     s.layerName = layer.name;
     s.macs = layer.macs(); // dense, zeros included
     return s;

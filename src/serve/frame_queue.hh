@@ -52,7 +52,8 @@ using StreamId = int32_t;
 
 /**
  * The lock-free submission ring. One instance per Server; capacity
- * is rounded up to a power of two and fixed for the queue's life.
+ * is rounded up to a power of two and fixed for the queue's life (a
+ * capacity below 1 throws std::invalid_argument).
  */
 class FrameQueue
 {
@@ -66,10 +67,8 @@ class FrameQueue
     };
 
     explicit FrameQueue(int capacity)
-        : mask_(roundUpPow2(capacity) - 1),
-          cells_(roundUpPow2(capacity))
+        : mask_(ringSize(capacity) - 1), cells_(mask_ + 1)
     {
-        fatal_if(capacity < 1, "FrameQueue capacity must be >= 1");
         for (size_t i = 0; i < cells_.size(); ++i)
             cells_[i].seq.store(i, std::memory_order_relaxed);
     }
@@ -167,11 +166,15 @@ class FrameQueue
         image::Image right;
     };
 
+    /** @p capacity rounded up to a power of two. Checked here, in
+     *  the member initializers, before anything is sized from it:
+     *  throws std::invalid_argument below 1. */
     static size_t
-    roundUpPow2(int v)
+    ringSize(int capacity)
     {
+        require(capacity >= 1, "FrameQueue capacity must be >= 1");
         size_t p = 1;
-        while (p < static_cast<size_t>(v))
+        while (p < static_cast<size_t>(capacity))
             p <<= 1;
         return p;
     }

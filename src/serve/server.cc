@@ -132,14 +132,6 @@ class BoundedRing
     int size_ = 0;
 };
 
-/** A bad client configuration: std::invalid_argument naming it. */
-void
-require(bool ok, const char *what)
-{
-    if (!ok)
-        throw std::invalid_argument(what);
-}
-
 /** @p config, or std::invalid_argument naming its bad field: runs
  *  before the server builds its pool or ring, so a bad config
  *  starts no thread. */
@@ -267,10 +259,9 @@ Server::openStream(StreamConfig config)
 void
 Server::setPaused(StreamId stream, bool paused)
 {
-    if (stream < 0 ||
-        stream >= numStreams_.load(std::memory_order_acquire))
-        throw std::invalid_argument("setPaused on unknown stream " +
-                                    std::to_string(stream));
+    require(stream >= 0 &&
+                stream < numStreams_.load(std::memory_order_acquire),
+            "setPaused on unknown stream ", stream);
     streams_[static_cast<size_t>(stream)]->paused.store(
         paused, std::memory_order_relaxed);
     if (!paused)
@@ -300,6 +291,12 @@ Server::submitImpl(StreamId stream, const image::Image &left,
         return SubmitStatus::UnknownStream;
     StreamState &s = *streams_[static_cast<size_t>(stream)];
     s.submitted.fetch_add(1, std::memory_order_relaxed);
+    // A mismatched pair would make the stream's pipeline throw on the
+    // dispatcher thread, where no client can catch it.
+    if (!image::sameSize(left, right)) {
+        s.rejected.fetch_add(1, std::memory_order_relaxed);
+        return SubmitStatus::SizeMismatch;
+    }
 
     while (!stopping_.load(std::memory_order_acquire)) {
         if (ring_.tryEnqueue(stream, left, right)) {
@@ -677,8 +674,7 @@ Server::heartbeatMain()
 int
 Server::subscribe(HeartbeatFn fn)
 {
-    if (!fn)
-        throw std::invalid_argument("subscribe() needs a callback");
+    require(fn != nullptr, "subscribe() needs a callback");
     MutexLock lock(hbMutex_);
     const int token = nextToken_++;
     subscribers_.emplace_back(token, std::move(fn));

@@ -85,6 +85,7 @@ enum class SubmitStatus
     QueueFull,     //!< global ring full (trySubmit only — submit blocks)
     Closed,        //!< server stopping; frame not accepted
     UnknownStream, //!< no such stream id
+    SizeMismatch,  //!< left and right differ in size; not accepted
 };
 
 /** How one frame's service ended. */
@@ -175,7 +176,7 @@ struct StreamStats
     int priority = 0;
     bool paused = false;
     int64_t submitted = 0; //!< submit()/trySubmit() attempts
-    int64_t rejected = 0;  //!< not accepted (ring full / closed)
+    int64_t rejected = 0;  //!< not accepted (full, closed, mismatched)
     int64_t accepted = 0;  //!< ticketed by the dispatcher
     int64_t shed = 0;      //!< dropped by load shedding
     int64_t completed = 0; //!< delivered Ok

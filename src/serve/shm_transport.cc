@@ -225,11 +225,11 @@ ShmFrameWriter::ShmFrameWriter(const std::string &name, int width,
     : name_(name), width_(width), height_(height),
       slotCount_(slot_count)
 {
-    fatal_if(width < 1 || height < 1,
-             "SHM frame dimensions must be positive");
-    fatal_if(slot_count < 2,
-             "SHM transport needs >= 2 slots (the newest frame's "
-             "predecessor must stay readable while it is written)");
+    require(width >= 1 && height >= 1,
+            "SHM frame dimensions must be positive");
+    require(slot_count >= 2,
+            "SHM transport needs >= 2 slots (the newest frame's "
+            "predecessor must stay readable while it is written)");
 
     // Replace any stale segment left behind by a crashed writer.
     int fd = ::shm_open(name_.c_str(), O_CREAT | O_EXCL | O_RDWR,
@@ -240,24 +240,27 @@ ShmFrameWriter::ShmFrameWriter(const std::string &name, int width,
         fd = ::shm_open(name_.c_str(), O_CREAT | O_EXCL | O_RDWR,
                         0600);
     }
-    fatal_if(fd < 0, "shm_open(", name_,
-             ") failed: ", std::strerror(errno));
+    if (fd < 0)
+        throw std::runtime_error("shm_open(" + name_ +
+                                 ") failed: " + std::strerror(errno));
 
     mapBytes_ = shm_layout::regionBytes(width_, height_, slotCount_);
     if (::ftruncate(fd, static_cast<off_t>(mapBytes_)) != 0) {
         const int err = errno;
         ::close(fd);
         ::shm_unlink(name_.c_str());
-        fatal("ftruncate(", name_, ", ", mapBytes_,
-              ") failed: ", std::strerror(err));
+        throw std::runtime_error("ftruncate(" + name_ + ", " +
+                                 std::to_string(mapBytes_) +
+                                 ") failed: " + std::strerror(err));
     }
     map_ = ::mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE,
                   MAP_SHARED, fd, 0);
+    const int map_err = errno;
     ::close(fd);
     if (map_ == MAP_FAILED) {
-        map_ = nullptr;
         ::shm_unlink(name_.c_str());
-        fatal("mmap(", name_, ") failed: ", std::strerror(errno));
+        throw std::runtime_error("mmap(" + name_ +
+                                 ") failed: " + std::strerror(map_err));
     }
 
     // ftruncate delivered zero pages, so every slot already reads
@@ -287,12 +290,11 @@ uint64_t
 ShmFrameWriter::write(StreamId stream, const image::Image &left,
                       const image::Image &right)
 {
-    fatal_if(left.width() != width_ || left.height() != height_ ||
-                 right.width() != width_ ||
-                 right.height() != height_,
-             "SHM write of a ", left.width(), "x", left.height(),
-             " / ", right.width(), "x", right.height(),
-             " pair into a ", width_, "x", height_, " segment");
+    require(left.width() == width_ && left.height() == height_ &&
+                image::sameSize(left, right),
+            "SHM write of a ", left.width(), "x", left.height(), " / ",
+            right.width(), "x", right.height(), " pair into a ", width_,
+            "x", height_, " segment");
 
     const uint64_t frame_id = nextFrameId_++;
     const int slot =

@@ -127,7 +127,10 @@ class ShmFrameWriter
     /**
      * Create segment @p name (shm_open O_CREAT|O_EXCL — a stale
      * segment with the same name is replaced) sized for
-     * @p slot_count slots of width x height frames.
+     * @p slot_count slots of width x height frames. Throws
+     * std::invalid_argument for an empty frame or fewer than two
+     * slots, and std::runtime_error when the segment cannot be
+     * created or mapped.
      */
     ShmFrameWriter(const std::string &name, int width, int height,
                    int slot_count);
@@ -139,7 +142,8 @@ class ShmFrameWriter
     /**
      * Publish a stereo pair tagged for @p stream; returns the
      * frameId assigned (0, 1, 2, ...). The images must match the
-     * segment's frame dimensions. Wait-free with respect to
+     * segment's frame dimensions (std::invalid_argument otherwise).
+     * Wait-free with respect to
      * readers; overwrites the slot of frameId - slotCount.
      */
     uint64_t write(StreamId stream, const image::Image &left,

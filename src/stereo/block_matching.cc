@@ -140,7 +140,7 @@ selectDisparities(const double *cost, int n, int d0, int nd,
             // best (OpenCV semantics): the immediate neighbors of a
             // minimum on a smooth SAD surface are always nearly as
             // good, so counting them as "second best" would reject
-            // nearly every pixel — fatal for guided refinement, where
+            // nearly every pixel — ruin for guided refinement, where
             // all candidates are adjacent integers. A window with no
             // candidate beyond the exclusion zone has no rival to
             // compare against and keeps the match.
@@ -234,15 +234,21 @@ searchWindows(const image::Image &left, const image::Image &right,
 
 } // namespace
 
+void
+checkParams(const BlockMatchingParams &params, int refine_radius)
+{
+    require(params.blockRadius >= 0, "blockRadius must be >= 0");
+    require(params.maxDisparity >= 1, "maxDisparity must be >= 1");
+    require(refine_radius >= 0, "refineRadius must be >= 0");
+}
+
 DisparityMap
 blockMatching(const image::Image &left, const image::Image &right,
               const BlockMatchingParams &params,
               const ExecContext &ctx)
 {
-    panic_if(left.width() != right.width() ||
-                 left.height() != right.height(),
-             "stereo pair size mismatch");
-    fatal_if(params.maxDisparity < 1, "maxDisparity must be >= 1");
+    checkParams(params);
+    require(image::sameSize(left, right), "stereo pair size mismatch");
 
     return searchWindows(
         left, right, params, params.maxDisparity + 1,
@@ -259,13 +265,9 @@ refineDisparity(const image::Image &left, const image::Image &right,
                 const BlockMatchingParams &params,
                 const ExecContext &ctx)
 {
-    panic_if(left.width() != right.width() ||
-                 left.height() != right.height(),
-             "stereo pair size mismatch");
-    panic_if(init.width() != left.width() ||
-                 init.height() != left.height(),
-             "init disparity size mismatch");
-    fatal_if(radius < 0, "negative refinement radius");
+    checkParams(params, radius);
+    require(image::sameSize(left, right), "stereo pair size mismatch");
+    require(image::sameSize(init, left), "init disparity size mismatch");
 
     return searchWindows(
         left, right, params,

@@ -41,9 +41,19 @@ struct BlockMatchingParams
 };
 
 /**
+ * Throw std::invalid_argument unless blockRadius >= 0, maxDisparity
+ * >= 1 and the guided search radius @p refine_radius >= 0. The
+ * kernels and the registry's "bm" and "guided" factories call it.
+ */
+void checkParams(const BlockMatchingParams &params,
+                 int refine_radius = 0);
+
+/**
  * Classic full-search block matching over the whole disparity range.
  * The row-parallel SAD search fans out on @p ctx's pool; results are
- * bit-identical for any worker count.
+ * bit-identical for any worker count. Throws std::invalid_argument
+ * for a pair whose images differ in size and for params
+ * checkParams() rejects.
  *
  * @param left  reference image
  * @param right matching image
@@ -57,6 +67,8 @@ DisparityMap blockMatching(const image::Image &left,
 /**
  * Guided 1-D refinement around an initial estimate (ISM step 4).
  * Pixels whose initial estimate is invalid fall back to full search.
+ * Throws std::invalid_argument when @p left, @p right and @p init
+ * differ in size and for arguments checkParams() rejects.
  *
  * @param left   reference image
  * @param right  matching image

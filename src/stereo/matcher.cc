@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/logging.hh"
 #include "data/oracle.hh"
 #include "stereo/block_matching.hh"
 #include "stereo/sgm.hh"
@@ -26,14 +27,11 @@ MatcherOptions::parse(const std::string &spec)
         if (entry.empty())
             continue;
         const size_t eq = entry.find('=');
-        if (eq == std::string::npos || eq == 0)
-            throw std::invalid_argument(
-                "matcher option '" + entry +
-                "' is not of the form key=value");
+        require(eq != std::string::npos && eq != 0, "matcher option '",
+                entry, "' is not of the form key=value");
         const std::string key = entry.substr(0, eq);
-        if (opts.values_.count(key))
-            throw std::invalid_argument("duplicate matcher option '" +
-                                        key + "'");
+        require(!opts.values_.count(key), "duplicate matcher option '",
+                key, "'");
         opts.values_[key] = entry.substr(eq + 1);
     }
     return opts;
@@ -162,9 +160,8 @@ MatcherOptions::finish(const std::string &engine) const
             unknown += ", ";
         unknown += key;
     }
-    if (!unknown.empty())
-        throw std::invalid_argument("unknown option(s) for matcher '" +
-                                    engine + "': " + unknown);
+    require(unknown.empty(), "unknown option(s) for matcher '", engine,
+            "': ", unknown);
 }
 
 // ------------------------------------------------------- adapters
@@ -182,10 +179,6 @@ parseBmParams(const MatcherOptions &opts)
     p.subpixel = opts.getBool("subpixel", p.subpixel);
     p.uniquenessRatio = static_cast<float>(
         opts.getDouble("uniquenessRatio", p.uniquenessRatio));
-    if (p.blockRadius < 0)
-        throw std::invalid_argument("blockRadius must be >= 0");
-    if (p.maxDisparity < 1)
-        throw std::invalid_argument("maxDisparity must be >= 1");
     return p;
 }
 
@@ -348,10 +341,10 @@ MatcherRegistry::MatcherRegistry()
     // and makeMatcher("oracle") would then fail only at runtime,
     // only in binaries that don't otherwise touch the oracle.
     const Factory bm_factory = [](const MatcherOptions &opts) {
-        auto m = std::make_shared<BlockMatchingMatcher>(
-            parseBmParams(opts));
+        const BlockMatchingParams p = parseBmParams(opts);
+        checkParams(p);
         opts.finish("bm");
-        return m;
+        return std::make_shared<BlockMatchingMatcher>(p);
     };
     factories_["bm"] = bm_factory;
     factories_["block_matching"] = bm_factory;
@@ -369,29 +362,20 @@ MatcherRegistry::MatcherRegistry()
         p.paths = opts.getInt("paths", p.paths);
         p.pruneMargin = opts.getInt("pruneMargin", p.pruneMargin);
         const bool range_prune = opts.getBool("rangePrune", false);
-        if (p.censusRadius < 1 || p.censusRadius > 3)
-            throw std::invalid_argument(
-                "censusRadius must be in [1, 3]");
-        if (p.maxDisparity < 1)
-            throw std::invalid_argument("maxDisparity must be >= 1");
-        if (p.paths != 4 && p.paths != 5 && p.paths != 8)
-            throw std::invalid_argument("paths must be 4, 5, or 8");
-        if (p.p1 < 0 || p.p2 < 0)
-            throw std::invalid_argument("p1 and p2 must be >= 0");
-        if (p.pruneMargin < 0)
-            throw std::invalid_argument("pruneMargin must be >= 0");
+        // The kernel runs maxDisparity = 0 (one candidate); an engine
+        // behind the registry needs a range to search.
+        require(p.maxDisparity >= 1, "maxDisparity must be >= 1");
+        checkParams(p);
         opts.finish("sgm");
         return std::make_shared<SgmMatcher>(p, range_prune);
     };
 
     factories_["guided"] = [](const MatcherOptions &opts) {
         const int radius = opts.getInt("refineRadius", 2);
-        if (radius < 0)
-            throw std::invalid_argument("refineRadius must be >= 0");
-        auto m = std::make_shared<GuidedMatcher>(parseBmParams(opts),
-                                                 radius);
+        const BlockMatchingParams p = parseBmParams(opts);
+        checkParams(p, radius);
         opts.finish("guided");
-        return m;
+        return std::make_shared<GuidedMatcher>(p, radius);
     };
 
     factories_["oracle"] = [](const MatcherOptions &opts) {

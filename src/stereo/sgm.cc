@@ -16,6 +16,14 @@ namespace asv::stereo
 namespace
 {
 
+/** The census code of a (2r+1)^2 window must fit one uint64. */
+void
+requireCensusRadius(int radius)
+{
+    require(radius >= 1 && radius <= 3,
+            "censusRadius must be in [1, 3] (bits must fit uint64)");
+}
+
 /**
  * Path-start step (no predecessor): L_r is the raw matching cost.
  * Returns min(cur[0..nd)) — the prev_min of the next pixel.
@@ -603,22 +611,13 @@ sgmComputeStreamed(const image::Image &left, const image::Image &right,
                    const SgmParams &params, const DisparityMap *guide,
                    const ExecContext &ctx)
 {
-    panic_if(left.width() != right.width() ||
-                 left.height() != right.height(),
-             "stereo pair size mismatch");
-    fatal_if(params.p1 < 0 || params.p2 < 0,
-             "SGM penalties must be non-negative");
-    fatal_if(params.censusRadius < 1 || params.censusRadius > 3,
-             "census radius must be in [1, 3] (bits must fit uint64)");
-    fatal_if(params.paths != 4 && params.paths != 5 &&
-                 params.paths != 8,
-             "SGM paths must be 4, 5, or 8");
+    checkParams(params);
+    require(image::sameSize(left, right), "stereo pair size mismatch");
     const int w = left.width(), h = left.height();
     const int nd = params.maxDisparity + 1;
     const RowWindows win =
         guide != nullptr
-            ? makeGuideWindows(*guide, nd,
-                               std::max(params.pruneMargin, 0), ctx)
+            ? makeGuideWindows(*guide, nd, params.pruneMargin, ctx)
             : makeFullWindows(w, h, nd, ctx.buffers());
     // L_r <= cost + P2 per direction (prev_min + P2 is always a min
     // candidate), and cost <= (2r+1)^2 - 1 census bits, so the exact
@@ -646,8 +645,7 @@ std::vector<uint64_t>
 censusTransform(const image::Image &img, int radius,
                 const ExecContext &ctx)
 {
-    fatal_if(radius < 1 || radius > 3,
-             "census radius must be in [1, 3] (bits must fit uint64)");
+    requireCensusRadius(radius);
     const int w = img.width(), h = img.height();
     std::vector<uint64_t> census(int64_t(w) * h);
     const simd::Kernels &k = simd::kernels();
@@ -667,6 +665,17 @@ censusTransform(const image::Image &img, int radius,
         }
     });
     return census;
+}
+
+void
+checkParams(const SgmParams &params)
+{
+    requireCensusRadius(params.censusRadius);
+    require(params.maxDisparity >= 0, "maxDisparity must be >= 0");
+    require(params.p1 >= 0 && params.p2 >= 0, "p1 and p2 must be >= 0");
+    require(params.paths == 4 || params.paths == 5 || params.paths == 8,
+            "paths must be 4, 5, or 8");
+    require(params.pruneMargin >= 0, "pruneMargin must be >= 0");
 }
 
 int64_t

@@ -49,13 +49,21 @@ struct SgmParams
 /**
  * Census transform: each pixel becomes a bit string comparing its
  * (2r+1)^2 - 1 neighbors against the center. Returned as one uint64
- * per pixel (r <= 3 fits in 48 bits). Interior row strips go through
+ * per pixel (r <= 3 fits in 48 bits; any other radius throws
+ * std::invalid_argument). Interior row strips go through
  * the dispatched asv::simd census kernel; clamped borders are shared
  * scalar code, so every SIMD level is bit-identical.
  */
 std::vector<uint64_t> censusTransform(const image::Image &img,
                                       int radius,
                                       const ExecContext &ctx);
+
+/**
+ * Throw std::invalid_argument unless @p params can run: censusRadius
+ * in [1, 3], maxDisparity, p1, p2 and pruneMargin >= 0, paths 4, 5
+ * or 8. The kernels and the registry's "sgm" factory call it.
+ */
+void checkParams(const SgmParams &params);
 
 /** Number of arithmetic ops of sgmCompute on a w x h frame. */
 int64_t sgmOps(int width, int height, const SgmParams &params);
@@ -71,7 +79,9 @@ int64_t sgmOps(int width, int height, const SgmParams &params);
  * check); paths == 4/5 finalize in the single down sweep. Every stage
  * fans out on @p ctx's pool, with rows in tiles and the wavefront
  * directions pixel-parallel within a row; results are bit-identical
- * for any worker count and any SIMD level.
+ * for any worker count and any SIMD level. Throws
+ * std::invalid_argument for a pair whose images differ in size and
+ * for params checkParams() rejects.
  */
 DisparityMap sgmCompute(const image::Image &left,
                         const image::Image &right,

@@ -13,6 +13,7 @@
 #include "common/rng.hh"
 #include "data/oracle.hh"
 #include "data/scene.hh"
+#include "expect_invalid.hh"
 #include "stereo/disparity.hh"
 
 namespace
@@ -156,6 +157,19 @@ TEST(Scene, DatasetsHaveConfiguredShape)
     EXPECT_EQ(kitti[0].frames.size(), 2u);
 }
 
+TEST(Scene, MalformedConfigThrows)
+{
+    Rng rng(1);
+    SceneConfig small;
+    small.width = 31;
+    testref::expectInvalid([&] { (void)Scene(small, rng); },
+                           "scene too small");
+    SceneConfig empty;
+    empty.minDisparity = empty.maxDisparity;
+    testref::expectInvalid([&] { (void)Scene(empty, rng); },
+                           "disparity range is empty");
+}
+
 TEST(Scene, DeterministicForFixedSeed)
 {
     SceneConfig cfg;
@@ -210,10 +224,10 @@ TEST(Oracle, PredictsEverywhereIncludingOcclusions)
         EXPECT_TRUE(stereo::isValidDisparity(pred.data()[i]));
 }
 
-TEST(Oracle, UnknownNetworkDies)
+TEST(Oracle, UnknownNetworkThrows)
 {
-    EXPECT_DEATH(OracleModel::forNetwork("Nope"),
-                 "no oracle calibration");
+    testref::expectInvalid([] { (void)OracleModel::forNetwork("Nope"); },
+                           "no oracle calibration");
 }
 
 } // namespace

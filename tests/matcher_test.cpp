@@ -29,6 +29,7 @@
 #include "data/oracle.hh"
 #include "dnn/zoo.hh"
 #include "data/scene.hh"
+#include "expect_invalid.hh"
 #include "fn_matcher.hh"
 #include "image/ops.hh"
 #include "stereo/block_matching.hh"
@@ -109,6 +110,56 @@ TEST(MatcherRegistry, RejectsMalformedOptions)
     // std::stoull would silently wrap a negative seed.
     EXPECT_THROW((void)stereo::makeMatcher("oracle", "seed=-1"),
                  std::invalid_argument);
+}
+
+TEST(MatcherRegistry, EngineFactoriesApplyTheKernelRules)
+{
+    // The factories run the kernels' own checks, so every rule the
+    // kernels enforce is also caught at construction.
+    const struct
+    {
+        const char *engine;
+        const char *options;
+        const char *message;
+    } cases[] = {
+        {"sgm", "censusRadius=0", "censusRadius"},
+        {"sgm", "censusRadius=4", "censusRadius"},
+        {"sgm", "maxDisparity=-1", "maxDisparity"},
+        {"sgm", "p1=-1", "p1 and p2"},
+        {"sgm", "p2=-1", "p1 and p2"},
+        {"sgm", "paths=6", "paths"},
+        {"sgm", "pruneMargin=-1", "pruneMargin"},
+        {"bm", "blockRadius=-1", "blockRadius"},
+        {"bm", "maxDisparity=0", "maxDisparity"},
+        {"guided", "blockRadius=-1", "blockRadius"},
+        {"guided", "maxDisparity=0", "maxDisparity"},
+        {"guided", "refineRadius=-1", "refineRadius"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(std::string(c.engine) + " " + c.options);
+        testref::expectInvalid(
+            [&] { (void)stereo::makeMatcher(c.engine, c.options); },
+            c.message);
+    }
+}
+
+TEST(MatcherRegistry, EnginesRejectMismatchedPairs)
+{
+    const data::StereoFrame f = makeFrame();
+    const image::Image narrow(f.left.width() / 2, f.left.height(), 0.f);
+    const ExecContext &ctx = ExecContext::global();
+    for (const char *engine : {"bm", "sgm", "guided"}) {
+        SCOPED_TRACE(engine);
+        const auto m = stereo::makeMatcher(engine);
+        testref::expectInvalid(
+            [&] { (void)m->compute(f.left, narrow, ctx); },
+            "stereo pair size mismatch");
+        testref::expectInvalid(
+            [&] {
+                (void)m->computeGuided(f.left, narrow, f.gtDisparity, ctx);
+            },
+            "stereo pair size mismatch");
+    }
 }
 
 TEST(MatcherRegistry, CustomBackendRegistration)

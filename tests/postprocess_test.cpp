@@ -13,6 +13,7 @@
 #include "common/thread_pool.hh"
 #include "core/ism.hh"
 #include "data/scene.hh"
+#include "expect_invalid.hh"
 #include "flow/block_motion.hh"
 #include "stereo/disparity.hh"
 
@@ -122,6 +123,18 @@ TEST(BlockMotion, OpsModelScalesWithWindow)
     big.searchRadius = 7;
     EXPECT_GT(flow::blockMotionOps(100, 100, big),
               3 * flow::blockMotionOps(100, 100, small));
+}
+
+TEST(BlockMotion, CallerErrorsThrow)
+{
+    const image::Image frame(32, 16, 0.f);
+    flow::BlockMotionParams one;
+    one.blockSize = 1;
+    testref::expectInvalid([&] { (void)flow::blockMotion(frame, frame, one); },
+                           "block size too small");
+    testref::expectInvalid(
+        [&] { (void)flow::blockMotion(frame, image::Image(16, 16, 0.f)); },
+        "frame size mismatch");
 }
 
 } // namespace

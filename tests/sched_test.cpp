@@ -14,6 +14,7 @@
 #include "deconv/transform.hh"
 #include "dnn/layer.hh"
 #include "dnn/zoo.hh"
+#include "expect_invalid.hh"
 #include "sched/optimizer.hh"
 
 namespace
@@ -123,6 +124,19 @@ TEST(Scheduler, GreedyWithinFactorOfExact)
                   exact.latencyCycles * 5 / 4)
             << "k=" << k;
     }
+}
+
+TEST(Scheduler, ExactSolverRejectsLargeLayers)
+{
+    // 96 x 96 = 9216 ifmap elements, above the exact solver's 4096.
+    const auto layer = makeLayer(dnn::LayerKind::Deconv, {96, 96}, 8,
+                                 8, 3, 2, 1);
+    testref::expectInvalid(
+        [&] {
+            (void)scheduleTransformedLayerExact(
+                deconv::transformLayer(layer), HardwareConfig{});
+        },
+        "restricted to small layers");
 }
 
 TEST(Scheduler, DenseDeconvSlowerThanTransformed)

@@ -17,8 +17,10 @@
  *    (AllocTracker-guarded, including the FrameQueue in isolation);
  *  - a malformed StreamConfig or a full stream table throws from
  *    openStream() and leaves the server unchanged and serving; a bad
- *    ServerConfig, an unknown id in setPaused() and an empty
- *    heartbeat callback throw as well.
+ *    ServerConfig, an unknown id in setPaused(), an empty heartbeat
+ *    callback and a FrameQueue capacity below 1 throw as well;
+ *  - a stereo pair whose images differ in size is rejected with
+ *    SubmitStatus::SizeMismatch and the stream keeps serving.
  */
 
 #include <gtest/gtest.h>
@@ -160,8 +162,20 @@ TEST(Serve, SubmitStatuses)
     // QueueFull instead of blocking.
     EXPECT_EQ(server.trySubmit(id, frames[0].left, frames[0].right),
               SubmitStatus::QueueFull);
+    // A mismatched pair is rejected before the ring (which is full
+    // here), so it can never reach the stream's pipeline on the
+    // dispatcher thread.
+    const image::Image narrow(frames[0].left.width() / 2,
+                              frames[0].left.height(), 0.f);
+    EXPECT_EQ(server.trySubmit(id, frames[0].left, narrow),
+              SubmitStatus::SizeMismatch);
     release.count_down();
 
+    // After a mismatched pair the stream keeps serving.
+    EXPECT_EQ(server.submit(id, narrow, frames[0].right),
+              SubmitStatus::SizeMismatch);
+    EXPECT_EQ(server.submit(id, frames[0].left, frames[0].right),
+              SubmitStatus::Accepted);
     server.drain();
     server.stop();
     EXPECT_EQ(server.submit(id, frames[0].left, frames[0].right),
@@ -169,11 +183,14 @@ TEST(Serve, SubmitStatuses)
 
     const ServerStats stats = server.stats();
     ASSERT_EQ(stats.streams.size(), 2u);
-    EXPECT_EQ(stats.streams[0].submitted, 4);
-    EXPECT_EQ(stats.streams[0].rejected, 2); // QueueFull + Closed
-    EXPECT_EQ(stats.streams[0].accepted, 2);
+    EXPECT_EQ(stats.streams[0].submitted, 7);
+    // QueueFull + two SizeMismatch + Closed
+    EXPECT_EQ(stats.streams[0].rejected, 4);
+    EXPECT_EQ(stats.streams[0].accepted, 3);
     EXPECT_EQ(stats.delivered, stats.accepted);
-    EXPECT_EQ(log.results.size(), 2u);
+    ASSERT_EQ(log.results.size(), 3u);
+    for (const ServeResult &r : log.results)
+        EXPECT_EQ(r.status, ResultStatus::Ok);
 }
 
 TEST(Serve, BadStreamConfigThrowsAndLeavesServerUsable)
@@ -252,6 +269,10 @@ TEST(Serve, BadServerInputThrowsAndLeavesServerUsable)
     EXPECT_THROW(
         Server(broken([](ServerConfig &c) { c.maxStreams = 0; })),
         std::invalid_argument);
+    // The ring's own check runs before it is sized: -1 would
+    // otherwise round up forever as a size_t.
+    EXPECT_THROW(FrameQueue(0), std::invalid_argument);
+    EXPECT_THROW(FrameQueue(-1), std::invalid_argument);
 
     // A bad call on a running server throws and changes nothing.
     ServerConfig sc;

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "data/scene.hh"
+#include "expect_invalid.hh"
 #include "image/image.hh"
 #include "serve/server.hh"
 #include "serve/shm_transport.hh"
@@ -275,6 +276,28 @@ TEST(ShmTransport, ReaderRejectsMissingAndMangledSegments)
     EXPECT_THROW(ShmFrameReader{name}, std::runtime_error);
     magic.store(good);
     EXPECT_NO_THROW(ShmFrameReader{name});
+}
+
+TEST(ShmTransport, WriterRejectsBadGeometry)
+{
+    // Rejected before any segment is created.
+    const std::string name = makeName("badgeometry");
+    testref::expectInvalid([&] { ShmFrameWriter(name, kW, kH, 1); },
+                           ">= 2 slots");
+    testref::expectInvalid([&] { ShmFrameWriter(name, 0, 0, 2); },
+                           "dimensions must be positive");
+    EXPECT_THROW(ShmFrameReader{name}, std::runtime_error);
+
+    ShmFrameWriter writer(name, kW, kH, 2);
+    const auto frames = makeFrames(1, 3);
+    const image::Image narrow(kW / 2, kH, 0.f);
+    testref::expectInvalid(
+        [&] { (void)writer.write(0, frames[0].left, narrow); },
+        "SHM write of a 32x32 / 16x32 pair into a 32x32 segment");
+    testref::expectInvalid([&] { (void)writer.write(0, narrow, narrow); },
+                           "SHM write of a 16x32");
+    // Nothing was published; the writer still works.
+    EXPECT_EQ(writer.write(0, frames[0].left, frames[0].right), 0u);
 }
 
 TEST(ShmTransport, CrossProcessChildReads)

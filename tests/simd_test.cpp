@@ -26,6 +26,7 @@
 #include "common/simd.hh"
 #include "common/thread_pool.hh"
 #include "data/scene.hh"
+#include "expect_invalid.hh"
 #include "image/image.hh"
 #include "sgm_reference.hh"
 #include "stereo/block_matching.hh"
@@ -143,6 +144,21 @@ TEST(SimdDispatch, SetLevelRoundTrips)
         EXPECT_STREQ(simd::activeName(), simd::levelName(level));
     }
     EXPECT_EQ(simd::activeLevel(), before);
+}
+
+TEST(SimdDispatch, SetLevelRejectsUnsupportedLevel)
+{
+    for (simd::Level level :
+         {simd::Level::Scalar, simd::Level::Avx2, simd::Level::Neon}) {
+        if (simd::levelSupported(level))
+            continue;
+        const simd::Level before = simd::activeLevel();
+        testref::expectInvalid([&] { simd::setLevel(level); },
+                               "is not supported");
+        EXPECT_EQ(simd::activeLevel(), before);
+        return;
+    }
+    GTEST_SKIP() << "this host supports every SIMD level";
 }
 
 // ---------------------------------------------------------- kernel level

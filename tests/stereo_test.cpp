@@ -18,6 +18,7 @@
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "data/scene.hh"
+#include "expect_invalid.hh"
 #include "hash_util.hh"
 #include "stereo/block_matching.hh"
 #include "stereo/disparity.hh"
@@ -513,6 +514,93 @@ TEST(Sgm, OpsModelScalesWithDisparityRange)
     p16.maxDisparity = 16;
     p64.maxDisparity = 64;
     EXPECT_GT(sgmOps(100, 100, p64), 3 * sgmOps(100, 100, p16));
+}
+
+// ------------------------------------------------------ caller errors
+
+/** One parameter rule: an edit that breaks it, and the message. */
+template <typename Params>
+struct Rule
+{
+    void (*breakIt)(Params &);
+    const char *message;
+};
+
+const Rule<SgmParams> kSgmRules[] = {
+    {[](SgmParams &p) { p.censusRadius = 0; }, "censusRadius"},
+    {[](SgmParams &p) { p.censusRadius = 4; }, "censusRadius"},
+    {[](SgmParams &p) { p.maxDisparity = -1; }, "maxDisparity"},
+    {[](SgmParams &p) { p.p1 = -1; }, "p1 and p2"},
+    {[](SgmParams &p) { p.p2 = -1; }, "p1 and p2"},
+    {[](SgmParams &p) { p.paths = 6; }, "paths"},
+    {[](SgmParams &p) { p.pruneMargin = -1; }, "pruneMargin"},
+};
+
+const Rule<BlockMatchingParams> kBmRules[] = {
+    {[](BlockMatchingParams &p) { p.blockRadius = -1; }, "blockRadius"},
+    {[](BlockMatchingParams &p) { p.maxDisparity = 0; }, "maxDisparity"},
+};
+
+TEST(EngineRules, SgmKernelRejectsEachRule)
+{
+    const ExecContext &ctx = ExecContext::global();
+    const image::Image img(24, 8, 0.f);
+    const DisparityMap guide(24, 8, 1.f);
+    for (const auto &rule : kSgmRules) {
+        SgmParams p;
+        rule.breakIt(p);
+        testref::expectInvalid([&] { checkParams(p); }, rule.message);
+        testref::expectInvalid(
+            [&] { (void)sgmCompute(img, img, p, ctx); }, rule.message);
+        testref::expectInvalid(
+            [&] { (void)sgmComputeGuided(img, img, guide, p, ctx); },
+            rule.message);
+    }
+    for (int radius : {0, 4}) {
+        testref::expectInvalid(
+            [&] { (void)censusTransform(img, radius, ctx); },
+            "censusRadius");
+    }
+    const image::Image narrow(16, 8, 0.f);
+    testref::expectInvalid(
+        [&] { (void)sgmCompute(img, narrow, SgmParams{}, ctx); },
+        "stereo pair size mismatch");
+    testref::expectInvalid(
+        [&] {
+            (void)sgmComputeGuided(img, narrow, guide, SgmParams{}, ctx);
+        },
+        "stereo pair size mismatch");
+}
+
+TEST(EngineRules, BlockMatchingKernelRejectsEachRule)
+{
+    const ExecContext &ctx = ExecContext::global();
+    const image::Image img(24, 8, 0.f);
+    const DisparityMap init(24, 8, 1.f);
+    for (const auto &rule : kBmRules) {
+        BlockMatchingParams p;
+        rule.breakIt(p);
+        testref::expectInvalid([&] { checkParams(p); }, rule.message);
+        testref::expectInvalid(
+            [&] { (void)blockMatching(img, img, p, ctx); }, rule.message);
+        testref::expectInvalid(
+            [&] { (void)refineDisparity(img, img, init, 2, p, ctx); },
+            rule.message);
+    }
+    const BlockMatchingParams ok;
+    testref::expectInvalid(
+        [&] { (void)refineDisparity(img, img, init, -1, ok, ctx); },
+        "refineRadius");
+    const image::Image narrow(16, 8, 0.f);
+    testref::expectInvalid(
+        [&] { (void)blockMatching(img, narrow, ok, ctx); },
+        "stereo pair size mismatch");
+    testref::expectInvalid(
+        [&] { (void)refineDisparity(img, narrow, init, 2, ok, ctx); },
+        "stereo pair size mismatch");
+    testref::expectInvalid(
+        [&] { (void)refineDisparity(img, img, narrow, 2, ok, ctx); },
+        "init disparity size mismatch");
 }
 
 } // namespace
